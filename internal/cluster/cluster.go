@@ -174,6 +174,9 @@ type migration struct {
 	done     chan struct{}
 }
 
+// ErrClosed is returned by AddNode and RunStream once Close has begun.
+var ErrClosed = errors.New("cluster: closed")
+
 // Cluster coordinates a set of in-process nodes: consistent-hash
 // placement, heartbeat membership with deadline failure detection, and
 // checkpoint handoff on every ownership change. All public methods are
@@ -291,7 +294,7 @@ func (c *Cluster) AddNode(id NodeID) (*Node, error) {
 		c.mu.Unlock()
 		ln.Close()
 		n.eng.Close()
-		return nil, errors.New("cluster: closed")
+		return nil, ErrClosed
 	}
 	if _, dup := c.allNodes[id]; dup {
 		c.mu.Unlock()
@@ -729,15 +732,27 @@ func (c *Cluster) Push(id engine.StreamID, batch []core.Reading) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if !c.routeLocked(id, batch) {
 		c.shedLocked(batch)
+		return false
+	}
+	return true
+}
+
+// routeLocked hands batch to the stream's owner, or buffers it while
+// the stream migrates. It reports false, without counting a drop, when
+// it could do neither: the cluster is closed, no member can own the
+// stream, the migration buffer is at its bound, or the owner refused
+// (dead but not yet detected, lease not live, or mailbox full).
+// Callers hold c.mu.
+func (c *Cluster) routeLocked(id engine.StreamID, batch []core.Reading) bool {
+	if c.closed {
 		return false
 	}
 	p, ok := c.placements[id]
 	if !ok {
 		owner, haveOwner := c.ring.Owner(string(id))
 		if !haveOwner {
-			c.shedLocked(batch)
 			return false
 		}
 		p = &placement{node: owner}
@@ -749,20 +764,15 @@ func (c *Cluster) Push(id engine.StreamID, batch []core.Reading) bool {
 	}
 	if p.migrating {
 		if len(p.pending) >= c.cfg.PendingBatches {
-			c.shedLocked(batch)
 			return false
 		}
 		p.pending = append(p.pending, batch)
 		return true
 	}
+	// The failure detector re-places a stream whose owner is
+	// unreachable.
 	node := c.memberNodeLocked(p.node)
-	if node == nil || !node.push(id, batch) {
-		// Owner unreachable (dead but not yet detected, or its mailbox
-		// is gone): shed. The failure detector will re-place the stream.
-		c.shedLocked(batch)
-		return false
-	}
-	return true
+	return node != nil && node.push(id, batch)
 }
 
 // shedLocked counts one dropped batch. Callers hold c.mu.
@@ -801,8 +811,24 @@ func (c *Cluster) Members() []NodeID {
 	return c.ring.Nodes()
 }
 
+// Backoff bounds for RunStream's retry of a refused push.
+const (
+	pushRetryMin = 100 * time.Microsecond
+	pushRetryMax = 5 * time.Millisecond
+)
+
 // RunStream drains a report source into the cluster until the stream
 // ends, then flushes it. Blocks; run one goroutine per source.
+//
+// Each report frame is converted once. A push the cluster refuses (the
+// owner's mailbox is full, the migration buffer is at its bound, or
+// the stream has no live owner yet) is retried with a short doubling
+// backoff instead of being shed, so a source that outruns its engine is
+// slowed to the engine's pace rather than losing readings; the owner's
+// engine still counts each refused attempt in engine_overflow_total.
+// The coordinator lock is never held while waiting. Once Close has
+// begun, the batch in hand is counted as dropped and RunStream returns
+// ErrClosed.
 func (c *Cluster) RunStream(id engine.StreamID, src live.ReportSource) error {
 	for {
 		reports, err := src.NextReports()
@@ -812,11 +838,29 @@ func (c *Cluster) RunStream(id engine.StreamID, src live.ReportSource) error {
 		if err != nil {
 			return err
 		}
+		if len(reports) == 0 {
+			continue
+		}
 		batch := make([]core.Reading, 0, len(reports))
 		for _, rep := range reports {
 			batch = append(batch, live.ReadingFromReport(rep))
 		}
-		c.Push(id, batch)
+		for backoff := pushRetryMin; ; backoff = min(2*backoff, pushRetryMax) {
+			c.mu.Lock()
+			ok := c.routeLocked(id, batch)
+			c.mu.Unlock()
+			if ok {
+				break
+			}
+			select {
+			case <-c.stop:
+				c.mu.Lock()
+				c.shedLocked(batch)
+				c.mu.Unlock()
+				return ErrClosed
+			case <-time.After(backoff):
+			}
+		}
 	}
 	c.FlushStream(id)
 	return nil

@@ -1,12 +1,17 @@
 package cluster_test
 
 import (
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"rfipad/internal/cluster"
 	"rfipad/internal/engine"
+	"rfipad/internal/llrp"
 	"rfipad/internal/obs"
+	"rfipad/internal/replay"
 )
 
 // fastConfig is the base sim-test tuning: quick heartbeats and tight
@@ -237,5 +242,109 @@ func TestClusterCloseIdempotent(t *testing.T) {
 	// Push after close sheds, never panics.
 	if c.Push("plate-0", batches[0]) {
 		t.Error("Push accepted a batch after Close")
+	}
+}
+
+// unpacedSource serves a capture in 50 ms report windows as fast as it
+// is asked: a session catching up after an outage, or a replayed
+// recording.
+type unpacedSource struct {
+	reports []llrp.TagReport
+	pos     int
+	started chan struct{} // closed by the first NextReports, when set
+}
+
+func (s *unpacedSource) NextReports() ([]llrp.TagReport, error) {
+	if s.pos == 0 && s.started != nil {
+		close(s.started)
+	}
+	if s.pos >= len(s.reports) {
+		return nil, llrp.ErrStreamEnded
+	}
+	start := s.pos
+	cut := s.reports[start].Timestamp + 50*time.Millisecond
+	for s.pos < len(s.reports) && s.reports[s.pos].Timestamp < cut {
+		s.pos++
+	}
+	return s.reports[start:s.pos], nil
+}
+
+func (s *unpacedSource) Stats() llrp.SessionStats { return llrp.SessionStats{} }
+
+// TestClusterRunStreamKeepsEveryReading pushes 8 unpaced captures
+// through a one-node cluster, far faster than its single engine worker
+// drains them. RunStream must slow the sources down instead of
+// shedding: every offered reading is ingested and none is counted as
+// dropped. Membership runs on the default timing, so heartbeats delayed
+// by the saturated engine cannot expire the only node mid-test.
+func TestClusterRunStreamKeepsEveryReading(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := cluster.New(cluster.Config{EngineWorkers: 1, Obs: reg})
+	defer c.Close()
+	if _, err := c.AddNode("node-0"); err != nil {
+		t.Fatal(err)
+	}
+	const streams = 8
+	offered := 0
+	srcs := make([]*unpacedSource, streams)
+	for i := range srcs {
+		reports, err := replay.Synthesize(int64(90+i), "IT", 3*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offered += len(reports)
+		srcs[i] = &unpacedSource{reports: reports}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, streams)
+	for i, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.RunStream(engine.StreamID(fmt.Sprintf("plate-%d", i)), src)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("plate-%d: RunStream: %v", i, err)
+		}
+	}
+	c.Close()
+
+	snap := reg.Snapshot()
+	if got := snap.Value("engine_readings_total"); got != float64(offered) {
+		t.Errorf("engine_readings_total = %v, want every offered reading (%d)", got, offered)
+	}
+	if got := snap.Value("cluster_dropped_readings_total"); got != 0 {
+		t.Errorf("cluster_dropped_readings_total = %v, want 0", got)
+	}
+}
+
+// TestClusterRunStreamReturnsOnClose pins RunStream's exit while a
+// push is being retried: once Close has begun it stops waiting,
+// counts the batch in hand as dropped and returns ErrClosed.
+func TestClusterRunStreamReturnsOnClose(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := cluster.New(cluster.Config{Obs: reg}) // no members: every push is refused
+	reports, err := replay.Synthesize(95, "IT", 3*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &unpacedSource{reports: reports, started: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() { done <- c.RunStream("plate-0", src) }()
+	<-src.started
+	c.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, cluster.ErrClosed) {
+			t.Errorf("RunStream after Close = %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunStream kept retrying after Close")
+	}
+	if got := reg.Snapshot().Value("cluster_dropped_batches_total"); got != 1 {
+		t.Errorf("cluster_dropped_batches_total = %v, want the 1 batch in hand", got)
 	}
 }

@@ -75,14 +75,6 @@ func (n *Node) push(id engine.StreamID, batch []core.Reading) bool {
 	return n.eng.Push(id, batch)
 }
 
-// pushWait is the blocking push used by source-driven streams.
-func (n *Node) pushWait(id engine.StreamID, batch []core.Reading) bool {
-	if n.killed.Load() || !n.leaseLive(id, time.Now()) {
-		return false
-	}
-	return n.eng.PushWait(id, batch)
-}
-
 // evict pulls a stream's checkpoint out of the node's engine for
 // migration. Fails on a killed node — a crashed process cannot be
 // asked for its live state; the coordinator falls back to the durable

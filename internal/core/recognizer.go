@@ -46,7 +46,8 @@ type Event struct {
 // statistics cache (segCache) in one column sweep. Full segmentation
 // runs only when the stream crosses a frame boundary — never per
 // reading — over cached frame values, and the segmenter's window stds
-// are themselves maintained incrementally between polls. The
+// and frame-RMS quiet floor are themselves maintained incrementally
+// between polls. The
 // per-reading Ingest survives as a thin wrapper over a one-element
 // batch, so both entry points share one code path and emit identical
 // events. Steady-state ingest allocates nothing once the buffers reach

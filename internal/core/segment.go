@@ -146,61 +146,89 @@ func (g *Segmenter) Segment(readings []Reading, cal *Calibration, start, end tim
 // state. The zero value is ready; buffers grow to the high-water mark
 // and stay there.
 //
-// Across calls the scratch also carries the incremental window-std
-// state (stds, sortedStds, incr*): a streaming caller that knows which
-// frames changed since its last poll pays only for the handful of
-// sliding windows those frames touch, instead of recomputing — and
-// re-sorting — every window std per poll.
+// Across calls the scratch also carries the incremental order-statistic
+// state (stds, sortedStds, rms, sortedRMS, incr*): a streaming caller
+// that knows which frames changed since its last poll pays only for the
+// handful of sliding windows and frames those changes touch, instead of
+// recomputing — and re-sorting — every window std and the whole
+// frame-RMS trace per poll.
 type segScratch struct {
 	stds   []float64
 	seeded []float64
-	sorted []float64 // quantile workspace (copied + sorted per use)
+	work   []float64 // quantile's selection workspace (NaN-free copy, partitioned in place)
 	active []bool
 	spans  []Span
 
-	// sortedStds mirrors stds as a NaN-free sorted multiset, maintained
-	// incrementally so the adaptive threshold's quantile and peak are
-	// O(1) lookups instead of a copy + sort per poll.
+	// sortedStds mirrors stds and sortedRMS mirrors rms as NaN-free
+	// sorted multisets, maintained incrementally so the adaptive
+	// threshold's quantile and peak and the bridge's quiet floor are
+	// lookups instead of a copy + sort per poll. rms is the previous
+	// call's frame-RMS trace: the caller's slice is updated in place
+	// between polls, so the old values a changed frame must retract from
+	// sortedRMS live here.
 	sortedStds []float64
+	rms        []float64
+	sortedRMS  []float64
 	incrValid  bool
 	incrStart  time.Duration // rms[0]'s stream time when stds was built
 }
 
-// sortedInsert adds v to the sorted multiset (NaNs are excluded, as the
-// quantile path excludes them).
-func (sc *segScratch) sortedInsert(v float64) {
+// sortedInsert adds v to the sorted multiset s (NaNs are excluded, as
+// the quantile path excludes them).
+func sortedInsert(s []float64, v float64) []float64 {
 	if math.IsNaN(v) {
-		return
+		return s
 	}
-	i := sort.SearchFloat64s(sc.sortedStds, v)
-	sc.sortedStds = append(sc.sortedStds, 0)
-	copy(sc.sortedStds[i+1:], sc.sortedStds[i:])
-	sc.sortedStds[i] = v
+	i := sort.SearchFloat64s(s, v)
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
 }
 
-// sortedRemove drops one occurrence of v from the sorted multiset.
-func (sc *segScratch) sortedRemove(v float64) {
+// sortedRemove drops one occurrence of v from the sorted multiset s.
+func sortedRemove(s []float64, v float64) []float64 {
 	if math.IsNaN(v) {
-		return
+		return s
 	}
-	i := sort.SearchFloat64s(sc.sortedStds, v)
-	if i < len(sc.sortedStds) && sc.sortedStds[i] == v {
-		sc.sortedStds = sc.sortedStds[:i+copy(sc.sortedStds[i:], sc.sortedStds[i+1:])]
+	i := sort.SearchFloat64s(s, v)
+	if i < len(s) && s[i] == v {
+		s = s[:i+copy(s[i:], s[i+1:])]
 	}
+	return s
 }
 
-// quantile computes the q-th quantile of x through the scratch's
-// sorting buffer, mirroring dsp.NewCDF(x).Quantile(q) without the
-// allocation. NaNs are dropped as CDF does.
-func (sc *segScratch) quantile(x []float64, q float64) float64 {
-	sc.sorted = sc.sorted[:0]
+// dropFront removes the first n values of vals, and each of them from
+// vals' sorted multiset.
+func dropFront(vals, sorted []float64, n int) ([]float64, []float64) {
+	for _, v := range vals[:n] {
+		sorted = sortedRemove(sorted, v)
+	}
+	return vals[:copy(vals, vals[n:])], sorted
+}
+
+// appendSorted appends x's NaN-free values to dst and sorts the result.
+func appendSorted(dst, x []float64) []float64 {
 	for _, v := range x {
 		if !math.IsNaN(v) {
-			sc.sorted = append(sc.sorted, v)
+			dst = append(dst, v)
 		}
 	}
-	slices.Sort(sc.sorted)
-	return dsp.QuantileSorted(sc.sorted, q)
+	slices.Sort(dst)
+	return dst
+}
+
+// quantile computes the q-th quantile of x by selection over the
+// scratch's workspace, bit-identical to dsp.NewCDF(x).Quantile(q)
+// without the allocation or the full sort. NaNs are dropped as CDF does.
+func (sc *segScratch) quantile(x []float64, q float64) float64 {
+	sc.work = sc.work[:0]
+	for _, v := range x {
+		if !math.IsNaN(v) {
+			sc.work = append(sc.work, v)
+		}
+	}
+	return dsp.QuantileSelect(sc.work, q)
 }
 
 // segmentRMS runs the span-detection back half of Segment over an
@@ -216,12 +244,13 @@ func (g *Segmenter) segmentRMS(rms []float64, start time.Duration, sc *segScratc
 // changedFrom >= 0, frames [changedFrom, len(rms)) are the only ones
 // whose rms values may differ from the previous call on the same
 // scratch (start advances — history trims — are detected and handled
-// by shifting). Only the sliding windows those frames touch are
-// recomputed, and the threshold's quantile/peak read the incrementally
-// maintained sorted multiset, so a quiet steady-state poll costs a few
-// window stds instead of a full re-sort. changedFrom < 0 (or any
-// inconsistency with the scratch's remembered geometry) falls back to
-// a full rebuild; the detected spans are bit-identical either way.
+// by shifting). Only the sliding windows and frames those changes touch
+// are updated, and the threshold's quantile/peak and the quiet floor
+// read the incrementally maintained sorted multisets, so a steady-state
+// poll costs a few window stds and sorted inserts instead of full
+// re-sorts. changedFrom < 0 (or any inconsistency with the scratch's
+// remembered geometry) falls back to a full rebuild; the detected spans
+// are bit-identical either way.
 func (g *Segmenter) segmentRMSFrom(rms []float64, start time.Duration, sc *segScratch, changedFrom int) []Span {
 	if len(rms) == 0 {
 		return nil
@@ -295,7 +324,7 @@ func (g *Segmenter) segmentRMSFrom(rms []float64, start time.Duration, sc *segSc
 	// dip mid-stroke when the disturbance plateaus. A frame whose RMS
 	// sits above the midpoint between the quiet floor and the typical
 	// active level is part of a stroke too.
-	quiet := sc.quantile(rms, adaptiveQuantile)
+	quiet := dsp.QuantileSorted(sc.sortedRMS, adaptiveQuantile)
 	bridge := (quiet + sc.quantile(seeded, 0.5)) / 2
 	for f, v := range rms {
 		if v > bridge {
@@ -349,18 +378,20 @@ func (g *Segmenter) segmentRMSFrom(rms []float64, start time.Duration, sc *segSc
 	return kept
 }
 
-// updateStds brings the scratch's sliding-window stds (and their sorted
-// multiset) up to date with rms. Each recomputed window std is a fresh
-// dsp.Std over the current rms values — never a running update — so an
-// incrementally maintained entry is bit-identical to a full rebuild's.
+// updateStds brings the scratch's sliding-window stds and its copy of
+// the frame-RMS trace, with their sorted multisets, up to date with
+// rms. Each recomputed window std is a fresh dsp.Std over the current
+// rms values — never a running update — so an incrementally maintained
+// entry is bit-identical to a full rebuild's, and each multiset holds
+// exactly the values a from-scratch sort would.
 //
 // The incremental path survives the two geometry changes a streaming
-// caller produces: a history trim (start advanced by whole frames;
-// dropped frames' windows shift down — their values are unchanged
-// because the surviving rms values are unchanged) and appended frames.
-// A horizon regression (rms shorter than the scratch remembers, e.g.
-// the poll after a flush pushed the horizon far ahead) forces a full
-// rebuild, as does any call without a watermark.
+// caller produces: a history trim (start advanced by whole frames; the
+// dropped frames and their windows leave both multisets, and the rest
+// shift down unchanged because the surviving rms values are unchanged)
+// and appended frames. A horizon regression (rms shorter than the
+// scratch remembers, e.g. the poll after a flush pushed the horizon far
+// ahead) forces a full rebuild, as does any call without a watermark.
 func (g *Segmenter) updateStds(rms []float64, start time.Duration, sc *segScratch, changedFrom, w int) {
 	nw := len(rms) - w + 1
 	if nw < 0 {
@@ -373,26 +404,22 @@ func (g *Segmenter) updateStds(rms []float64, start time.Duration, sc *segScratc
 		} else if drop := int((start - sc.incrStart) / g.FrameLen); drop >= len(sc.stds) {
 			rebuild = true
 		} else {
-			for _, v := range sc.stds[:drop] {
-				sc.sortedRemove(v)
-			}
-			sc.stds = sc.stds[:copy(sc.stds, sc.stds[drop:])]
+			// drop < len(stds) <= len(sc.rms)-w+1: both lose a prefix.
+			sc.stds, sc.sortedStds = dropFront(sc.stds, sc.sortedStds, drop)
+			sc.rms, sc.sortedRMS = dropFront(sc.rms, sc.sortedRMS, drop)
 		}
 	}
-	if !rebuild && nw < len(sc.stds) {
+	if !rebuild && len(rms) < len(sc.rms) {
 		rebuild = true
 	}
+	keep := 0 // leading frames of sc.rms that already match rms
 	if rebuild {
 		sc.stds = sc.stds[:0]
-		sc.sortedStds = sc.sortedStds[:0]
 		for f := 0; f < nw; f++ {
-			v := dsp.Std(rms[f : f+w])
-			sc.stds = append(sc.stds, v)
-			if !math.IsNaN(v) {
-				sc.sortedStds = append(sc.sortedStds, v)
-			}
+			sc.stds = append(sc.stds, dsp.Std(rms[f:f+w]))
 		}
-		slices.Sort(sc.sortedStds)
+		sc.sortedStds = appendSorted(sc.sortedStds[:0], sc.stds)
+		sc.sortedRMS = appendSorted(sc.sortedRMS[:0], rms)
 	} else {
 		// Windows touching a changed frame: [changedFrom-w+1, nw), plus
 		// any windows beyond the previous high-water mark.
@@ -406,14 +433,24 @@ func (g *Segmenter) updateStds(rms []float64, start time.Duration, sc *segScratc
 		for f := lo; f < nw; f++ {
 			v := dsp.Std(rms[f : f+w])
 			if f < len(sc.stds) {
-				sc.sortedRemove(sc.stds[f])
+				sc.sortedStds = sortedRemove(sc.sortedStds, sc.stds[f])
 				sc.stds[f] = v
 			} else {
 				sc.stds = append(sc.stds, v)
 			}
-			sc.sortedInsert(v)
+			sc.sortedStds = sortedInsert(sc.sortedStds, v)
+		}
+		// Frames from the watermark on, plus any beyond the previous
+		// trace's end.
+		keep = min(changedFrom, len(sc.rms))
+		for f := keep; f < len(rms); f++ {
+			if f < len(sc.rms) {
+				sc.sortedRMS = sortedRemove(sc.sortedRMS, sc.rms[f])
+			}
+			sc.sortedRMS = sortedInsert(sc.sortedRMS, rms[f])
 		}
 	}
+	sc.rms = append(sc.rms[:keep], rms[keep:]...)
 	sc.incrValid = true
 	sc.incrStart = start
 }

@@ -241,23 +241,102 @@ func (c *CDF) Quantile(q float64) float64 { return QuantileSorted(c.sorted, q) }
 // CDF.Quantile for callers that maintain their own sorted scratch.
 // NaN if the slice is empty.
 func QuantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
+	if len(sorted) == 0 {
 		return math.NaN()
 	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= n {
-		return sorted[n-1]
+	i, frac, between := quantileRank(len(sorted), q)
+	if !between {
+		return sorted[i]
 	}
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
+}
+
+// QuantileSelect returns what QuantileSorted would return for a sorted
+// copy of x — bit for bit, through the same interpolation — by
+// selection instead of a full sort: the i-th smallest value, plus the
+// minimum of the partition above it when q falls between two order
+// statistics. Expected O(len(x)) with no allocation; x is reordered in
+// place and must be NaN-free. NaN if x is empty.
+func QuantileSelect(x []float64, q float64) float64 {
+	if len(x) == 0 {
+		return math.NaN()
+	}
+	i, frac, between := quantileRank(len(x), q)
+	lo := selectKth(x, i)
+	if !between {
+		return lo
+	}
+	hi := x[i+1]
+	for _, v := range x[i+2:] {
+		if v < hi {
+			hi = v
+		}
+	}
+	return lo*(1-frac) + hi*frac
+}
+
+// quantileRank is the rank arithmetic behind QuantileSorted and
+// QuantileSelect for n > 0 ascending values: the quantile is the i-th
+// smallest value, or — when between — the i-th and (i+1)-th smallest
+// interpolated by frac.
+func quantileRank(n int, q float64) (i int, frac float64, between bool) {
+	if q <= 0 {
+		return 0, 0, false
+	}
+	if q >= 1 {
+		return n - 1, 0, false
+	}
+	pos := q * float64(n-1)
+	i = int(pos)
+	if i+1 >= n {
+		return n - 1, 0, false
+	}
+	return i, pos - float64(i), true
+}
+
+// selectKth partially orders x (NaN-free) so that x[k] holds its k-th
+// smallest value, with x[:k] <= x[k] <= x[k+1:], and returns x[k].
+// Hoare partitioning around a median-of-three pivot (Wirth's FIND):
+// equal keys split evenly, so heavy ties and presorted input stay
+// linear.
+func selectKth(x []float64, k int) float64 {
+	lo, hi := 0, len(x)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if x[mid] < x[lo] {
+			x[mid], x[lo] = x[lo], x[mid]
+		}
+		if x[hi] < x[lo] {
+			x[hi], x[lo] = x[lo], x[hi]
+		}
+		if x[hi] < x[mid] {
+			x[hi], x[mid] = x[mid], x[hi]
+		}
+		p := x[mid]
+		i, j := lo, hi
+		for i <= j {
+			for x[i] < p {
+				i++
+			}
+			for p < x[j] {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default: // j < k < i: x[k] equals the pivot
+			return x[k]
+		}
+	}
+	return x[k]
 }
 
 // Len returns the number of retained samples.

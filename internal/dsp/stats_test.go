@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -192,6 +193,56 @@ func TestCDFQuantileMonotoneProperty(t *testing.T) {
 		// P and Quantile are approximate inverses.
 		if p := c.P(v); p < q-0.02 {
 			t.Fatalf("P(Quantile(%v)) = %v too small", q, p)
+		}
+	}
+}
+
+// TestQuantileSelectMatchesSortProperty pins selection to the sorting
+// path bit for bit: on random inputs with heavy ties, presorted and
+// reversed runs, QuantileSelect equals slices.Sort + QuantileSorted,
+// only permutes its input, and yields NaN only for empty input. Signed
+// zeros are left out: sort keeps ±0 in input order, so no selection
+// can promise which of the two a zero-valued quantile carries.
+func TestQuantileSelectMatchesSortProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 3000; trial++ {
+		n := r.Intn(301)
+		pool := 1 + r.Intn(6)
+		x := make([]float64, n)
+		for i := range x {
+			switch r.Intn(3) {
+			case 0:
+				x[i] = float64(r.Intn(pool)) // ties, including zeros
+			case 1:
+				x[i] = r.NormFloat64()
+			default:
+				x[i] = r.ExpFloat64() * 1e-3
+			}
+		}
+		switch trial % 4 {
+		case 1:
+			slices.Sort(x)
+		case 2:
+			slices.Sort(x)
+			slices.Reverse(x)
+		}
+		sorted := slices.Clone(x)
+		slices.Sort(sorted)
+		for _, q := range []float64{0, 0.25, 0.5, 1, r.Float64()} {
+			work := slices.Clone(x)
+			got := QuantileSelect(work, q)
+			want := QuantileSorted(sorted, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d n=%d q=%v: select %v (%#x), sort %v (%#x)",
+					trial, n, q, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if math.IsNaN(got) != (n == 0) {
+				t.Fatalf("trial %d n=%d q=%v: NaN = %v", trial, n, q, math.IsNaN(got))
+			}
+			slices.Sort(work)
+			if !slices.Equal(work, sorted) {
+				t.Fatalf("trial %d n=%d q=%v: selection changed the multiset", trial, n, q)
+			}
 		}
 	}
 }

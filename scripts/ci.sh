@@ -70,16 +70,26 @@ go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/supervise
 echo '== alloc regression tests (pure build)'
 go test -run 'Allocs' . ./internal/obs/trace
 
-echo '== bench smoke (hot path + engine + columnar ingest, 1 iteration)'
-go test -run '^$' -bench 'BenchmarkRecognizerIngestSteadyState|BenchmarkEngineMultiStream|BenchmarkStreamingIngest$|BenchmarkIngestBatch$' \
-    -benchtime=1x -benchmem . | tee bench_smoke.txt
-# The columnar batch path must stay allocation-free at steady state:
-# any allocation on BenchmarkIngestBatch is a hot-path regression, so
-# it fails the gate outright.
-if ! grep 'BenchmarkIngestBatch' bench_smoke.txt | grep -q ' 0 allocs/op'; then
-    echo 'FAIL: BenchmarkIngestBatch allocates on the steady-state workload'
-    exit 1
-fi
+echo '== bench smoke (hot path + engine + columnar ingest + active segmentation poll, 1 iteration)'
+go test -run '^$' -bench 'BenchmarkRecognizerIngestSteadyState|BenchmarkEngineMultiStream|BenchmarkStreamingIngest$|BenchmarkIngestBatch$|BenchmarkSegmenterActivePoll$' \
+    -benchtime=1x -benchmem . ./internal/core | tee bench_smoke.txt
+# The columnar batch path must stay allocation-free at steady state,
+# and so must a segmentation poll while a user writes (the quiet
+# ingest benchmarks leave at the segmenter's early exit and never reach
+# that path): any allocation on either is a hot-path regression, so it
+# fails the gate outright.
+for b in BenchmarkIngestBatch BenchmarkSegmenterActivePoll; do
+    if ! grep "$b" bench_smoke.txt | grep -q ' 0 allocs/op'; then
+        echo "FAIL: $b allocates on the steady-state workload"
+        exit 1
+    fi
+done
+
+# The benchmark is a module of its own (bench/go.mod), so the vet and
+# test runs above do not build it: a changed public call it uses would
+# otherwise only break at benchmark time.
+echo '== benchmark module (vet + harness tests)'
+(cd bench && go vet ./... && go test ./...)
 
 # Bench reports: stash the committed baselines, regenerate each report,
 # then print a field-by-field before/after comparison. The diff is
