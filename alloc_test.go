@@ -7,12 +7,15 @@ package rfipad
 // per-reading cost is pure compute, not GC pressure.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"rfipad/internal/cluster"
 	"rfipad/internal/core"
 	"rfipad/internal/obs"
 	"rfipad/internal/obs/trace"
+	"rfipad/internal/supervise"
 )
 
 // steadyStateRecognizer returns a recognizer warmed past its buffer
@@ -116,6 +119,97 @@ func TestIngestBatchSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(2000, feed); avg != 0 {
 		t.Errorf("steady-state IngestBatch allocates %.4f objects/batch, want 0", avg)
+	}
+}
+
+// TestClusterPushSteadyStateAllocs pins the cluster intake at zero
+// allocations per push: Cluster.Push copies the caller's 256 readings
+// into a pooled columnar batch, routes it to the owner's mailbox, and
+// the owner's shard sanitizes and ingests it and returns it to the
+// pool. Each measured push waits until the shard has taken its batch,
+// so the shard's work lands in the measurement too (AllocsPerRun counts
+// every goroutine).
+//
+// The stream is calibrated by adoption, which resumes recognition at
+// the checkpoint's frame cursor, and then fed a quiet capture warmed
+// past its buffer high-water marks, as in steadyStateRecognizer. A
+// stream that calibrates from its own prelude would not do: its
+// recognizer starts at frame 0, and the empty prelude frames read as an
+// activity step that keeps the quiet history from ever trimming.
+func TestClusterPushSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	// AllocsPerRun measures at GOMAXPROCS 1. Warm up at that setting
+	// too: changing it empties the batch pool's per-P caches.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sim, err := NewSimulator(SimulatorConfig{Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prelude = 3 * time.Second
+	cal, err := sim.Calibrate(prelude)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := sim.CollectStatic(8 * time.Second)
+	if len(quiet) == 0 {
+		t.Fatal("no quiet capture")
+	}
+	reg := obs.NewRegistry()
+	// A lease far longer than the test: no renewal can lapse mid-run.
+	c := cluster.New(cluster.Config{FailAfter: time.Minute, EngineWorkers: 1, Obs: reg})
+	defer c.Close()
+	node, err := c.AddNode("node-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Engine().AdoptStream("plate-0", supervise.Checkpoint{Stream: "plate-0",
+		StreamTime: prelude, FrameCursor: prelude, Calibration: cal.Snapshot()}); err != nil {
+		t.Fatal(err)
+	}
+	ingested := reg.Counter("engine_readings_total", "")
+
+	lap := quiet[len(quiet)-1].Time + time.Millisecond
+	batch := make([]core.Reading, 256)
+	pos, laps, offered, refused := 0, 0, 0, 0
+	fill := func() {
+		for j := range batch {
+			batch[j] = quiet[pos]
+			batch[j].Time += prelude + lap*time.Duration(laps)
+			if pos++; pos == len(quiet) {
+				pos, laps = 0, laps+1
+			}
+		}
+		offered += len(batch)
+	}
+	drain := func() {
+		for ingested.Value() < uint64(offered) {
+			runtime.Gosched()
+		}
+	}
+	// Warm through several laps: history and frame cache reach their
+	// high-water capacity across several trim/compaction cycles.
+	for laps < 6 {
+		fill()
+		for !c.Push("plate-0", batch) {
+			runtime.Gosched()
+		}
+	}
+	drain()
+	avg := testing.AllocsPerRun(200, func() {
+		fill()
+		if !c.Push("plate-0", batch) {
+			refused++
+			offered -= len(batch)
+		}
+		drain()
+	})
+	if refused > 0 {
+		t.Fatalf("%d measured pushes refused; the mailbox was drained before each", refused)
+	}
+	if avg != 0 {
+		t.Errorf("steady-state Cluster.Push allocates %.4f objects/push, want 0", avg)
 	}
 }
 

@@ -161,7 +161,7 @@ type member struct {
 type placement struct {
 	node      NodeID
 	migrating bool
-	pending   [][]core.Reading
+	pending   []*core.ReadingBatch
 }
 
 // migration is one stream move in flight.
@@ -659,7 +659,9 @@ func (c *Cluster) finalize(m migration, tr *trace.StreamTrace, target NodeID, ha
 		c.pushPendingLocked(node, m.id, pending)
 	} else {
 		// No live owner anywhere: the stream is orphaned until a node
-		// joins (a fresh placement forms on its next batch).
+		// joins (a fresh placement forms on its next batch), and the
+		// batches buffered for it are shed.
+		c.pushPendingLocked(nil, m.id, p.pending)
 		delete(c.placements, m.id)
 		c.tel.placed.Set(float64(len(c.placements)))
 		c.tel.orphaned.Inc()
@@ -713,39 +715,48 @@ func (c *Cluster) memberNodeLocked(id NodeID) *Node {
 }
 
 // pushPendingLocked drains batches buffered during a migration into
-// the (new) owner. Callers hold c.mu; engine pushes are non-blocking.
-func (c *Cluster) pushPendingLocked(node *Node, id engine.StreamID, pending [][]core.Reading) {
-	for _, batch := range pending {
-		if node == nil || !node.push(id, batch) {
-			c.tel.droppedBatches.Inc()
-			c.tel.droppedReadings.Add(uint64(len(batch)))
+// the (new) owner, shedding any it refuses. Callers hold c.mu; engine
+// pushes are non-blocking.
+func (c *Cluster) pushPendingLocked(node *Node, id engine.StreamID, pending []*core.ReadingBatch) {
+	for _, b := range pending {
+		if node == nil || !node.push(id, b) {
+			c.shed(b)
 		}
 	}
 }
 
 // Push routes one batch of readings to the stream's owner. A stream
 // mid-migration buffers (bounded); a stream with no live owner sheds.
-// Returns false when the batch was shed or buffered past the bound.
+// The readings are copied once, into a pooled columnar batch, before
+// the coordinator lock is taken, so the caller keeps its slice either
+// way. Returns false when the cluster could neither route nor buffer
+// the batch; it is then shed and counted on cluster_dropped_*, and
+// retrying the same slice later is safe.
 func (c *Cluster) Push(id engine.StreamID, batch []core.Reading) bool {
 	if len(batch) == 0 {
 		return true
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.routeLocked(id, batch) {
-		c.shedLocked(batch)
-		return false
+	b := core.GetBatch()
+	for _, rd := range batch {
+		b.AppendReading(rd)
 	}
-	return true
+	c.mu.Lock()
+	ok := c.routeLocked(id, b)
+	c.mu.Unlock()
+	if !ok {
+		c.shed(b)
+	}
+	return ok
 }
 
-// routeLocked hands batch to the stream's owner, or buffers it while
-// the stream migrates. It reports false, without counting a drop, when
+// routeLocked hands b to the stream's owner, or buffers it while the
+// stream migrates; either way the batch then belongs to the cluster. It
+// reports false, leaving b with the caller and counting no drop, when
 // it could do neither: the cluster is closed, no member can own the
 // stream, the migration buffer is at its bound, or the owner refused
 // (dead but not yet detected, lease not live, or mailbox full).
 // Callers hold c.mu.
-func (c *Cluster) routeLocked(id engine.StreamID, batch []core.Reading) bool {
+func (c *Cluster) routeLocked(id engine.StreamID, b *core.ReadingBatch) bool {
 	if c.closed {
 		return false
 	}
@@ -766,19 +777,21 @@ func (c *Cluster) routeLocked(id engine.StreamID, batch []core.Reading) bool {
 		if len(p.pending) >= c.cfg.PendingBatches {
 			return false
 		}
-		p.pending = append(p.pending, batch)
+		p.pending = append(p.pending, b)
 		return true
 	}
 	// The failure detector re-places a stream whose owner is
 	// unreachable.
 	node := c.memberNodeLocked(p.node)
-	return node != nil && node.push(id, batch)
+	return node != nil && node.push(id, b)
 }
 
-// shedLocked counts one dropped batch. Callers hold c.mu.
-func (c *Cluster) shedLocked(batch []core.Reading) {
+// shed counts one batch the cluster gave up on and returns it to the
+// pool.
+func (c *Cluster) shed(b *core.ReadingBatch) {
 	c.tel.droppedBatches.Inc()
-	c.tel.droppedReadings.Add(uint64(len(batch)))
+	c.tel.droppedReadings.Add(uint64(b.Len()))
+	core.PutBatch(b)
 }
 
 // FlushStream forces a stream's pending stroke and letter out on its
@@ -820,12 +833,12 @@ const (
 // RunStream drains a report source into the cluster until the stream
 // ends, then flushes it. Blocks; run one goroutine per source.
 //
-// Each report frame is converted once. A push the cluster refuses (the
-// owner's mailbox is full, the migration buffer is at its bound, or
-// the stream has no live owner yet) is retried with a short doubling
-// backoff instead of being shed, so a source that outruns its engine is
-// slowed to the engine's pace rather than losing readings; the owner's
-// engine still counts each refused attempt in engine_overflow_total.
+// Each report frame is decoded once, into a pooled columnar batch. A
+// push the cluster refuses (the owner's mailbox is full, the migration
+// buffer is at its bound, or the stream has no live owner yet) leaves
+// that batch in hand, and the same batch is retried with a short
+// doubling backoff instead of being shed, so a source that outruns its
+// engine is slowed to the engine's pace rather than losing readings.
 // The coordinator lock is never held while waiting. Once Close has
 // begun, the batch in hand is counted as dropped and RunStream returns
 // ErrClosed.
@@ -841,22 +854,18 @@ func (c *Cluster) RunStream(id engine.StreamID, src live.ReportSource) error {
 		if len(reports) == 0 {
 			continue
 		}
-		batch := make([]core.Reading, 0, len(reports))
-		for _, rep := range reports {
-			batch = append(batch, live.ReadingFromReport(rep))
-		}
+		b := core.GetBatch()
+		live.AppendReports(b, reports)
 		for backoff := pushRetryMin; ; backoff = min(2*backoff, pushRetryMax) {
 			c.mu.Lock()
-			ok := c.routeLocked(id, batch)
+			ok := c.routeLocked(id, b)
 			c.mu.Unlock()
 			if ok {
 				break
 			}
 			select {
 			case <-c.stop:
-				c.mu.Lock()
-				c.shedLocked(batch)
-				c.mu.Unlock()
+				c.shed(b)
 				return ErrClosed
 			case <-time.After(backoff):
 			}

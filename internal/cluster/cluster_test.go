@@ -3,12 +3,16 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"rfipad/internal/cluster"
+	"rfipad/internal/core"
 	"rfipad/internal/engine"
+	"rfipad/internal/live"
 	"rfipad/internal/llrp"
 	"rfipad/internal/obs"
 	"rfipad/internal/replay"
@@ -346,5 +350,131 @@ func TestClusterRunStreamReturnsOnClose(t *testing.T) {
 	}
 	if got := reg.Snapshot().Value("cluster_dropped_batches_total"); got != 1 {
 		t.Errorf("cluster_dropped_batches_total = %v, want the 1 batch in hand", got)
+	}
+}
+
+// frameSource replays fixed report frames, one per NextReports call.
+type frameSource struct {
+	frames [][]llrp.TagReport
+	pos    int
+}
+
+func (s *frameSource) NextReports() ([]llrp.TagReport, error) {
+	if s.pos >= len(s.frames) {
+		return nil, llrp.ErrStreamEnded
+	}
+	s.pos++
+	return s.frames[s.pos-1], nil
+}
+
+func (s *frameSource) Stats() llrp.SessionStats { return llrp.SessionStats{} }
+
+// eventLog records every event per stream, in delivery order.
+type eventLog struct {
+	mu     sync.Mutex
+	events map[engine.StreamID][]core.Event
+}
+
+func (l *eventLog) record(id engine.StreamID, ev core.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.events == nil {
+		l.events = map[engine.StreamID][]core.Event{}
+	}
+	l.events[id] = append(l.events[id], ev)
+}
+
+// TestClusterPushMatchesEngineRunStream sends the same captures, in
+// the same 256-report frames, through Cluster.Push on a one-node
+// cluster and through engine.RunStream. The two intake paths must be
+// indistinguishable downstream: identical events per stream, identical
+// sanitizer rejections (one frame carries a NaN phase, a +5 dBm RSS and
+// a reading 2 s behind the stream), and every offered reading counted
+// in engine_readings_total.
+func TestClusterPushMatchesEngineRunStream(t *testing.T) {
+	const frameLen = 256
+	words := []string{"IT", "LC", "TI"}
+	frames := make([][][]llrp.TagReport, len(words))
+	offered := 0
+	for i, word := range words {
+		reports, err := replay.Synthesize(int64(110+i), word, 3*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(reports); lo += frameLen {
+			frames[i] = append(frames[i], reports[lo:min(lo+frameLen, len(reports))])
+		}
+		offered += len(reports)
+	}
+	// Three readings the sanitizer must reject, appended to a frame well
+	// past the calibration prelude.
+	const bad = 20
+	f := append([]llrp.TagReport(nil), frames[0][bad]...)
+	newest := f[len(f)-1].Timestamp
+	nan, loud, stale := f[0], f[1], f[2]
+	nan.PhaseRad = math.NaN()
+	loud.RSSdBm = 5
+	stale.Timestamp = newest - 2*time.Second
+	frames[0][bad] = append(f, nan, loud, stale)
+	offered += 3
+
+	id := func(i int) engine.StreamID { return engine.StreamID(fmt.Sprintf("plate-%d", i)) }
+
+	regE := obs.NewRegistry()
+	var viaEngine eventLog
+	eng := engine.New(engine.Config{Workers: 1, Obs: regE, OnEvent: viaEngine.record})
+	for i := range words {
+		if err := eng.RunStream(id(i), &frameSource{frames: frames[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Close()
+
+	// A lease far longer than the test keeps every event past the
+	// cluster's lease gate, even while Close drains the node.
+	regC := obs.NewRegistry()
+	var viaCluster eventLog
+	c := cluster.New(cluster.Config{FailAfter: time.Minute, EngineWorkers: 1, Obs: regC,
+		OnEvent: func(_ cluster.NodeID, sid engine.StreamID, ev core.Event) { viaCluster.record(sid, ev) }})
+	defer c.Close()
+	if _, err := c.AddNode("node-0"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range words {
+		for _, frame := range frames[i] {
+			readings := make([]core.Reading, len(frame))
+			for j, rep := range frame {
+				readings[j] = live.ReadingFromReport(rep)
+			}
+			for !c.Push(id(i), readings) {
+				time.Sleep(100 * time.Microsecond) // mailbox full: retry the same slice
+			}
+		}
+		c.FlushStream(id(i))
+	}
+	c.Close()
+
+	for i, word := range words {
+		want, got := viaEngine.events[id(i)], viaCluster.events[id(i)]
+		if len(want) == 0 {
+			t.Fatalf("%s (%q): the engine path emitted no events", id(i), word)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s (%q): Cluster.Push emitted %d events, engine.RunStream %d; they differ",
+				id(i), word, len(got), len(want))
+		}
+	}
+	snapE, snapC := regE.Snapshot(), regC.Snapshot()
+	for _, reason := range []string{"phase", "rss", "time_regression"} {
+		e := snapE.Value("readings_rejected_total", obs.L("reason", reason))
+		cl := snapC.Value("readings_rejected_total", obs.L("reason", reason))
+		if e != 1 || cl != e {
+			t.Errorf("readings_rejected_total{reason=%s}: cluster %v, engine %v, want 1 each", reason, cl, e)
+		}
+	}
+	for name, snap := range map[string]obs.Snapshot{"engine": snapE, "cluster": snapC} {
+		if got := snap.Value("engine_readings_total"); got != float64(offered) {
+			t.Errorf("%s path: engine_readings_total = %v, want every offered reading (%d)", name, got, offered)
+		}
 	}
 }

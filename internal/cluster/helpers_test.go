@@ -101,3 +101,16 @@ func pushAll(c *cluster.Cluster, id engine.StreamID, batches [][]core.Reading) {
 		c.Push(id, b)
 	}
 }
+
+// pushEngine offers readings straight to one node's engine, bypassing
+// the coordinator's routing and lease gate, as one pooled columnar
+// batch; a refused batch goes back to the pool.
+func pushEngine(eng *engine.Engine, id engine.StreamID, readings []core.Reading) {
+	b := core.GetBatch()
+	for _, rd := range readings {
+		b.AppendReading(rd)
+	}
+	if !eng.PushBatch(id, b) {
+		core.PutBatch(b)
+	}
+}

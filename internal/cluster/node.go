@@ -64,15 +64,16 @@ func (n *Node) Addr() string { return n.ln.Addr().String() }
 // Engine exposes the node's engine (benchmarks and tests).
 func (n *Node) Engine() *engine.Engine { return n.eng }
 
-// push enqueues a batch on the node's engine. A killed node is
-// unreachable, and a node without a live lease for the stream refuses
-// intake — accepting batches after lease expiry would let a demoted
-// owner quietly recreate the evicted state from its own backlog.
-func (n *Node) push(id engine.StreamID, batch []core.Reading) bool {
+// push enqueues a batch on the node's engine; a refused batch stays
+// with the caller. A killed node is unreachable, and a node without a
+// live lease for the stream refuses intake — accepting batches after
+// lease expiry would let a demoted owner quietly recreate the evicted
+// state from its own backlog.
+func (n *Node) push(id engine.StreamID, b *core.ReadingBatch) bool {
 	if n.killed.Load() || !n.leaseLive(id, time.Now()) {
 		return false
 	}
-	return n.eng.Push(id, batch)
+	return n.eng.PushBatch(id, b)
 }
 
 // evict pulls a stream's checkpoint out of the node's engine for

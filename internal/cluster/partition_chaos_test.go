@@ -205,7 +205,7 @@ func TestClusterZombieOwnerFencedOut(t *testing.T) {
 	// every result: nothing surfaces, the tape stays clean.
 	ghost, _ := synthLetters(t, 80, "LC", max1+3*time.Second)
 	for _, b := range ghost {
-		zombie.Engine().Push(id, b)
+		pushEngine(zombie.Engine(), id, b)
 	}
 	zombie.Engine().FlushStream(id)
 	waitFor(t, 15*time.Second, "zombie results suppressed", func() bool {

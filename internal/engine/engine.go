@@ -5,10 +5,10 @@
 // stream hashed to it, so per-stream state needs no locking; streams
 // on the same shard interleave batch by batch, so a stalled or faulted
 // source never blocks its shard siblings — it simply stops producing
-// items. Backpressure is explicit: Push never blocks and drops the
-// batch (counting it) when the shard's mailbox is full, while
-// RunStream — the source-driven path — blocks, propagating the
-// backpressure to the session it drains.
+// items. Backpressure is explicit: PushBatch never blocks and refuses
+// the batch (counting the refusal) when the shard's mailbox is full,
+// leaving it with the caller, while RunStream — the source-driven path
+// — blocks, propagating the backpressure to the session it drains.
 package engine
 
 import (
@@ -140,10 +140,10 @@ type StreamResult struct {
 	Calibrated bool
 	// Readings counts readings the stream's recognizer ingested.
 	Readings int
-	// Dropped counts readings discarded after the stream turned
-	// terminal (e.g. calibration failure). Batches dropped at the
-	// mailbox never reach the stream and are only visible in the
-	// engine_overflow_total / engine_dropped_readings_total counters.
+	// Dropped counts readings the stream lost: the admitted readings
+	// of the batch that turned it terminal (e.g. calibration failure)
+	// and every reading that arrived after. Batches refused at the
+	// mailbox never reach the stream and stay with the pusher.
 	Dropped int
 	// Err is the stream's terminal error, if any.
 	Err error
@@ -192,9 +192,9 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 			"Readings ingested across all streams."),
 		rejected: core.NewSanitizer(reg),
 		overflow: reg.Counter("engine_overflow_total",
-			"Batches dropped because the owning shard's mailbox was full."),
+			"Pushes refused because the owning shard's mailbox was full or the engine closed."),
 		droppedR: reg.Counter("engine_dropped_readings_total",
-			"Readings dropped by mailbox overflow or terminal streams."),
+			"Readings the engine lost: terminal streams and backlog abandoned at drain."),
 		abandoned: reg.Counter("engine_drain_abandoned_total",
 			"Batches abandoned because the drain deadline expired at Close."),
 		strokes: reg.Counter("engine_events_total",
@@ -244,25 +244,14 @@ type ctrlReply struct {
 }
 
 // item is one unit of shard work: a batch of readings for a stream, a
-// flush marker, or an evict/adopt control operation. A reading batch is
-// carried either as a record slice (the legacy Push path) or as a
-// columnar ReadingBatch (the hot path) — never both.
+// flush marker, or an evict/adopt control operation.
 type item struct {
 	op    itemOp
 	id    StreamID
-	batch []core.Reading     // ownership transfers to the engine on enqueue
-	cols  *core.ReadingBatch // columnar payload; returned to the pool by the engine
+	cols  *core.ReadingBatch // opBatch payload; returned to the pool by the engine
 	enq   time.Time
 	cp    supervise.Checkpoint // adopt payload
 	reply chan ctrlReply       // evict/adopt reply (buffered, capacity 1)
-}
-
-// size returns the item's reading count across both payload forms.
-func (it *item) size() int {
-	if it.cols != nil {
-		return it.cols.Len()
-	}
-	return len(it.batch)
 }
 
 // streamState is a shard-owned stream: its recognizer state machine
@@ -294,8 +283,8 @@ type shard struct {
 }
 
 // Engine is the sharded multi-stream recognition service. Build with
-// New, feed with Push or RunStream, and Close to flush every stream
-// and collect results.
+// New, feed with PushBatch or RunStream, and Close to flush every
+// stream and collect results.
 type Engine struct {
 	cfg    Config
 	tel    *telemetry
@@ -350,85 +339,32 @@ func (e *Engine) shardFor(id StreamID) *shard {
 	return e.shards[shardIndex(id, len(e.shards))]
 }
 
-// Push enqueues one batch for a stream without blocking. Ownership of
-// the slice transfers to the engine — the caller must not reuse its
-// backing array. When the owning shard's mailbox is full (or the
-// engine is closed) the batch is dropped, the overflow counters
-// advance, and Push reports false: the caller sheds load instead of
-// stalling its read loop.
-func (e *Engine) Push(id StreamID, batch []core.Reading) bool {
-	if len(batch) == 0 {
-		return true
-	}
-	if e.closed.Load() {
-		e.drop(batch)
-		return false
-	}
-	select {
-	case e.shardFor(id).mail <- item{id: id, batch: batch, enq: time.Now()}:
-		return true
-	default:
-		e.drop(batch)
-		return false
-	}
-}
-
-func (e *Engine) drop(batch []core.Reading) {
-	e.tel.overflow.Inc()
-	e.tel.droppedR.Add(uint64(len(batch)))
-}
-
-// dropCols sheds a columnar batch: counted like drop, and the batch
-// goes back to the pool (ownership reached the engine either way).
-func (e *Engine) dropCols(b *core.ReadingBatch) {
-	e.tel.overflow.Inc()
-	e.tel.droppedR.Add(uint64(b.Len()))
-	core.PutBatch(b)
-}
-
-// PushBatch enqueues one columnar batch without blocking — the
-// batch-native counterpart of Push. Ownership of the batch transfers to
-// the engine unconditionally: whether the batch is accepted, shed on a
-// full mailbox, or rejected because the engine closed, the engine
-// returns it to the batch pool, so the caller takes a fresh GetBatch
-// for its next push and never touches this one again.
+// PushBatch enqueues one columnar batch for a stream without blocking.
+// An accepted batch belongs to the engine, which returns it to the pool
+// once ingested. When the owning shard's mailbox is full, or the engine
+// is closed, PushBatch reports false, counts the refusal in
+// engine_overflow_total, and leaves the batch untouched with the
+// caller: retrying it later loses nothing, and a caller that gives up
+// counts the loss itself and returns the batch to the pool. An empty
+// batch is accepted (and pooled) without touching the mailbox.
 func (e *Engine) PushBatch(id StreamID, b *core.ReadingBatch) bool {
 	if b == nil || b.Len() == 0 {
 		core.PutBatch(b)
 		return true
 	}
-	if e.closed.Load() {
-		e.dropCols(b)
-		return false
+	if !e.closed.Load() {
+		select {
+		case e.shardFor(id).mail <- item{id: id, cols: b, enq: time.Now()}:
+			return true
+		default:
+		}
 	}
-	select {
-	case e.shardFor(id).mail <- item{id: id, cols: b, enq: time.Now()}:
-		return true
-	default:
-		e.dropCols(b)
-		return false
-	}
+	e.tel.overflow.Inc()
+	return false
 }
 
-// PushBatchWait is the blocking variant of PushBatch: a full mailbox
-// waits instead of shedding. Ownership transfers to the engine in every
-// case, exactly as in PushBatch. Reports false once the engine is
-// closing (the batch is dropped, counted, and pooled).
-func (e *Engine) PushBatchWait(id StreamID, b *core.ReadingBatch) bool {
-	if b == nil || b.Len() == 0 {
-		core.PutBatch(b)
-		return true
-	}
-	if !e.pushWait(item{id: id, cols: b, enq: time.Now()}) {
-		e.dropCols(b)
-		return false
-	}
-	return true
-}
-
-// pushWait is the blocking variant used by source-driven streams:
-// backpressure propagates to the source instead of dropping. Returns
-// false once the engine is closing.
+// pushWait enqueues with backpressure: a full mailbox waits instead of
+// refusing. Returns false once the engine is closing.
 func (e *Engine) pushWait(it item) bool {
 	if e.closed.Load() {
 		return false
@@ -440,22 +376,6 @@ func (e *Engine) pushWait(it item) bool {
 	case <-s.stop:
 		return false
 	}
-}
-
-// PushWait is the blocking variant of Push: when the owning shard's
-// mailbox is full it waits instead of shedding, propagating
-// backpressure to the caller. Ownership of the slice transfers to the
-// engine. Reports false once the engine is closing (the batch is
-// dropped and counted).
-func (e *Engine) PushWait(id StreamID, batch []core.Reading) bool {
-	if len(batch) == 0 {
-		return true
-	}
-	if !e.pushWait(item{id: id, batch: batch, enq: time.Now()}) {
-		e.drop(batch)
-		return false
-	}
-	return true
 }
 
 // FlushStream forces a stream's pending stroke and letter out, as if
@@ -534,7 +454,7 @@ func (e *Engine) RunStream(id StreamID, src live.ReportSource) (err error) {
 			continue
 		}
 		// Decode straight into a pooled columnar batch: no intermediate
-		// []core.Reading, no per-stream allocation once the pool warms.
+		// reading records, no per-stream allocation once the pool warms.
 		// The shard returns the batch to the pool after ingesting it.
 		cols := core.GetBatch()
 		live.AppendReports(cols, batch)
@@ -612,8 +532,10 @@ func (s *shard) run() {
 							it.reply <- ctrlReply{err: ErrClosed}
 						}
 						s.eng.tel.abandoned.Inc()
-						s.eng.tel.droppedR.Add(uint64(it.size()))
-						core.PutBatch(it.cols)
+						if it.cols != nil {
+							s.eng.tel.droppedR.Add(uint64(it.cols.Len()))
+							core.PutBatch(it.cols)
+						}
 						continue
 					}
 					s.handle(it)
@@ -725,7 +647,7 @@ func (s *shard) handle(it item) {
 		}
 		return
 	}
-	size := it.size()
+	size := it.cols.Len()
 	if st.res.Err != nil {
 		// Terminal stream (calibration failed or quarantined):
 		// discard but account.
@@ -744,50 +666,18 @@ func (s *shard) handle(it item) {
 		st.tr.Add(trace.Span{Name: trace.SpanMailbox, Node: s.eng.cfg.TraceNode,
 			Start: it.enq, Duration: ingestStart.Sub(it.enq), Count: size})
 	}
-	if it.cols != nil {
-		s.handleCols(st, it, ingestStart)
-		return
-	}
-	admitted, rejected := 0, 0
-	for _, rd := range it.batch {
-		if !s.eng.tel.rejected.Admit(rd, st.st.LastTime()) {
-			rejected++
-			continue
-		}
-		admitted++
-		evs, err := st.st.Ingest(rd)
-		if err != nil {
-			st.res.Err = err
-			s.eng.tel.errors.Inc()
-			if st.tr != nil {
-				s.ingestSpans(st, ingestStart, admitted, rejected, err)
-			}
-			if s.eng.cfg.Logger != nil {
-				s.eng.cfg.Logger.Error("stream failed", "stream", string(st.id), "err", err)
-			}
-			return
-		}
-		st.res.Readings++
-		s.noteCalibrated(st)
-		s.deliver(st, evs, it.enq)
-	}
-	if st.tr != nil {
-		s.ingestSpans(st, ingestStart, admitted, rejected, nil)
-	}
-}
-
-// handleCols ingests one columnar batch: sanitize in place, one
-// IngestBatch call into the stream, one delivery of the resulting
-// events — element-for-element the same decisions as the per-reading
-// loop, without its per-reading call overhead.
-func (s *shard) handleCols(st *streamState, it item, ingestStart time.Time) {
-	before := it.cols.Len()
+	// Sanitize in place, then one IngestBatch call into the stream and
+	// one delivery of the resulting events.
 	s.eng.tel.rejected.AdmitColumns(it.cols, st.st.LastTime())
 	admitted := it.cols.Len()
-	rejected := before - admitted
+	rejected := size - admitted
 	evs, err := st.st.IngestBatch(it.cols)
 	if err != nil {
+		// The batch that kills the stream is lost whole: its readings
+		// reached no recognizer.
 		st.res.Err = err
+		st.res.Dropped += admitted
+		s.eng.tel.droppedR.Add(uint64(admitted))
 		s.eng.tel.errors.Inc()
 		if st.tr != nil {
 			s.ingestSpans(st, ingestStart, admitted, rejected, err)

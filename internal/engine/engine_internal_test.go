@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -29,56 +30,70 @@ func TestShardIndexStableAndBounded(t *testing.T) {
 	}
 }
 
-// TestPushOverflowDropsAndCounts fills a 1-deep mailbox with no worker
-// draining it and checks the overflow path: the batch is shed, not
-// blocked on, and the counters record exactly what was lost.
-func TestPushOverflowDropsAndCounts(t *testing.T) {
+// TestPushBatchRefusedLeavesBatchWithCaller pins the intake contract
+// on a 1-deep mailbox with no worker draining it, and on a closed
+// engine: a refused PushBatch returns false at once, leaves the batch's
+// columns untouched for the caller to retry, and counts the refusal in
+// engine_overflow_total — not in engine_dropped_readings_total, because
+// nothing was lost yet.
+func TestPushBatchRefusedLeavesBatchWithCaller(t *testing.T) {
 	reg := obs.NewRegistry()
 	// Hand-built engine with one shard and NO worker goroutine, so the
 	// mailbox state is fully deterministic.
 	e := &Engine{cfg: Config{Workers: 1, QueueDepth: 1}.withDefaults(), tel: newTelemetry(reg)}
 	e.shards = []*shard{{eng: e, mail: make(chan item, 1), stop: make(chan struct{}), streams: map[StreamID]*streamState{}}}
 
-	batch := []core.Reading{{TagIndex: 0, Time: time.Millisecond}}
-	if !e.Push("s", batch) {
+	batch := func() *core.ReadingBatch {
+		b := &core.ReadingBatch{}
+		b.Append(time.Millisecond, 1, -60, 0)
+		b.Append(2*time.Millisecond, 2, -61, 1)
+		return b
+	}
+	want := batch()
+	refused := func(step string, wantOverflow uint64) {
+		t.Helper()
+		b := batch()
+		done := make(chan bool, 1)
+		go func() { done <- e.PushBatch("s", b) }()
+		select {
+		case ok := <-done:
+			if ok {
+				t.Fatalf("%s: PushBatch reported accepted", step)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: PushBatch blocked — a refusal must return at once", step)
+		}
+		if !reflect.DeepEqual(b, want) {
+			t.Errorf("%s: refused batch changed: %+v, want %+v", step, b, want)
+		}
+		if got := e.tel.overflow.Value(); got != wantOverflow {
+			t.Errorf("%s: engine_overflow_total = %d, want %d", step, got, wantOverflow)
+		}
+		if got := e.tel.droppedR.Value(); got != 0 {
+			t.Errorf("%s: engine_dropped_readings_total = %d, want 0", step, got)
+		}
+	}
+
+	if !e.PushBatch("s", batch()) {
 		t.Fatal("first push should fit the mailbox")
 	}
-	done := make(chan bool, 1)
-	go func() { done <- e.Push("s", batch) }()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Error("second push reported accepted with a full mailbox")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Push blocked on a full mailbox — backpressure must shed, not stall")
-	}
-	if got := e.tel.overflow.Value(); got != 1 {
-		t.Errorf("engine_overflow_total = %d, want 1", got)
-	}
-	if got := e.tel.droppedR.Value(); got != 1 {
-		t.Errorf("engine_dropped_readings_total = %d, want 1", got)
-	}
-
-	// After Close begins, Push load-sheds immediately too.
+	refused("full mailbox", 1)
 	e.closed.Store(true)
-	if e.Push("s", batch) {
-		t.Error("push into a closed engine reported accepted")
-	}
-	if got := e.tel.overflow.Value(); got != 2 {
-		t.Errorf("engine_overflow_total after closed push = %d, want 2", got)
-	}
+	refused("closed engine", 2)
 }
 
-// TestPushEmptyBatchIsNoop guards the fast path: zero-length batches
+// TestPushEmptyBatchIsNoop guards the fast path: empty and nil batches
 // are accepted without touching the mailbox or counters.
 func TestPushEmptyBatchIsNoop(t *testing.T) {
 	e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
 	defer e.Close()
-	if !e.Push("s", nil) {
+	if !e.PushBatch("s", core.GetBatch()) || !e.PushBatch("s", nil) {
 		t.Error("empty batch rejected")
 	}
 	if got := e.tel.batches.Value(); got != 0 {
 		t.Errorf("engine_batches_total = %d, want 0", got)
+	}
+	if got := e.tel.overflow.Value(); got != 0 {
+		t.Errorf("engine_overflow_total = %d, want 0", got)
 	}
 }

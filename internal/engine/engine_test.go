@@ -30,6 +30,21 @@ func (r *replaySource) NextReports() ([]llrp.TagReport, error) {
 
 func (r *replaySource) Stats() llrp.SessionStats { return llrp.SessionStats{} }
 
+// push offers readings to the engine as one pooled columnar batch
+// through its non-blocking intake; a refused batch goes back to the
+// pool, as a caller that gives up returns it.
+func push(eng *engine.Engine, id engine.StreamID, readings []core.Reading) bool {
+	b := core.GetBatch()
+	for _, rd := range readings {
+		b.AppendReading(rd)
+	}
+	if eng.PushBatch(id, b) {
+		return true
+	}
+	core.PutBatch(b)
+	return false
+}
+
 func newReplaySource(t testing.TB, seed int64, word string, reg *obs.Registry) *replaySource {
 	t.Helper()
 	reports, err := replay.Synthesize(seed, word, 3*time.Second)
@@ -128,7 +143,8 @@ func TestEngineMultiStreamRecognizes(t *testing.T) {
 // TestEngineCalibrationFailureIsolated feeds one stream garbage that
 // fails calibration and checks the failure stays confined: the sibling
 // stream on the same single shard still recognizes, and the failed
-// stream reports its terminal error with later readings accounted as
+// stream reports its terminal error with every reading it lost — the
+// batch that failed calibration and the one after — accounted as
 // dropped.
 func TestEngineCalibrationFailureIsolated(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -140,8 +156,9 @@ func TestEngineCalibrationFailureIsolated(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		bad = append(bad, core.Reading{TagIndex: 0, Time: time.Duration(i) * time.Millisecond, Phase: 1})
 	}
-	eng.Push("bad", bad)
-	eng.Push("bad", []core.Reading{{TagIndex: 0, Time: 4001 * time.Millisecond}})
+	if !push(eng, "bad", bad) || !push(eng, "bad", []core.Reading{{TagIndex: 0, Time: 4001 * time.Millisecond}}) {
+		t.Fatal("push refused by an empty mailbox")
+	}
 
 	src := newReplaySource(t, 30, "IT", reg)
 	if err := eng.RunStream("good", src); err != nil {
@@ -155,14 +172,19 @@ func TestEngineCalibrationFailureIsolated(t *testing.T) {
 	}
 	if res := byID["bad"]; res.Err == nil {
 		t.Error("bad stream has no terminal error")
-	} else if res.Dropped == 0 {
-		t.Error("post-failure readings not accounted as dropped")
+	} else if res.Readings+res.Dropped != 4001 {
+		t.Errorf("bad stream accounts for %d ingested + %d dropped readings, want all 4001",
+			res.Readings, res.Dropped)
 	}
 	if res := byID["good"]; res.Letters != "IT" {
 		t.Errorf("healthy shard sibling recognized %q, want %q (err %v)", res.Letters, "IT", res.Err)
 	}
-	if got := reg.Snapshot().Value("engine_stream_errors_total"); got != 1 {
+	snap := reg.Snapshot()
+	if got := snap.Value("engine_stream_errors_total"); got != 1 {
 		t.Errorf("engine_stream_errors_total = %v, want 1", got)
+	}
+	if got, want := snap.Value("engine_dropped_readings_total"), float64(byID["bad"].Dropped); got != want {
+		t.Errorf("engine_dropped_readings_total = %v, want the bad stream's %v", got, want)
 	}
 }
 

@@ -44,8 +44,8 @@ func TestEngineCloseIdempotent(t *testing.T) {
 		t.Errorf("second Close diverged: %+v vs %+v", second, first)
 	}
 	// The engine stays safely inert after close.
-	if eng.Push("plate-0", []core.Reading{{}}) {
-		t.Error("Push accepted a batch after Close")
+	if push(eng, "plate-0", []core.Reading{{}}) {
+		t.Error("PushBatch accepted a batch after Close")
 	}
 	if _, ok := eng.EvictStream("plate-0"); ok {
 		t.Error("EvictStream succeeded after Close")
@@ -145,7 +145,7 @@ func TestEngineAdoptRejectsUncalibratedStream(t *testing.T) {
 	for cut < len(reports) && reports[cut].Timestamp < 500*time.Millisecond {
 		cut++
 	}
-	if !eng.PushWait("plate-0", toReadings(reports[:cut])) {
+	if !push(eng, "plate-0", toReadings(reports[:cut])) {
 		t.Fatal("push rejected")
 	}
 	eng.FlushStream("plate-0") // barrier: the batch is processed
@@ -197,7 +197,7 @@ func TestEngineRestoreOutcomeCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !eng.PushWait("plate-0", toReadings(batch[:50])) {
+		if !push(eng, "plate-0", toReadings(batch[:50])) {
 			t.Fatal("push rejected")
 		}
 		eng.FlushStream("plate-0") // barrier: stream creation happened

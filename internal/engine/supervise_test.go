@@ -222,7 +222,7 @@ func TestEngineDrainDeadlineAbandonsBacklog(t *testing.T) {
 	eng := engine.New(engine.Config{
 		Workers:      1,
 		Obs:          reg,
-		DrainTimeout: time.Millisecond,
+		DrainTimeout: time.Nanosecond,
 		OnEvent: func(engine.StreamID, core.Event) {
 			// Park the shard on the first event so the mailbox backs up
 			// behind it until Close's drain deadline has long expired.
@@ -240,15 +240,17 @@ func TestEngineDrainDeadlineAbandonsBacklog(t *testing.T) {
 	}
 	const chunk = 200
 	for i := 0; i < len(readings); i += chunk {
-		end := min(i+chunk, len(readings))
-		batch := make([]core.Reading, end-i)
-		copy(batch, readings[i:end])
-		eng.Push("plate-0", batch)
+		push(eng, "plate-0", readings[i:min(i+chunk, len(readings))])
 	}
 
 	go func() {
-		// Give Close time to enter the drain loop, then unpark the
-		// shard with the deadline already blown.
+		// Unpark the shard only once Close has begun (and had time to
+		// close the shard's stop channel), so the drain starts with the
+		// backlog still queued and its deadline passes before the first
+		// item is taken, however fast the backlog would be handled.
+		for reg.Snapshot().Value("engine_accepting") != 0 {
+			time.Sleep(time.Millisecond)
+		}
 		time.Sleep(50 * time.Millisecond)
 		close(release)
 	}()

@@ -21,6 +21,15 @@ type Stream struct {
 	cal      *core.Calibration
 	rec      *core.Recognizer
 	lastTime time.Duration
+	// calEnd is the reading that completed the prelude. The prelude
+	// owns it and every reading stamped before it, so when a resumed
+	// transport redelivers them after calibration they are dropped
+	// rather than recognized. A restored stream has no prelude (its
+	// TagIndex is -1); its recognizer drops what predates the cursor.
+	calEnd core.Reading
+	// calCursor is the frame calEnd falls in: the earliest frame cursor
+	// a checkpoint may carry, even before anything was recognized.
+	calCursor time.Duration
 }
 
 // NewStream builds a stream state machine from the run config (only
@@ -57,15 +66,19 @@ func AppendReports(dst *core.ReadingBatch, reports []llrp.TagReport) {
 	}
 }
 
-// IngestBatch feeds a columnar batch of readings, with element-for-
-// element the same behavior as calling Ingest per reading: readings up
-// to the calibration boundary accumulate into the static prelude (the
-// reading that completes CalibDuration triggers calibration and is part
-// of the prelude, not the recognized stream), and everything after the
-// boundary flows to the recognizer in one columnar call. The batch is
-// only read, never retained. On a calibration error the remaining
-// readings are dropped, exactly as a per-reading caller would stop
-// feeding a terminally failed stream.
+// IngestBatch feeds a columnar batch of readings. Readings up to the
+// calibration boundary accumulate into the static prelude (the reading
+// that completes CalibDuration triggers calibration and is part of the
+// prelude, not the recognized stream); once the prelude covers
+// CalibDuration the stream calibrates, and everything after the
+// boundary flows to the recognizer in one columnar call. A resumed
+// transport replays a short overlap; prelude readings it redelivers
+// after calibration are skipped, and the runs between them go to the
+// recognizer (calibration already dedups the ones it sees, and the
+// recognizer those of its own history), so where a reconnect lands
+// never changes what is recognized. The batch is
+// only read, never retained. A calibration error is terminal for the
+// stream: the rest of the batch is not ingested.
 func (s *Stream) IngestBatch(b *core.ReadingBatch) ([]core.Event, error) {
 	n := b.Len()
 	i := 0
@@ -87,45 +100,44 @@ func (s *Stream) IngestBatch(b *core.ReadingBatch) ([]core.Event, error) {
 		s.static = nil
 		pipe := core.NewPipeline(s.cfg.Grid, cal)
 		pipe.Obs = s.cfg.Obs
-		s.rec = core.NewRecognizer(pipe, nil)
-	}
-	if i >= n {
-		return nil, nil
+		seg := core.NewSegmenter()
+		s.rec = core.NewRecognizer(pipe, seg)
+		s.calEnd = rd
+		s.calCursor = rd.Time - rd.Time%seg.FrameLen
 	}
 	rest := b.Slice(i, n)
-	for _, t := range rest.Times {
+	var events []core.Event
+	lo := 0
+	for k, t := range rest.Times {
 		if t > s.lastTime {
 			s.lastTime = t
 		}
+		if s.preludeOwns(t, rest.TagIndices[k]) {
+			events = s.recognize(events, rest.Slice(lo, k))
+			lo = k + 1
+		}
 	}
-	return s.rec.IngestBatch(&rest), nil
+	return s.recognize(events, rest.Slice(lo, rest.Len())), nil
 }
 
-// Ingest feeds one reading. While the prelude is still accumulating it
-// returns no events; once the prelude covers CalibDuration it
-// calibrates (an error here is terminal for the stream) and every
-// later reading streams through the recognizer.
-func (s *Stream) Ingest(rd core.Reading) ([]core.Event, error) {
-	if rd.Time > s.lastTime {
-		s.lastTime = rd.Time
+// recognize feeds one run of readings to the recognizer and appends the
+// events it triggers.
+func (s *Stream) recognize(events []core.Event, run core.ReadingBatch) []core.Event {
+	if run.Len() == 0 {
+		return events
 	}
-	if s.rec == nil {
-		s.static = append(s.static, rd)
-		if rd.Time < s.cfg.CalibDuration {
-			return nil, nil
-		}
-		cal, err := core.Calibrate(s.static, s.cfg.Grid.NumTags())
-		if err != nil {
-			return nil, fmt.Errorf("live: calibration failed: %w", err)
-		}
-		s.cal = cal
-		s.static = nil
-		pipe := core.NewPipeline(s.cfg.Grid, cal)
-		pipe.Obs = s.cfg.Obs
-		s.rec = core.NewRecognizer(pipe, nil)
-		return nil, nil
+	evs := s.rec.IngestBatch(&run)
+	if len(events) == 0 {
+		return evs
 	}
-	return s.rec.Ingest(rd), nil
+	return append(events, evs...)
+}
+
+// preludeOwns reports whether a reading that arrives after calibration
+// belongs to the prelude: stamped before the boundary reading, or the
+// boundary reading itself.
+func (s *Stream) preludeOwns(t time.Duration, tag int32) bool {
+	return t < s.calEnd.Time || t == s.calEnd.Time && int(tag) == s.calEnd.TagIndex
 }
 
 // Flush declares the stream over, forcing any pending stroke and
@@ -151,7 +163,7 @@ func (s *Stream) Checkpoint(name string) (supervise.Checkpoint, bool) {
 	return supervise.Checkpoint{
 		Stream:      name,
 		StreamTime:  s.lastTime,
-		FrameCursor: s.rec.FrameCursor(),
+		FrameCursor: max(s.rec.FrameCursor(), s.calCursor),
 		Calibration: s.cal.Snapshot(),
 	}, true
 }
@@ -176,7 +188,8 @@ func RestoreStream(cfg Config, cp supervise.Checkpoint) (*Stream, error) {
 	pipe.Obs = cfg.Obs
 	rec := core.NewRecognizer(pipe, nil)
 	rec.SkipTo(cp.FrameCursor)
-	return &Stream{cfg: cfg, cal: cal, rec: rec, lastTime: cp.StreamTime}, nil
+	return &Stream{cfg: cfg, cal: cal, rec: rec, lastTime: cp.StreamTime,
+		calEnd: core.Reading{TagIndex: -1}}, nil
 }
 
 // DeadTags returns how many tags calibration flagged dead (0 before

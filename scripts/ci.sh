@@ -29,6 +29,16 @@ fi
 echo '== go build ./...'
 go build ./...
 
+# One reading payload type: the engine moves readings only as columnar
+# core.ReadingBatch values. A reading-record slice in its non-test code
+# would bring back the per-reading intake path. The word match passes
+# core.ReadingBatch.
+echo '== engine payload guard (no core.Reading in internal/engine)'
+if find internal/engine -name '*.go' ! -name '*_test.go' -exec grep -HnwE 'core\.Reading' {} +; then
+    echo 'FAIL: internal/engine names core.Reading; its only reading payload is core.ReadingBatch'
+    exit 1
+fi
+
 echo '== go test -race -shuffle=on ./...'
 go test -race -shuffle=on ./...
 
@@ -66,7 +76,8 @@ go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/supervise
 # The exact AllocsPerRun assertions skip themselves under -race (the
 # detector allocates on instrumented paths), so run them again pure.
 # This covers the recognizer hot path, the disturbance scratch map,
-# and the unsampled/sampled tracing paths (0 allocs per span).
+# the cluster intake (Cluster.Push through the owner's shard), and the
+# unsampled/sampled tracing paths (0 allocs per span).
 echo '== alloc regression tests (pure build)'
 go test -run 'Allocs' . ./internal/obs/trace
 
