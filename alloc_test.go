@@ -283,15 +283,85 @@ func TestDisturbanceScratchMapAllocs(t *testing.T) {
 		t.Errorf("scratch-reused disturbance map allocates %.4f objects/window, want 0", avg)
 	}
 
-	// The allocating wrapper stays bounded: scratch struct + float
-	// workspaces + append-growth of the per-tag series (a handful of
-	// reallocations per tag as each series grows from nil). 12×numTags
-	// sits comfortably above today's count and far below a
+	// The allocating wrapper stays bounded by a constant: the scratch
+	// struct, the window's four columns, the split's two offset slices
+	// and three columns, and the unwrap and map buffers — 13 objects,
+	// each sized once, whatever the window length or tag count. 16
+	// leaves a little headroom and sits far below any per-tag or
 	// per-reading regression.
-	bound := float64(12 * cal.NumTags())
+	const bound = 16
 	if avg := testing.AllocsPerRun(100, func() {
 		core.DisturbanceMap(window, cal, core.DisturbanceOptions{})
 	}); avg > bound {
-		t.Errorf("DisturbanceMap allocates %.1f objects/window, want <= %.0f", avg, bound)
+		t.Errorf("DisturbanceMap allocates %.1f objects/window, want <= %d", avg, bound)
+	}
+}
+
+// TestRecognizeWindowAllocs bounds the allocations of recognizing one
+// stroke window once the pipeline's pooled scratch is warm: the window
+// is split by tag once into reused columns, so what remains is the
+// result the caller keeps (image, mask, troughs) and the classifier's
+// own small slices, not a per-reading or per-tag cost. Every motion is
+// measured at windows of 400, 800 and 1600 readings around its stroke.
+func TestRecognizeWindowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	sim, err := NewSimulator(SimulatorConfig{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := sim.Calibrate(3 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sim.NewPipeline(cal)
+	const bound = 32
+	for i, m := range AllMotions() {
+		readings, _ := sim.PerformMotion(m, int64(i))
+		mid := len(readings) / 2
+		for _, n := range []int{400, 800, 1600} {
+			lo := max(0, mid-n/2)
+			win := readings[lo:min(len(readings), lo+n)]
+			if !p.RecognizeWindow(win).Ok {
+				t.Fatalf("%v: the %d-reading window holds no recognizable stroke", m, len(win))
+			}
+			if avg := testing.AllocsPerRun(20, func() { p.RecognizeWindow(win) }); avg > bound {
+				t.Errorf("%v: RecognizeWindow over %d readings allocates %.0f objects, want <= %d", m, len(win), avg, bound)
+			}
+		}
+	}
+}
+
+// TestComposeLetterAllocs bounds letter composition: the grammar is
+// matched by comparing motion sequences in place, so an exact match and
+// a fuzzy one each allocate only the normalized observations.
+func TestComposeLetterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	strokes, ok := LetterStrokes('H')
+	if !ok {
+		t.Fatal("no grammar entry for H")
+	}
+	exact := make([]core.StrokeObservation, len(strokes))
+	for i, p := range strokes {
+		exact[i] = core.StrokeObservation{Motion: p.Motion, Box: p.Box}
+	}
+	fuzzy := append([]core.StrokeObservation(nil), exact...)
+	fuzzy[1].Motion.Dir = Reverse // no letter draws H's bar right to left
+	if _, ok := core.ComposeLetterStrict(fuzzy); ok {
+		t.Fatal("the fuzzy case matches a letter exactly")
+	}
+	for _, c := range []struct {
+		name string
+		obs  []core.StrokeObservation
+	}{{"exact", exact}, {"fuzzy", fuzzy}} {
+		if ch, ok := ComposeLetter(c.obs); !ok || ch != 'H' {
+			t.Fatalf("%s: composed %q/%v, want H", c.name, ch, ok)
+		}
+		if avg := testing.AllocsPerRun(200, func() { ComposeLetter(c.obs) }); avg > 4 {
+			t.Errorf("%s: ComposeLetter allocates %.0f objects, want <= 4", c.name, avg)
+		}
 	}
 }

@@ -115,6 +115,32 @@ func BenchmarkPipelineRecognizeStream(b *testing.B) {
 	}
 }
 
+// BenchmarkRecognizeWindow measures recognizing one stroke window —
+// split, disturbance image, classification and direction — per op,
+// the per-stroke cost that sits on the response time of §V-D.
+func BenchmarkRecognizeWindow(b *testing.B) {
+	sim, cal, readings, dur := benchCapture(b)
+	p := sim.NewPipeline(cal)
+	results := p.RecognizeStream(readings, nil, 0, dur+time.Second)
+	if len(results) != 1 || !results[0].Result.Ok {
+		b.Fatalf("expected one recognized stroke, got %d spans", len(results))
+	}
+	sp := results[0].Span
+	var win []Reading
+	for _, r := range readings {
+		if r.Time >= sp.Start && r.Time < sp.End {
+			win = append(win, r)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !p.RecognizeWindow(win).Ok {
+			b.Fatal("stroke not recognized")
+		}
+	}
+}
+
 func BenchmarkDisturbanceMap(b *testing.B) {
 	sim, cal, readings, _ := benchCapture(b)
 	_ = sim

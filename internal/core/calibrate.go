@@ -56,10 +56,21 @@ type Calibration struct {
 // so much of the array is dead (over maxDeadFraction) that the
 // disturbance image could not be trusted.
 func Calibrate(static []Reading, numTags int) (*Calibration, error) {
+	var b ReadingBatch
+	b.setReadings(static)
+	return CalibrateBatch(&b, numTags)
+}
+
+// CalibrateBatch is Calibrate over a static capture held as columns. It
+// splits the capture by tag the way a stroke window is split, so
+// duplicates and out-of-range tags are dropped alike. The batch is only
+// read.
+func CalibrateBatch(static *ReadingBatch, numTags int) (*Calibration, error) {
 	if numTags <= 0 {
 		return nil, errors.New("core: calibrate: no tags")
 	}
-	series := byTag(static, numTags)
+	var split tagSplit
+	split.split(*static, numTags)
 	c := &Calibration{
 		MeanPhase: make([]float64, numTags),
 		Bias:      make([]float64, numTags),
@@ -68,16 +79,14 @@ func Calibrate(static []Reading, numTags int) (*Calibration, error) {
 		weights:   make([]float64, numTags),
 	}
 	var biasSum float64
+	var un []float64
 	dead := 0
-	for i, s := range series {
-		if len(s) < minCalibrationReads {
+	for i := 0; i < numTags; i++ {
+		phases := split.run(i).phases
+		if len(phases) < minCalibrationReads {
 			c.Dead[i] = true
 			dead++
 			continue
-		}
-		phases := make([]float64, len(s))
-		for j, r := range s {
-			phases[j] = r.Phase
 		}
 		c.MeanPhase[i] = dsp.CircularMean(phases)
 		b := dsp.CircularStd(phases)
@@ -90,7 +99,7 @@ func Calibrate(static []Reading, numTags int) (*Calibration, error) {
 		// Noise accumulation rate: run the same (fused) suppression,
 		// unwrap, smoothing, and total variation the disturbance metric
 		// uses over this static stream.
-		un := dsp.UnwrapColumn(nil, phases, c.MeanPhase[i])
+		un = dsp.UnwrapColumn(un, phases, c.MeanPhase[i])
 		c.TVRate[i] = dsp.SmoothedTotalVariation(un, disturbanceSmoothWidth) / float64(len(un)-1)
 	}
 	if float64(dead) > maxDeadFraction*float64(numTags) {

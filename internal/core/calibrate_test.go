@@ -160,14 +160,15 @@ func TestByTagDropsOutOfRange(t *testing.T) {
 		{TagIndex: 5, Time: 0},
 		{TagIndex: -1, Time: 0},
 	}
-	series := byTag(rs, 3)
-	if len(series[0]) != 2 {
-		t.Errorf("tag 0 series = %d", len(series[0]))
+	split := splitOf(rs, 3)
+	tag0 := split.run(0).times
+	if len(tag0) != 2 {
+		t.Errorf("tag 0 series = %d", len(tag0))
 	}
-	if series[0][0].Time > series[0][1].Time {
+	if tag0[0] > tag0[1] {
 		t.Error("series not time-sorted")
 	}
-	if len(series[1])+len(series[2]) != 0 {
+	if len(split.run(1).times)+len(split.run(2).times) != 0 {
 		t.Error("phantom readings")
 	}
 }

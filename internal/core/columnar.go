@@ -62,6 +62,16 @@ func (b *ReadingBatch) AppendReading(rd Reading) {
 	b.Append(rd.Time, rd.Phase, rd.RSS, NarrowTag(rd.TagIndex))
 }
 
+// setReadings makes the batch hold exactly the given records, reusing
+// its backing arrays when they are large enough.
+func (b *ReadingBatch) setReadings(readings []Reading) {
+	n := len(readings)
+	b.Times, b.Phases, b.RSS, b.TagIndices = grow(b.Times, n), grow(b.Phases, n), grow(b.RSS, n), grow(b.TagIndices, n)
+	for i, r := range readings {
+		b.Times[i], b.Phases[i], b.RSS[i], b.TagIndices[i] = r.Time, r.Phase, r.RSS, NarrowTag(r.TagIndex)
+	}
+}
+
 // NarrowTag converts a tag index to the column representation:
 // out-of-int32-range indices become -1, which every consumer treats as
 // out-of-range exactly as it treats the original index.

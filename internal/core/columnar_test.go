@@ -181,7 +181,7 @@ func TestIngestBatchSingleElementMatchesIngest(t *testing.T) {
 }
 
 // TestDuplicatePolicyFirstArrivalWins pins the duplicate-merge policy
-// shared by the batch splitter and both recognizer ingest paths: when
+// shared by the per-tag split and both recognizer ingest paths: when
 // two readings of the same tag carry the same timestamp, the one that
 // arrived first survives — deterministically, in every path.
 func TestDuplicatePolicyFirstArrivalWins(t *testing.T) {
@@ -196,15 +196,15 @@ func TestDuplicatePolicyFirstArrivalWins(t *testing.T) {
 		{mk(20, 9.0), mk(10, 1.0), mk(10, 2.0), mk(10, 3.0)},
 	}
 	for i, rs := range arrangements {
-		series := byTag(rs, 1)
+		run := splitOf(rs, 1).run(0)
 		var got float64
-		for _, rd := range series[0] {
-			if rd.Time == 10*time.Millisecond {
-				got = rd.Phase
+		for k, at := range run.times {
+			if at == 10*time.Millisecond {
+				got = run.phases[k]
 			}
 		}
 		if got != 1.0 {
-			t.Errorf("arrangement %d: byTag kept phase %v at t=10ms, want 1.0 (first arrival)", i, got)
+			t.Errorf("arrangement %d: the split kept phase %v at t=10ms, want 1.0 (first arrival)", i, got)
 		}
 	}
 

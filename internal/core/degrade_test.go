@@ -122,12 +122,12 @@ func TestByTagDropsDuplicateTimestamps(t *testing.T) {
 		{TagIndex: 0, Time: 10 * time.Millisecond, Phase: 1}, // replayed
 		{TagIndex: 1, Time: 10 * time.Millisecond, Phase: 3}, // other tag, same instant: kept
 	}
-	series := byTag(rs, 2)
-	if len(series[0]) != 2 {
-		t.Errorf("tag 0 series = %d, want 2 after dedup", len(series[0]))
+	split := splitOf(rs, 2)
+	if n := len(split.run(0).times); n != 2 {
+		t.Errorf("tag 0 series = %d, want 2 after dedup", n)
 	}
-	if len(series[1]) != 1 {
-		t.Errorf("tag 1 series = %d, want 1", len(series[1]))
+	if n := len(split.run(1).times); n != 1 {
+		t.Errorf("tag 1 series = %d, want 1", n)
 	}
 }
 

@@ -31,17 +31,22 @@ type TagTrough struct {
 // series of the given tags and returns the troughs found, ordered by
 // time — the sequence of tags the hand passed (§III-B).
 func FindTagTroughs(readings []Reading, numTags int, tags []int) []TagTrough {
-	series := byTag(readings, numTags)
+	var sc DisturbanceScratch
+	sc.split.split(sc.columns(readings), numTags)
+	return sc.tagTroughs(tags)
+}
+
+// tagTroughs is FindTagTroughs over the window the scratch last split:
+// each tag's time and RSS runs go to the trough finder as they sit in
+// the split.
+func (sc *DisturbanceScratch) tagTroughs(tags []int) []TagTrough {
 	var out []TagTrough
 	for _, i := range tags {
-		if i < 0 || i >= numTags {
+		if i < 0 || i >= len(sc.split.lo) {
 			continue
 		}
-		samples := make([]dsp.TimedSample, len(series[i]))
-		for j, r := range series[i] {
-			samples[j] = dsp.TimedSample{T: r.Time, V: r.RSS}
-		}
-		tr, ok := dsp.FindTrough(samples, troughSmoothWidth, troughMinDepthDB)
+		r := sc.split.run(i)
+		tr, ok := dsp.FindTrough(&sc.trough, r.times, r.rss, troughSmoothWidth, troughMinDepthDB)
 		if !ok {
 			continue
 		}
@@ -62,8 +67,15 @@ func FindTagTroughs(readings []Reading, numTags int, tags []int) []TagTrough {
 // fewer than two usable troughs.
 func EstimateDirection(readings []Reading, grid Grid, fgTags []int) (dir geo.Vec2, troughs []TagTrough, ok bool) {
 	troughs = FindTagTroughs(readings, grid.NumTags(), fgTags)
+	dir, ok = fitDirection(grid, troughs)
+	return dir, troughs, ok
+}
+
+// fitDirection is the depth-weighted least-squares fit behind
+// EstimateDirection, over troughs ordered by time.
+func fitDirection(grid Grid, troughs []TagTrough) (geo.Vec2, bool) {
 	if len(troughs) < 2 {
-		return geo.Vec2{}, troughs, false
+		return geo.Vec2{}, false
 	}
 	// Depth-weighted least squares of position against trough time.
 	var wSum, tMean float64
@@ -90,13 +102,13 @@ func EstimateDirection(readings []Reading, grid Grid, fgTags []int) (dir geo.Vec
 		den += tr.DepthDB * dt * dt
 	}
 	if den <= 1e-12 {
-		return geo.Vec2{}, troughs, false
+		return geo.Vec2{}, false
 	}
 	v := geo.V2(num.X/den, num.Y/den)
 	if v.Norm() < 1e-9 {
-		return geo.Vec2{}, troughs, false
+		return geo.Vec2{}, false
 	}
-	return v.Unit(), troughs, true
+	return v.Unit(), true
 }
 
 // arcEndpointsDirection estimates the travel direction for arcs, where

@@ -67,32 +67,39 @@ func DisturbanceMap(readings []Reading, cal *Calibration, opts DisturbanceOption
 	return new(DisturbanceScratch).Map(readings, cal, opts)
 }
 
-// DisturbanceScratch owns every buffer one DisturbanceMap evaluation
-// needs — the per-tag series split and the phase / unwrap / smoothing
-// workspaces — so a hot caller evaluating windows repeatedly allocates
-// nothing once the buffers reach their high-water marks. The zero
-// value is ready. A scratch is not safe for concurrent use; the
-// Pipeline keeps a sync.Pool of them.
+// DisturbanceScratch owns every buffer one stroke window's evaluation
+// needs — the window's per-tag split, the unwrap workspace, the map
+// itself and the trough finder's buffers — so a hot caller evaluating
+// windows repeatedly allocates nothing once the buffers reach their
+// high-water marks. The zero value is ready. A scratch is not safe for
+// concurrent use; the Pipeline keeps a sync.Pool of them.
 type DisturbanceScratch struct {
-	series [][]Reading
-	phases []float64
+	// recs holds a record window as columns for the record entry
+	// points; the recognizer hands its history columns over directly.
+	recs   ReadingBatch
+	split  tagSplit
 	un     []float64
 	out    []float64
+	trough dsp.TroughScratch
 }
 
-// growFloats returns a slice of exactly length n, reusing buf's backing
-// array when possible.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float64, n)
+// columns copies a record window into the scratch's columns.
+func (sc *DisturbanceScratch) columns(readings []Reading) ReadingBatch {
+	sc.recs.setReadings(readings)
+	return sc.recs
 }
 
 // Map is DisturbanceMap through this scratch's buffers. The returned
 // slice is owned by the scratch and is invalidated by the next Map
 // call — callers that retain it must copy (GridImage already does).
 func (sc *DisturbanceScratch) Map(readings []Reading, cal *Calibration, opts DisturbanceOptions) []float64 {
+	return sc.mapColumns(sc.columns(readings), cal, opts)
+}
+
+// mapColumns splits one window's columns by tag into the scratch and
+// computes the disturbance map from the split, unwrapping each tag's
+// phase run where it sits. The split stays for tagTroughs.
+func (sc *DisturbanceScratch) mapColumns(w ReadingBatch, cal *Calibration, opts DisturbanceOptions) []float64 {
 	if opts.Suppression == 0 {
 		opts.Suppression = SuppressFull
 	}
@@ -100,25 +107,21 @@ func (sc *DisturbanceScratch) Map(readings []Reading, cal *Calibration, opts Dis
 		opts.Accumulator = AccumTotalVariation
 	}
 	n := cal.NumTags()
-	sc.series = byTagInto(sc.series, readings, n)
-	sc.out = growFloats(sc.out, n)
+	sc.split.split(w, n)
+	sc.out = grow(sc.out, n)
 	out := sc.out
 	for i := range out {
 		out[i] = 0
 	}
-	for i, s := range sc.series {
+	for i := range out {
 		if cal.IsDead(i) {
 			// An uncalibrated tag's sporadic reads would inject garbage;
 			// its cell is interpolated from live neighbors downstream.
 			continue
 		}
-		if len(s) < 2 {
+		phases := sc.split.run(i).phases
+		if len(phases) < 2 {
 			continue
-		}
-		sc.phases = growFloats(sc.phases, len(s))
-		phases := sc.phases
-		for j, r := range s {
-			phases[j] = r.Phase
 		}
 		// θ'_ij = θ_ij − θ̃_i (Eq. 8), wrapped back onto the reporting
 		// range, then unwrapped — fused into one column pass (a NaN mean
@@ -150,7 +153,7 @@ func (sc *DisturbanceScratch) Map(readings []Reading, cal *Calibration, opts Dis
 			// Subtract the tag's calibrated noise accumulation for a
 			// window of this many samples; what remains is
 			// hand-induced.
-			acc -= cal.TVRate[i] * float64(len(s)-1)
+			acc -= cal.TVRate[i] * float64(len(phases)-1)
 			if acc < 0 {
 				acc = 0
 			}

@@ -71,17 +71,38 @@ func (p *Pipeline) telemetry() *pipelineTel {
 // readings: disturbance map → grayscale image → Otsu → shape
 // classification → RSS direction estimation.
 func (p *Pipeline) RecognizeWindow(readings []Reading) MotionResult {
+	sc := p.getScratch()
+	defer p.scratch.Put(sc)
+	return p.recognize(sc, sc.columns(readings))
+}
+
+// recognizeColumns is RecognizeWindow over a window already held as
+// columns: the recognizer hands it a range of its history, so no
+// record is built.
+func (p *Pipeline) recognizeColumns(w ReadingBatch) MotionResult {
+	sc := p.getScratch()
+	defer p.scratch.Put(sc)
+	return p.recognize(sc, w)
+}
+
+// getScratch takes a scratch from the pool, or a fresh one when the
+// pool is empty.
+func (p *Pipeline) getScratch() *DisturbanceScratch {
+	if sc, _ := p.scratch.Get().(*DisturbanceScratch); sc != nil {
+		return sc
+	}
+	return new(DisturbanceScratch)
+}
+
+// recognize runs the pipeline over one window's columns. The window is
+// split by tag once, inside the disturbance stage, and the direction
+// stage reads its RSS runs from the same split.
+func (p *Pipeline) recognize(sc *DisturbanceScratch, w ReadingBatch) MotionResult {
 	tel := p.telemetry()
 	tel.windows.Inc()
 
-	sc, _ := p.scratch.Get().(*DisturbanceScratch)
-	if sc == nil {
-		sc = &DisturbanceScratch{}
-	}
-	defer p.scratch.Put(sc)
-
 	span := obs.StartTimer(tel.disturbance)
-	vals := sc.Map(readings, p.Cal, p.Opts)
+	vals := sc.mapColumns(w, p.Cal, p.Opts)
 	// Fill cells of dead (uncalibrated) tags from live neighbors so a
 	// stroke crossing a hole in the array stays one bright region.
 	vals = InterpolateDead(p.Grid, vals, p.Cal.Dead)
@@ -115,12 +136,13 @@ func (p *Pipeline) RecognizeWindow(readings []Reading) MotionResult {
 	span = obs.StartTimer(tel.direction)
 	if shape.Shape == stroke.Click {
 		res.Motion = stroke.M(stroke.Click, 0)
-		res.Troughs = FindTagTroughs(readings, p.Grid.NumTags(), shape.Cells)
+		res.Troughs = sc.tagTroughs(shape.Cells)
 		span.End()
 		return res
 	}
 
-	dir, troughs, dirOK := EstimateDirection(readings, p.Grid, shape.Cells)
+	troughs := sc.tagTroughs(shape.Cells)
+	dir, dirOK := fitDirection(p.Grid, troughs)
 	if shape.Shape == stroke.ArcLeft || shape.Shape == stroke.ArcRight {
 		// Arcs reverse course in x; endpoint displacement is the
 		// robust direction cue.

@@ -7,8 +7,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 	"time"
 
@@ -58,68 +56,120 @@ func (g Grid) Norm(index int) (x, y float64) {
 	return x, y
 }
 
-// byTag splits readings into per-tag series sorted by time. Readings
-// with out-of-range indices are dropped, as are same-timestamp
-// duplicates of the same tag: a reader can physically interrogate a
-// tag only once per instant, so duplicates are transport artifacts
+// tagSplit is one window's readings split by tag into columns: tag i's
+// readings are the run [lo[i], hi[i]) of times, phases and rss, in time
+// order, so hi[i]−lo[i] is the tag's read count in the window.
+// Readings with out-of-range tags are dropped, as are same-timestamp
+// duplicates of one tag: a reader can physically interrogate a tag
+// only once per instant, so duplicates are transport artifacts
 // (reconnect replay overlap, a duplicated report frame) that would
 // otherwise distort the accumulative phase difference's sample count.
-func byTag(readings []Reading, numTags int) [][]Reading {
-	return byTagInto(nil, readings, numTags)
+// The duplicate that arrived first wins — the policy the streaming
+// recognizer applies when it drops a duplicate at ingest, so record
+// windows and history windows see the same surviving sample.
+//
+// The zero value is ready, and a split reuses its buffers, so a caller
+// that splits windows repeatedly allocates nothing once they reach the
+// longest window.
+type tagSplit struct {
+	lo, hi []int
+	times  []time.Duration
+	phases []float64
+	rss    []float64
 }
 
-// byTagInto is byTag reusing dst's outer and per-tag backing arrays
-// when their capacities allow — the allocation-free path for callers
-// that split windows repeatedly (DisturbanceScratch). Bucketing
-// preserves arrival order and the per-tag sort is stable, so when two
-// readings of the same tag share a timestamp the one that arrived first
-// deterministically wins the dedup — the same first-arrival-wins policy
-// the streaming recognizer applies when it drops a duplicate at ingest
-// (an unstable sort here used to make the survivor arbitrary).
-func byTagInto(dst [][]Reading, readings []Reading, numTags int) [][]Reading {
-	if cap(dst) < numTags {
-		dst = make([][]Reading, numTags)
+// split fills s from one window's columns with one counting pass over
+// the tags and one scatter pass. The scatter keeps arrival order within
+// each tag, and only a run that is not strictly increasing in time
+// gets a stable sort and deduplication; a time-sorted, duplicate-free
+// window (a recognizer's history range) is never sorted.
+func (s *tagSplit) split(w ReadingBatch, numTags int) {
+	s.lo = grow(s.lo, numTags)
+	s.hi = grow(s.hi, numTags)
+	clear(s.hi)
+	for _, tag := range w.TagIndices {
+		if tag >= 0 && int(tag) < numTags {
+			s.hi[tag]++
+		}
 	}
-	out := dst[:numTags]
-	for i := range out {
-		out[i] = out[i][:0]
+	n := 0
+	for i, count := range s.hi {
+		s.lo[i], s.hi[i] = n, n
+		n += count
 	}
-	for _, r := range readings {
-		if r.TagIndex < 0 || r.TagIndex >= numTags {
+	s.times = grow(s.times, n)
+	s.phases = grow(s.phases, n)
+	s.rss = grow(s.rss, n)
+	for k, tag := range w.TagIndices {
+		if tag < 0 || int(tag) >= numTags {
 			continue
 		}
-		out[r.TagIndex] = append(out[r.TagIndex], r)
+		j := s.hi[tag]
+		s.hi[tag]++
+		s.times[j], s.phases[j], s.rss[j] = w.Times[k], w.Phases[k], w.RSS[k]
 	}
-	for i := range out {
-		s := out[i]
-		// Streams arrive time-sorted in the common case; checking is one
-		// cheap pass and skips the sort's buffer shuffling entirely.
-		if !slices.IsSortedFunc(s, func(a, b Reading) int { return cmp.Compare(a.Time, b.Time) }) {
-			slices.SortStableFunc(s, func(a, b Reading) int { return cmp.Compare(a.Time, b.Time) })
+	for i := range s.lo {
+		if r := s.run(i); !r.increasing() {
+			s.hi[i] = s.lo[i] + r.sortDedup()
 		}
-		out[i] = dedupSorted(s)
 	}
-	return out
 }
 
-// dedupSorted removes same-timestamp entries from one tag's time-sorted
-// series in place, keeping the first of each run. Combined with the
-// stable sort in byTagInto this means the earliest-arriving duplicate
-// wins — matching the recognizer's ingest-time policy, so batch
-// (RecognizeStream over raw captures) and streaming paths see the same
-// surviving sample.
-func dedupSorted(s []Reading) []Reading {
-	if len(s) < 2 {
-		return s
+// run returns tag i's readings. Its columns alias the split's.
+func (s *tagSplit) run(i int) tagRun {
+	lo, hi := s.lo[i], s.hi[i]
+	return tagRun{s.times[lo:hi], s.phases[lo:hi], s.rss[lo:hi]}
+}
+
+// tagRun is one tag's readings in a split, as parallel columns.
+type tagRun struct {
+	times  []time.Duration
+	phases []float64
+	rss    []float64
+}
+
+// increasing reports whether the run is strictly increasing in time:
+// sorted, with no duplicate timestamps.
+func (r tagRun) increasing() bool {
+	for k := 1; k < len(r.times); k++ {
+		if r.times[k] <= r.times[k-1] {
+			return false
+		}
 	}
-	kept := s[:1]
-	for _, r := range s[1:] {
-		if r.Time == kept[len(kept)-1].Time {
+	return true
+}
+
+// sortDedup sorts the run by time, stably, then moves the first
+// reading of each timestamp to the front and returns how many there
+// are.
+func (r tagRun) sortDedup() int {
+	sort.Stable(r)
+	kept := 1
+	for k := 1; k < len(r.times); k++ {
+		if r.times[k] == r.times[kept-1] {
 			continue
 		}
-		kept = append(kept, r)
+		r.times[kept], r.phases[kept], r.rss[kept] = r.times[k], r.phases[k], r.rss[k]
+		kept++
 	}
 	return kept
+}
+
+func (r tagRun) Len() int           { return len(r.times) }
+func (r tagRun) Less(i, j int) bool { return r.times[i] < r.times[j] }
+func (r tagRun) Swap(i, j int) {
+	r.times[i], r.times[j] = r.times[j], r.times[i]
+	r.phases[i], r.phases[j] = r.phases[j], r.phases[i]
+	r.rss[i], r.rss[j] = r.rss[j], r.rss[i]
+}
+
+// grow returns a slice of exactly length n, reusing buf's backing array
+// when its capacity allows.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // window extracts the readings with Time in [start, end), preserving

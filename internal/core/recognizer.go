@@ -78,11 +78,6 @@ type Recognizer struct {
 	scratch       segScratch
 	lastPollFrame int64
 
-	// winScratch is the materialized []Reading view handed to
-	// RecognizeWindow — rebuilt per detected stroke, never on the
-	// per-reading path. EPC/Doppler are zero; the pipeline reads
-	// neither.
-	winScratch []Reading
 	// scalarBatch is the reused one-element batch behind Ingest.
 	scalarBatch ReadingBatch
 
@@ -350,7 +345,8 @@ func (r *Recognizer) poll(horizon time.Duration) []Event {
 			openSpan = true
 			break // still open: more data may extend it
 		}
-		res := r.pipeline.RecognizeWindow(r.window(sp.Start, sp.End))
+		lo, hi := r.windowRange(sp.Start, sp.End)
+		res := r.pipeline.recognizeColumns(r.hist.Slice(lo, hi))
 		r.emittedEnd = sp.End
 		r.lastStroke = sp.End
 		if !res.Ok {
@@ -382,32 +378,15 @@ func (r *Recognizer) poll(horizon time.Duration) []Event {
 	return events
 }
 
-// window materializes the retained readings with Time in [start, end)
-// into the recognizer's window scratch. The history is time-sorted, so
-// the window is one contiguous column range located by binary search;
-// the []Reading records exist only for RecognizeWindow's benefit and
-// are rebuilt per call (EPC and Doppler are zero — the history columns
-// do not carry them and the pipeline reads neither). The returned slice
-// is only valid until the next window call.
-func (r *Recognizer) window(start, end time.Duration) []Reading {
+// windowRange returns the history column range [lo, hi) holding the
+// readings with Time in [start, end). The history is time-sorted and
+// free of (tag, time) duplicates, so the range is located by two binary
+// searches and the pipeline splits it by tag without sorting.
+func (r *Recognizer) windowRange(start, end time.Duration) (lo, hi int) {
 	liveTimes := r.hist.Times[r.head:]
-	lo := sort.Search(len(liveTimes), func(i int) bool { return liveTimes[i] >= start })
-	hi := lo + sort.Search(len(liveTimes[lo:]), func(i int) bool { return liveTimes[lo+i] >= end })
-	m := hi - lo
-	if cap(r.winScratch) < m {
-		r.winScratch = make([]Reading, m)
-	}
-	r.winScratch = r.winScratch[:m]
-	for k := 0; k < m; k++ {
-		at := r.head + lo + k
-		r.winScratch[k] = Reading{
-			TagIndex: int(r.hist.TagIndices[at]),
-			Time:     r.hist.Times[at],
-			Phase:    r.hist.Phases[at],
-			RSS:      r.hist.RSS[at],
-		}
-	}
-	return r.winScratch
+	lo = sort.Search(len(liveTimes), func(i int) bool { return liveTimes[i] >= start })
+	hi = lo + sort.Search(len(liveTimes[lo:]), func(i int) bool { return liveTimes[lo+i] >= end })
+	return r.head + lo, r.head + hi
 }
 
 // trimTo discards history before cut (aligned down to a frame

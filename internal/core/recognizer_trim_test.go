@@ -76,11 +76,11 @@ func TestRecognizerTrimBoundsAndReusesBuffer(t *testing.T) {
 		t.Errorf("buffer capacity kept growing after warm-up: %d at 30s, %d at 60s — compaction is not reusing the backing array", capAt30, got)
 	}
 
-	// window() must agree with the trimmed state (end is exclusive, so
-	// nudge past the newest reading).
-	w := rec.window(rec.bufStart, rec.now+time.Millisecond)
-	if len(w) != len(live) {
-		t.Errorf("window over the full span returned %d readings, live window holds %d", len(w), len(live))
+	// windowRange must agree with the trimmed state (end is exclusive,
+	// so nudge past the newest reading).
+	lo, hi := rec.windowRange(rec.bufStart, rec.now+time.Millisecond)
+	if lo != rec.head || hi-lo != len(live) {
+		t.Errorf("window range over the full span is [%d, %d), live window is [%d, %d)", lo, hi, rec.head, rec.head+len(live))
 	}
 }
 

@@ -59,6 +59,25 @@ func wrapSignedNearWide(theta float64) float64 {
 	return WrapSigned(theta) // also catches NaN and ±Inf
 }
 
+// wrapNear is Wrap without math.Mod for angles in (−2π, 2π), where
+// Mod returns its input exactly: θ in [0, 2π) is already wrapped (−0
+// included, which Wrap also returns unchanged), and θ in (−2π, 0) takes
+// the one rounded addition of 2π that Wrap performs. Everything else —
+// ±2π, farther angles, NaN and ±Inf — falls back to Wrap, so the
+// result is bit-identical to Wrap(theta) for every input. Suppressing a
+// phase in [0, 2π) against a mean in [0, 2π) always lands in the fast
+// arms.
+func wrapNear(theta float64) float64 {
+	if theta >= 0 {
+		if theta < 2*math.Pi {
+			return theta
+		}
+	} else if theta > -2*math.Pi {
+		return theta + 2*math.Pi
+	}
+	return Wrap(theta)
+}
+
 // UnwrapColumn fuses diversity suppression and phase de-periodicity
 // over one tag's phase column: dst[i] = unwrap(Wrap(phase[i] − mean)),
 // in a single pass with no intermediate buffer. It is bit-identical to
@@ -74,7 +93,7 @@ func UnwrapColumn(dst, phase []float64, mean float64) []float64 {
 	suppress := !math.IsNaN(mean)
 	wrap := func(p float64) float64 {
 		if suppress {
-			return Wrap(p - mean)
+			return wrapNear(p - mean)
 		}
 		return p
 	}

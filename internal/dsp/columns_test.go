@@ -116,3 +116,40 @@ func TestSmoothedKernelsMatchComposition(t *testing.T) {
 		}
 	}
 }
+
+// TestWrapNearMatchesWrap checks the fast wrap UnwrapColumn applies to
+// p − mean against Wrap, bit for bit (the sign of zero included), on
+// random angles across several periods and on every boundary: ±0, ±2π
+// and their floating-point neighbours, NaN and ±Inf.
+func TestWrapNearMatchesWrap(t *testing.T) {
+	check := func(theta float64) {
+		t.Helper()
+		got, want := wrapNear(theta), Wrap(theta)
+		if math.IsNaN(want) && math.IsNaN(got) {
+			return
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("wrapNear(%v) = %v (%x), Wrap = %v (%x)",
+				theta, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	edges := []float64{
+		0, negZero,
+		math.Nextafter(0, 1), math.Nextafter(0, -1),
+		2 * math.Pi, -2 * math.Pi,
+		math.Nextafter(2*math.Pi, 0), math.Nextafter(2*math.Pi, 7),
+		math.Nextafter(-2*math.Pi, 0), math.Nextafter(-2*math.Pi, -7),
+		4 * math.Pi, -4 * math.Pi,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for _, theta := range edges {
+		check(theta)
+	}
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 200000; i++ {
+		check((rng.Float64() - 0.5) * 12 * math.Pi)
+		// Exactly the suppression input: a phase and a mean in [0, 2π).
+		check(rng.Float64()*2*math.Pi - rng.Float64()*2*math.Pi)
+	}
+}

@@ -5,11 +5,10 @@ import (
 	"time"
 )
 
-// TimedSample is a timestamped scalar measurement (e.g. one RSS read of
-// one tag).
-type TimedSample struct {
-	T time.Duration
-	V float64
+// TroughScratch holds FindTrough's workspaces. The zero value is ready;
+// a scratch is not safe for concurrent use.
+type TroughScratch struct {
+	smooth, work []float64
 }
 
 // Trough describes one detected local minimum in a timed series.
@@ -29,19 +28,27 @@ type Trough struct {
 // depth-weighted centroid of the below-median excursion, which is robust
 // to flat-bottomed troughs and single-sample noise spikes.
 //
-// ok is false when the series has no significant trough — i.e. the
-// excursion below the median is smaller than minDepth (same units as the
-// samples; for RSS, dB).
-func FindTrough(samples []TimedSample, smoothWidth int, minDepth float64) (Trough, bool) {
-	if len(samples) < 3 {
+// The series arrives as two parallel columns: times[i] is when vals[i]
+// was measured. ok is false when the series has no significant trough —
+// i.e. the excursion below the median is smaller than minDepth (same
+// units as the samples; for RSS, dB). sc holds the smoothed series and
+// the median's workspace, so a caller that reuses it allocates nothing
+// once its buffers reach the longest series.
+func FindTrough(sc *TroughScratch, times []time.Duration, vals []float64, smoothWidth int, minDepth float64) (Trough, bool) {
+	if len(vals) < 3 {
 		return Trough{}, false
 	}
-	raw := make([]float64, len(samples))
-	for i, s := range samples {
-		raw[i] = s.V
+	sc.smooth = MovingAverageInto(sc.smooth, vals, smoothWidth)
+	smooth := sc.smooth
+	// The median of the NaN-free samples, by selection: for finite
+	// samples QuantileSelect(·, 0.5) is bit-identical to Median.
+	sc.work = sc.work[:0]
+	for _, v := range vals {
+		if !math.IsNaN(v) {
+			sc.work = append(sc.work, v)
+		}
 	}
-	smooth := MovingAverage(raw, smoothWidth)
-	med := Median(raw)
+	med := QuantileSelect(sc.work, 0.5)
 
 	// Stage 1: coarse global minimum of the smoothed series.
 	minIdx, minVal := -1, math.Inf(1)
@@ -70,48 +77,16 @@ func FindTrough(samples []TimedSample, smoothWidth int, minDepth float64) (Troug
 	}
 	var wSum, tSum float64
 	for i := lo; i <= hi; i++ {
-		w := med - raw[i]
+		w := med - vals[i]
 		if w <= 0 || math.IsNaN(w) {
 			continue
 		}
 		wSum += w
-		tSum += w * float64(samples[i].T)
+		tSum += w * float64(times[i])
 	}
-	t := samples[minIdx].T
+	t := times[minIdx]
 	if wSum > 0 {
 		t = time.Duration(tSum / wSum)
 	}
-	return Trough{T: t, V: raw[minIdx], Depth: depth}, true
-}
-
-// Frame groups timed samples into consecutive non-overlapping frames of
-// the given length starting at start. Sample i lands in frame
-// (T−start)/frameLen; samples before start are dropped. The returned
-// slice covers every frame up to the last sample (possibly empty
-// frames in between).
-func Frame(samples []TimedSample, start, frameLen time.Duration) [][]TimedSample {
-	if frameLen <= 0 {
-		return nil
-	}
-	var frames [][]TimedSample
-	for _, s := range samples {
-		if s.T < start {
-			continue
-		}
-		idx := int((s.T - start) / frameLen)
-		for len(frames) <= idx {
-			frames = append(frames, nil)
-		}
-		frames[idx] = append(frames[idx], s)
-	}
-	return frames
-}
-
-// Values extracts the scalar values from timed samples.
-func Values(samples []TimedSample) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = s.V
-	}
-	return out
+	return Trough{T: t, V: vals[minIdx], Depth: depth}, true
 }

@@ -7,12 +7,25 @@ import (
 	"time"
 )
 
-func mkSeries(n int, f func(i int) float64) []TimedSample {
-	out := make([]TimedSample, n)
-	for i := range out {
-		out[i] = TimedSample{T: time.Duration(i*10) * time.Millisecond, V: f(i)}
+// series is one timed series as the parallel columns FindTrough takes.
+type series struct {
+	times []time.Duration
+	vals  []float64
+}
+
+// mkSeries samples f every 10 ms.
+func mkSeries(n int, f func(i int) float64) series {
+	s := series{make([]time.Duration, n), make([]float64, n)}
+	for i := range s.vals {
+		s.times[i] = time.Duration(i*10) * time.Millisecond
+		s.vals[i] = f(i)
 	}
-	return out
+	return s
+}
+
+// findTrough runs FindTrough over a series with a fresh scratch.
+func findTrough(s series, smoothWidth int, minDepth float64) (Trough, bool) {
+	return FindTrough(new(TroughScratch), s.times, s.vals, smoothWidth, minDepth)
 }
 
 func TestFindTroughLocatesDip(t *testing.T) {
@@ -21,7 +34,7 @@ func TestFindTroughLocatesDip(t *testing.T) {
 		d := float64(i-50) / 6
 		return -41 - 8*math.Exp(-d*d)
 	})
-	tr, ok := FindTrough(s, 5, 2)
+	tr, ok := findTrough(s, 5, 2)
 	if !ok {
 		t.Fatal("no trough found")
 	}
@@ -37,7 +50,7 @@ func TestFindTroughLocatesDip(t *testing.T) {
 func TestFindTroughRejectsFlat(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	s := mkSeries(100, func(i int) float64 { return -41 + r.NormFloat64()*0.3 })
-	if _, ok := FindTrough(s, 5, 2); ok {
+	if _, ok := findTrough(s, 5, 2); ok {
 		t.Error("found trough in flat noise")
 	}
 }
@@ -48,7 +61,7 @@ func TestFindTroughNoisyDip(t *testing.T) {
 		d := float64(i-120) / 10
 		return -41 - 10*math.Exp(-d*d) + r.NormFloat64()*0.8
 	})
-	tr, ok := FindTrough(s, 7, 3)
+	tr, ok := findTrough(s, 7, 3)
 	if !ok {
 		t.Fatal("no trough found in noisy dip")
 	}
@@ -68,8 +81,8 @@ func TestFindTroughOrderingTwoTags(t *testing.T) {
 		d := float64(i-140) / 8
 		return -43 - 9*math.Exp(-d*d)
 	})
-	ta, okA := FindTrough(tagA, 5, 2)
-	tb, okB := FindTrough(tagB, 5, 2)
+	ta, okA := findTrough(tagA, 5, 2)
+	tb, okB := findTrough(tagB, 5, 2)
 	if !okA || !okB {
 		t.Fatal("troughs not found")
 	}
@@ -79,41 +92,47 @@ func TestFindTroughOrderingTwoTags(t *testing.T) {
 }
 
 func TestFindTroughTooFewSamples(t *testing.T) {
-	if _, ok := FindTrough(mkSeries(2, func(int) float64 { return 0 }), 3, 1); ok {
+	if _, ok := findTrough(mkSeries(2, func(int) float64 { return 0 }), 3, 1); ok {
 		t.Error("found trough with 2 samples")
 	}
-	if _, ok := FindTrough(nil, 3, 1); ok {
+	if _, ok := findTrough(series{}, 3, 1); ok {
 		t.Error("found trough with no samples")
 	}
 }
 
-func TestFrame(t *testing.T) {
-	samples := []TimedSample{
-		{T: 5 * time.Millisecond, V: 1},
-		{T: 95 * time.Millisecond, V: 2},
-		{T: 105 * time.Millisecond, V: 3},
-		{T: 310 * time.Millisecond, V: 4},
-	}
-	frames := Frame(samples, 0, 100*time.Millisecond)
-	if len(frames) != 4 {
-		t.Fatalf("frames = %d, want 4", len(frames))
-	}
-	if len(frames[0]) != 2 || len(frames[1]) != 1 || len(frames[2]) != 0 || len(frames[3]) != 1 {
-		t.Errorf("frame sizes = %d,%d,%d,%d", len(frames[0]), len(frames[1]), len(frames[2]), len(frames[3]))
-	}
-	// Samples before start dropped.
-	f2 := Frame(samples, 100*time.Millisecond, 100*time.Millisecond)
-	if len(f2) != 3 || len(f2[0]) != 1 {
-		t.Errorf("start offset handling wrong: %v", f2)
-	}
-	if Frame(samples, 0, 0) != nil {
-		t.Error("zero frame length should return nil")
-	}
-}
-
-func TestValues(t *testing.T) {
-	v := Values([]TimedSample{{V: 1}, {V: 2}})
-	if len(v) != 2 || v[0] != 1 || v[1] != 2 {
-		t.Errorf("Values = %v", v)
+// TestFindTroughReusedScratchMatchesFresh runs one scratch across
+// series of growing and shrinking length, with NaN samples: every
+// result must equal a fresh scratch's, and the median it takes by
+// selection must equal Median bit for bit.
+func TestFindTroughReusedScratchMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var sc TroughScratch
+	for trial := 0; trial < 300; trial++ {
+		n := 3 + rng.Intn(120)
+		centre := rng.Intn(n)
+		s := mkSeries(n, func(i int) float64 {
+			d := float64(i-centre) / 6
+			// Quantized to 0.5 dB like a reader's report, so the median
+			// often falls on ties.
+			return math.Round(2*(-41-8*math.Exp(-d*d)+rng.NormFloat64())) / 2
+		})
+		if trial%4 == 0 {
+			s.vals[rng.Intn(n)] = math.NaN()
+		}
+		got, okGot := FindTrough(&sc, s.times, s.vals, 5, 2)
+		want, okWant := findTrough(s, 5, 2)
+		if okGot != okWant || got.T != want.T || math.Float64bits(got.V) != math.Float64bits(want.V) ||
+			math.Float64bits(got.Depth) != math.Float64bits(want.Depth) {
+			t.Fatalf("trial %d: reused scratch gave %+v/%v, fresh gave %+v/%v", trial, got, okGot, want, okWant)
+		}
+		var finite []float64
+		for _, v := range s.vals {
+			if !math.IsNaN(v) {
+				finite = append(finite, v)
+			}
+		}
+		if sel, med := QuantileSelect(finite, 0.5), Median(s.vals); math.Float64bits(sel) != math.Float64bits(med) {
+			t.Fatalf("trial %d: selected median %v, Median %v", trial, sel, med)
+		}
 	}
 }

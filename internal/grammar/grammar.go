@@ -16,8 +16,8 @@
 package grammar
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"rfipad/internal/stroke"
 )
@@ -175,12 +175,15 @@ var alphabet = []Letter{
 	}},
 }
 
+// The grammar is kept in alphabetical order, so every scan of it visits
+// letters in the order its results are reported.
+func init() {
+	slices.SortFunc(alphabet, func(a, b Letter) int { return cmp.Compare(a.Char, b.Char) })
+}
+
 // Alphabet returns the full grammar in alphabetical order (copied).
 func Alphabet() []Letter {
-	out := make([]Letter, len(alphabet))
-	copy(out, alphabet)
-	sort.Slice(out, func(i, j int) bool { return out[i].Char < out[j].Char })
-	return out
+	return slices.Clone(alphabet)
 }
 
 // Lookup returns the grammar entry for a letter ('A'–'Z'), or false.
@@ -193,27 +196,13 @@ func Lookup(ch rune) (Letter, bool) {
 	return Letter{}, false
 }
 
-// seqKey encodes a motion sequence for grouping.
-func seqKey(motions []stroke.Motion) string {
-	s := ""
-	for _, mo := range motions {
-		s += fmt.Sprintf("%d.%d;", mo.Shape, mo.Dir)
-	}
-	return s
-}
-
 // Candidates returns every letter whose stroke sequence matches the
 // observed motions exactly, in alphabetical order. Several letters may
 // share a sequence (D/P, O/S); Deduce resolves them by layout.
 func Candidates(motions []stroke.Motion) []Letter {
-	key := seqKey(motions)
 	var out []Letter
-	for _, l := range Alphabet() {
-		ms := make([]stroke.Motion, len(l.Strokes))
-		for i, p := range l.Strokes {
-			ms[i] = p.Motion
-		}
-		if seqKey(ms) == key {
+	for _, l := range alphabet {
+		if slices.EqualFunc(l.Strokes, motions, func(p Placed, mo stroke.Motion) bool { return p.Motion == mo }) {
 			out = append(out, l)
 		}
 	}
@@ -250,16 +239,11 @@ func positionScore(o Observed, canon stroke.Rect) float64 {
 // position-based disambiguation); if no letter matches the sequence
 // exactly, ok is false.
 func Deduce(obs []Observed) (best rune, ok bool) {
-	motions := make([]stroke.Motion, len(obs))
-	for i, o := range obs {
-		motions[i] = o.Motion
-	}
-	cands := Candidates(motions)
-	if len(cands) == 0 {
-		return 0, false
-	}
 	bestScore := -1.0
-	for _, cand := range cands {
+	for _, cand := range alphabet {
+		if !slices.EqualFunc(cand.Strokes, obs, func(p Placed, o Observed) bool { return p.Motion == o.Motion }) {
+			continue
+		}
 		var score float64
 		for i, p := range cand.Strokes {
 			score += positionScore(obs[i], p.Box)
@@ -267,9 +251,10 @@ func Deduce(obs []Observed) (best rune, ok bool) {
 		if bestScore < 0 || score < bestScore {
 			bestScore = score
 			best = cand.Char
+			ok = true
 		}
 	}
-	return best, true
+	return best, ok
 }
 
 // DeduceFuzzy extends Deduce for noisy pipelines: when no exact
@@ -282,7 +267,7 @@ func DeduceFuzzy(obs []Observed) (best rune, ok bool) {
 		return ch, true
 	}
 	bestScore := -1.0
-	for _, cand := range Alphabet() {
+	for _, cand := range alphabet {
 		if len(cand.Strokes) != len(obs) {
 			continue
 		}
@@ -308,21 +293,22 @@ func DeduceFuzzy(obs []Observed) (best rune, ok bool) {
 // motion sequence — the ambiguities the paper resolves by position
 // (D/P, O/S).
 func AmbiguousPairs() [][]rune {
-	groups := map[string][]rune{}
-	for _, l := range Alphabet() {
-		ms := make([]stroke.Motion, len(l.Strokes))
-		for i, p := range l.Strokes {
-			ms[i] = p.Motion
-		}
-		k := seqKey(ms)
-		groups[k] = append(groups[k], l.Char)
-	}
 	var out [][]rune
-	for _, g := range groups {
+	grouped := make([]bool, len(alphabet))
+	for i, l := range alphabet {
+		if grouped[i] {
+			continue
+		}
+		g := []rune{l.Char}
+		for j := i + 1; j < len(alphabet); j++ {
+			if !grouped[j] && slices.EqualFunc(l.Strokes, alphabet[j].Strokes, func(p, q Placed) bool { return p.Motion == q.Motion }) {
+				grouped[j] = true
+				g = append(g, alphabet[j].Char)
+			}
+		}
 		if len(g) > 1 {
 			out = append(out, g)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }

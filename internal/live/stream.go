@@ -16,8 +16,9 @@ import (
 // to an online Recognizer. Run wraps one Stream around a session;
 // engine.Engine shards many of them across workers.
 type Stream struct {
-	cfg      Config
-	static   []core.Reading
+	cfg Config
+	// prelude holds the static capture until it covers CalibDuration.
+	prelude  core.ReadingBatch
 	cal      *core.Calibration
 	rec      *core.Recognizer
 	lastTime time.Duration
@@ -83,27 +84,27 @@ func (s *Stream) IngestBatch(b *core.ReadingBatch) ([]core.Event, error) {
 	n := b.Len()
 	i := 0
 	for i < n && s.rec == nil {
-		rd := b.Reading(i)
+		t := b.Times[i]
+		s.prelude.Append(t, b.Phases[i], b.RSS[i], b.TagIndices[i])
 		i++
-		if rd.Time > s.lastTime {
-			s.lastTime = rd.Time
+		if t > s.lastTime {
+			s.lastTime = t
 		}
-		s.static = append(s.static, rd)
-		if rd.Time < s.cfg.CalibDuration {
+		if t < s.cfg.CalibDuration {
 			continue
 		}
-		cal, err := core.Calibrate(s.static, s.cfg.Grid.NumTags())
+		cal, err := core.CalibrateBatch(&s.prelude, s.cfg.Grid.NumTags())
 		if err != nil {
 			return nil, fmt.Errorf("live: calibration failed: %w", err)
 		}
 		s.cal = cal
-		s.static = nil
+		s.prelude = core.ReadingBatch{}
 		pipe := core.NewPipeline(s.cfg.Grid, cal)
 		pipe.Obs = s.cfg.Obs
 		seg := core.NewSegmenter()
 		s.rec = core.NewRecognizer(pipe, seg)
-		s.calEnd = rd
-		s.calCursor = rd.Time - rd.Time%seg.FrameLen
+		s.calEnd = b.Reading(i - 1)
+		s.calCursor = t - t%seg.FrameLen
 	}
 	rest := b.Slice(i, n)
 	var events []core.Event

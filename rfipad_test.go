@@ -1,6 +1,10 @@
 package rfipad
 
 import (
+	"cmp"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -274,5 +278,72 @@ func TestFastMACSimulator(t *testing.T) {
 	}
 	if fast, slow := count(true), count(false); fast < slow*3/2 {
 		t.Errorf("fast MAC reads %d should be well above default %d", fast, slow)
+	}
+}
+
+// TestRecognizerWindowsMatchRecordPath checks that the streaming
+// recognizer, which hands the pipeline ranges of its history columns,
+// recognizes every stroke window exactly as Pipeline.RecognizeWindow
+// does from the same window as records — and as it does from a shuffled
+// copy of those records with replayed duplicates mixed in, which the
+// per-tag split must sort and deduplicate back to the same window.
+func TestRecognizerWindowsMatchRecordPath(t *testing.T) {
+	sim, err := NewSimulator(SimulatorConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := sim.Calibrate(3 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sim.NewPipeline(cal)
+	rng := rand.New(rand.NewSource(6))
+	strokes := 0
+	for i, word := range []string{"HI", "BOX", "MUSIC"} {
+		readings, dur, err := sim.WriteWord(word, int64(60+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The history holds readings time-sorted, first arrival of each
+		// (tag, time) kept; the record windows come from the same view.
+		slices.SortStableFunc(readings, func(a, b Reading) int { return cmp.Compare(a.Time, b.Time) })
+		readings = slices.CompactFunc(readings, func(a, b Reading) bool {
+			return a.Time == b.Time && a.TagIndex == b.TagIndex
+		})
+		rec := sim.NewRecognizer(cal)
+		var events []Event
+		var b ReadingBatch
+		for k := 0; k < len(readings); k += 256 {
+			b.Reset()
+			for _, r := range readings[k:min(k+256, len(readings))] {
+				b.AppendReading(r)
+			}
+			events = append(events, rec.IngestBatch(&b)...)
+		}
+		events = append(events, rec.Flush(dur+2*time.Second)...)
+		for _, ev := range events {
+			if ev.Kind != StrokeDetected {
+				continue
+			}
+			strokes++
+			lo, _ := slices.BinarySearchFunc(readings, ev.Span.Start, func(r Reading, at time.Duration) int { return cmp.Compare(r.Time, at) })
+			hi, _ := slices.BinarySearchFunc(readings, ev.Span.End, func(r Reading, at time.Duration) int { return cmp.Compare(r.Time, at) })
+			win := readings[lo:hi]
+			if got := p.RecognizeWindow(win); !reflect.DeepEqual(got, ev.Stroke) {
+				t.Errorf("%s, stroke at %v: record window recognized %+v, history columns %+v", word, ev.Span, got, ev.Stroke)
+			}
+			messy := slices.Clone(win)
+			for d := len(win) / 10; d > 0; d-- {
+				messy = append(messy, win[rng.Intn(len(win))])
+			}
+			rng.Shuffle(len(messy), func(i, j int) { messy[i], messy[j] = messy[j], messy[i] })
+			if got := p.RecognizeWindow(messy); !reflect.DeepEqual(got, ev.Stroke) {
+				t.Errorf("%s, stroke at %v: shuffled, duplicated window recognized %+v, history columns %+v", word, ev.Span, got, ev.Stroke)
+			}
+		}
+	}
+	t.Logf("%d stroke windows compared", strokes)
+	if strokes < 15 {
+		t.Fatalf("only %d strokes recognized; the captures should give about 20", strokes)
 	}
 }

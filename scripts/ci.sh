@@ -76,13 +76,16 @@ go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/supervise
 # The exact AllocsPerRun assertions skip themselves under -race (the
 # detector allocates on instrumented paths), so run them again pure.
 # This covers the recognizer hot path, the disturbance scratch map,
-# the cluster intake (Cluster.Push through the owner's shard), and the
+# one stroke window and one letter composition (bounded counts), the
+# cluster intake (Cluster.Push through the owner's shard), and the
 # unsampled/sampled tracing paths (0 allocs per span).
 echo '== alloc regression tests (pure build)'
 go test -run 'Allocs' . ./internal/obs/trace
 
-echo '== bench smoke (hot path + engine + columnar ingest + active segmentation poll, 1 iteration)'
-go test -run '^$' -bench 'BenchmarkRecognizerIngestSteadyState|BenchmarkEngineMultiStream|BenchmarkStreamingIngest$|BenchmarkIngestBatch$|BenchmarkSegmenterActivePoll$' \
+# BenchmarkRecognizeWindow recognizes one stroke window per op, so the
+# log shows the per-stroke ns/op and allocs/op.
+echo '== bench smoke (hot path + engine + columnar ingest + active segmentation poll + stroke window, 1 iteration)'
+go test -run '^$' -bench 'BenchmarkRecognizerIngestSteadyState|BenchmarkEngineMultiStream|BenchmarkStreamingIngest$|BenchmarkIngestBatch$|BenchmarkSegmenterActivePoll$|BenchmarkRecognizeWindow$' \
     -benchtime=1x -benchmem . ./internal/core | tee bench_smoke.txt
 # The columnar batch path must stay allocation-free at steady state,
 # and so must a segmentation poll while a user writes (the quiet
