@@ -8,11 +8,13 @@ package rfipad
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"rfipad/internal/cluster"
 	"rfipad/internal/core"
+	"rfipad/internal/live"
 	"rfipad/internal/obs"
 	"rfipad/internal/obs/trace"
 	"rfipad/internal/supervise"
@@ -363,5 +365,68 @@ func TestComposeLetterAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, func() { ComposeLetter(c.obs) }); avg > 4 {
 			t.Errorf("%s: ComposeLetter allocates %.0f objects, want <= 4", c.name, avg)
 		}
+	}
+}
+
+// TestRecycledStreamAllocs pins buffer recycling between streams: once
+// a stream over a written word is released, a second stream over the
+// same capture builds its recognizer on the first one's history, frame
+// cache and segmentation scratch, and its prelude in the first one's
+// batch. It may allocate at most a tenth of the bytes the first stream
+// allocated; what remains is calibration, the recognizer's small
+// structs and the events.
+func TestRecycledStreamAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	sim, err := NewSimulator(SimulatorConfig{Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prelude = 3 * time.Second
+	var capture core.ReadingBatch
+	for _, rd := range sim.CollectStatic(prelude) {
+		capture.AppendReading(rd)
+	}
+	word, _, err := sim.WriteWord("HI", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rd := range word {
+		rd.Time += prelude + time.Second
+		capture.AppendReading(rd)
+	}
+	// One P, so a Put and the next Get meet in the same pool slot, and
+	// no collection, which would empty the pools between the streams.
+	// The two forced collections start both pools empty.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.GC()
+	reg := obs.NewRegistry()
+	events := 0
+	stream := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st := live.NewStream(live.Config{Obs: reg})
+		for i := 0; i < capture.Len(); i += 256 {
+			b := capture.Slice(i, min(i+256, capture.Len()))
+			evs, err := st.IngestBatch(&b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events += len(evs)
+		}
+		events += len(st.Flush())
+		st.Release()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := stream()
+	second := stream()
+	t.Logf("%d readings, %d events per stream: first stream %d B, second %d B (%.1f %%)",
+		capture.Len(), events/2, first, second, 100*float64(second)/float64(first))
+	if second*10 > first {
+		t.Errorf("a stream on recycled buffers allocates %d B, over a tenth of the first stream's %d B", second, first)
 	}
 }

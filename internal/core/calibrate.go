@@ -62,15 +62,16 @@ func Calibrate(static []Reading, numTags int) (*Calibration, error) {
 }
 
 // CalibrateBatch is Calibrate over a static capture held as columns. It
-// splits the capture by tag the way a stroke window is split, so
-// duplicates and out-of-range tags are dropped alike. The batch is only
-// read.
+// splits the capture by tag the way a stroke window is split, into a
+// pooled window scratch, so duplicates and out-of-range tags are
+// dropped alike. The batch is only read.
 func CalibrateBatch(static *ReadingBatch, numTags int) (*Calibration, error) {
 	if numTags <= 0 {
 		return nil, errors.New("core: calibrate: no tags")
 	}
-	var split tagSplit
-	split.split(*static, numTags)
+	sc := scratchPool.Get().(*DisturbanceScratch)
+	defer scratchPool.Put(sc)
+	sc.split.split(*static, numTags)
 	c := &Calibration{
 		MeanPhase: make([]float64, numTags),
 		Bias:      make([]float64, numTags),
@@ -79,10 +80,9 @@ func CalibrateBatch(static *ReadingBatch, numTags int) (*Calibration, error) {
 		weights:   make([]float64, numTags),
 	}
 	var biasSum float64
-	var un []float64
 	dead := 0
 	for i := 0; i < numTags; i++ {
-		phases := split.run(i).phases
+		phases := sc.split.run(i).phases
 		if len(phases) < minCalibrationReads {
 			c.Dead[i] = true
 			dead++
@@ -99,8 +99,8 @@ func CalibrateBatch(static *ReadingBatch, numTags int) (*Calibration, error) {
 		// Noise accumulation rate: run the same (fused) suppression,
 		// unwrap, smoothing, and total variation the disturbance metric
 		// uses over this static stream.
-		un = dsp.UnwrapColumn(un, phases, c.MeanPhase[i])
-		c.TVRate[i] = dsp.SmoothedTotalVariation(un, disturbanceSmoothWidth) / float64(len(un)-1)
+		sc.un = dsp.UnwrapColumn(sc.un, phases, c.MeanPhase[i])
+		c.TVRate[i] = dsp.SmoothedTotalVariation(sc.un, disturbanceSmoothWidth) / float64(len(sc.un)-1)
 	}
 	if float64(dead) > maxDeadFraction*float64(numTags) {
 		return nil, fmt.Errorf("core: calibrate: %d of %d tags have < %d reads — grid too degraded",

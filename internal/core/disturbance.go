@@ -72,7 +72,8 @@ func DisturbanceMap(readings []Reading, cal *Calibration, opts DisturbanceOption
 // itself and the trough finder's buffers — so a hot caller evaluating
 // windows repeatedly allocates nothing once the buffers reach their
 // high-water marks. The zero value is ready. A scratch is not safe for
-// concurrent use; the Pipeline keeps a sync.Pool of them.
+// concurrent use; pipelines and calibration borrow them from one
+// package-level sync.Pool.
 type DisturbanceScratch struct {
 	// recs holds a record window as columns for the record entry
 	// points; the recognizer hands its history columns over directly.

@@ -47,12 +47,14 @@ type Pipeline struct {
 
 	telOnce sync.Once
 	tel     *pipelineTel
-	// scratch pools DisturbanceScratch buffers: Pipelines are shared
-	// across goroutines by the experiment harness and the engine's
-	// shards each drive their own windows, so per-window workspaces
-	// are pooled rather than owned.
-	scratch sync.Pool
 }
+
+// scratchPool recycles DisturbanceScratch buffers. Pipelines are shared
+// across goroutines by the experiment harness, so each window borrows a
+// workspace instead of owning one; and every stream builds its own
+// Pipeline, so a pool per pipeline would start each stream empty.
+// Calibration borrows from it too.
+var scratchPool = sync.Pool{New: func() any { return new(DisturbanceScratch) }}
 
 // NewPipeline builds a recognition pipeline with full diversity
 // suppression.
@@ -71,8 +73,8 @@ func (p *Pipeline) telemetry() *pipelineTel {
 // readings: disturbance map → grayscale image → Otsu → shape
 // classification → RSS direction estimation.
 func (p *Pipeline) RecognizeWindow(readings []Reading) MotionResult {
-	sc := p.getScratch()
-	defer p.scratch.Put(sc)
+	sc := scratchPool.Get().(*DisturbanceScratch)
+	defer scratchPool.Put(sc)
 	return p.recognize(sc, sc.columns(readings))
 }
 
@@ -80,18 +82,9 @@ func (p *Pipeline) RecognizeWindow(readings []Reading) MotionResult {
 // columns: the recognizer hands it a range of its history, so no
 // record is built.
 func (p *Pipeline) recognizeColumns(w ReadingBatch) MotionResult {
-	sc := p.getScratch()
-	defer p.scratch.Put(sc)
+	sc := scratchPool.Get().(*DisturbanceScratch)
+	defer scratchPool.Put(sc)
 	return p.recognize(sc, w)
-}
-
-// getScratch takes a scratch from the pool, or a fresh one when the
-// pool is empty.
-func (p *Pipeline) getScratch() *DisturbanceScratch {
-	if sc, _ := p.scratch.Get().(*DisturbanceScratch); sc != nil {
-		return sc
-	}
-	return new(DisturbanceScratch)
 }
 
 // recognize runs the pipeline over one window's columns. The window is

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"rfipad/internal/obs"
@@ -50,9 +51,11 @@ type Event struct {
 // between polls. The
 // per-reading Ingest survives as a thin wrapper over a one-element
 // batch, so both entry points share one code path and emit identical
-// events. Steady-state ingest allocates nothing once the buffers reach
-// their high-water marks; the history columns trim in place and every
-// segmentation workspace is recognizer-owned scratch.
+// events. The history columns trim in place and every segmentation
+// workspace is recognizer-owned scratch, so steady-state ingest
+// allocates nothing. Release recycles those buffers into the next
+// recognizer built, which starts at the released one's high-water
+// capacity instead of regrowing it from empty.
 type Recognizer struct {
 	pipeline *Pipeline
 	seg      *Segmenter
@@ -65,17 +68,16 @@ type Recognizer struct {
 	// LetterGap is the quiet period that finalizes a letter.
 	LetterGap time.Duration
 
-	// hist holds the retained history as time-ordered columns;
-	// indices [head, hist.Len()) are the live window. Trims advance
-	// head and compact in place once half the backing arrays are dead,
+	// *recBuffers holds the history columns, the segmentation cache
+	// and its scratch; nil once released. The history's indices
+	// [head, hist.Len()) are the live window. Trims advance head and
+	// compact in place once two thirds of the backing arrays are dead,
 	// so steady-state ingest reuses one set of allocations.
-	hist     ReadingBatch
+	*recBuffers
 	head     int
 	bufStart time.Duration
 	now      time.Duration
 
-	cache         *segCache
-	scratch       segScratch
 	lastPollFrame int64
 
 	// scalarBatch is the reused one-element batch behind Ingest.
@@ -89,23 +91,74 @@ type Recognizer struct {
 	lastStroke time.Duration
 }
 
+// recBuffers is what a recognizer grows while it runs: the history
+// columns, the segmentation cache and the segmentation scratch, 0.5 to
+// 1 MB for a written word. Release hands them to the next
+// NewRecognizer through recBufferPool; only their capacity crosses
+// from one stream to the next.
+type recBuffers struct {
+	hist    ReadingBatch
+	cache   segCache
+	scratch segScratch
+}
+
+// reset empties recycled buffers for a new stream on cal: only their
+// capacity survives, so a recognizer built on them behaves exactly as
+// one built on new buffers.
+func (b *recBuffers) reset(frameLen time.Duration, cal *Calibration) {
+	b.hist.Reset()
+	b.cache.reset(frameLen, cal)
+	b.scratch.reset()
+}
+
+// recBufferPool recycles released recognizers' buffers. It pays off
+// only for a recognizer built in the same process soon after another
+// one was released: after an engine's Close (closed-loop replay that
+// builds an engine per batch of recordings) or an evict (a cluster
+// handoff adopting on another node). Two garbage collections empty the
+// pool, so a stream built long after the last release, or while every
+// earlier stream is still open, grows its own buffers from empty.
+var recBufferPool = sync.Pool{New: func() any { return new(recBuffers) }}
+
+// releasedMsg is the panic of a recognizer used after Release: its
+// buffers may already belong to another stream.
+const releasedMsg = "core: Recognizer used after Release"
+
 // NewRecognizer builds a streaming recognizer. The segmenter's frame
 // geometry is captured at construction; mutate seg before, not after.
+// Its buffers come from the last released recognizer when there is
+// one.
 func NewRecognizer(p *Pipeline, seg *Segmenter) *Recognizer {
 	if seg == nil {
 		seg = NewSegmenter()
 	}
+	buf := recBufferPool.Get().(*recBuffers)
+	buf.reset(seg.FrameLen, p.Cal)
 	return &Recognizer{
 		pipeline:   p,
 		seg:        seg,
 		tel:        newRecognizerTel(p.Obs),
-		cache:      newSegCache(seg.FrameLen, p.Cal),
+		recBuffers: buf,
 		ConfirmGap: time.Duration(seg.WindowFrames) * seg.FrameLen,
 		// The letter gap must exceed the longest inter-stroke
 		// adjustment interval (~2 s for a slow writer).
 		LetterGap:     2500 * time.Millisecond,
 		lastPollFrame: -1,
 	}
+}
+
+// Release hands the recognizer's buffers to the next NewRecognizer.
+// Call it once the stream is over; the events already returned stay
+// valid, since none of them shares memory with the buffers. The
+// recognizer must not be used afterwards: Ingest, IngestBatch and
+// Flush panic rather than write into buffers another stream may own.
+// A second Release is a no-op.
+func (r *Recognizer) Release() {
+	if r.recBuffers == nil {
+		return
+	}
+	recBufferPool.Put(r.recBuffers)
+	r.recBuffers = nil
 }
 
 // SkipTo fast-forwards an empty recognizer to stream time t (aligned
@@ -163,6 +216,9 @@ func (r *Recognizer) Ingest(rd Reading) []Event {
 // Out-of-order, duplicate, and late readings fall back to a per-element
 // path that mirrors the scalar logic.
 func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
+	if r.recBuffers == nil {
+		panic(releasedMsg)
+	}
 	n := b.Len()
 	if n == 0 {
 		return nil
@@ -286,6 +342,9 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 // Flush declares the stream over at the given time, forcing any
 // pending stroke and letter out.
 func (r *Recognizer) Flush(at time.Duration) []Event {
+	if r.recBuffers == nil {
+		panic(releasedMsg)
+	}
 	if at < r.now {
 		at = r.now
 	}

@@ -34,8 +34,7 @@ const (
 // same readings.
 type segCache struct {
 	frameLen time.Duration
-	n        int // tags
-	cal      *Calibration
+	n        int       // tags
 	factor   []float64 // Eq. 11 per-tag attenuation, fixed per calibration
 	// adjMean folds the dead-tag exclusion into the mean-phase lookup:
 	// a live tag's entry is its calibrated mean, a dead tag's is NaN, so
@@ -55,15 +54,19 @@ type segCache struct {
 	dirty []bool    // frame touched since its value was computed
 }
 
-// newSegCache builds an empty cache for one calibrated stream.
-func newSegCache(frameLen time.Duration, cal *Calibration) *segCache {
+// reset empties the cache for one calibrated stream. It keeps only the
+// arrays' capacity: the frame grid goes back to origin 0 with no dead
+// prefix, so a recycled cache is indistinguishable from a new one.
+func (c *segCache) reset(frameLen time.Duration, cal *Calibration) {
 	n := cal.NumTags()
+	*c = segCache{frameLen: frameLen, n: n,
+		factor: grow(c.factor, n), adjMean: grow(c.adjMean, n),
+		acc: c.acc[:0], vals: c.vals[:0], dirty: c.dirty[:0]}
 	// The factor only attenuates (≤1): a tag noisier than typical is
 	// damped toward the typical level; quiet tags pass unchanged — the
 	// same normalization Segmenter.frameRMS applies batch-wise.
 	typBias := dsp.Median(cal.Bias)
-	factor := make([]float64, n)
-	for i := range factor {
+	for i := range c.factor {
 		f := 1.0
 		if cal.Bias[i] > 0 && typBias > 0 && cal.Bias[i] > typBias {
 			f = typBias / cal.Bias[i]
@@ -71,17 +74,15 @@ func newSegCache(frameLen time.Duration, cal *Calibration) *segCache {
 				f = 1.0 / 32
 			}
 		}
-		factor[i] = f
+		c.factor[i] = f
 	}
-	adjMean := make([]float64, n)
-	for i := range adjMean {
+	for i := range c.adjMean {
 		if cal.IsDead(i) {
-			adjMean[i] = math.NaN()
+			c.adjMean[i] = math.NaN()
 		} else {
-			adjMean[i] = cal.MeanPhase[i]
+			c.adjMean[i] = cal.MeanPhase[i]
 		}
 	}
-	return &segCache{frameLen: frameLen, n: n, cal: cal, factor: factor, adjMean: adjMean}
 }
 
 // frames returns the number of live frames currently held.

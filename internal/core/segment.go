@@ -173,6 +173,15 @@ type segScratch struct {
 	incrStart  time.Duration // rms[0]'s stream time when stds was built
 }
 
+// reset empties the scratch for a new stream, keeping only its
+// buffers' capacity. The incremental state goes back to invalid, so the
+// first poll rebuilds it.
+func (sc *segScratch) reset() {
+	*sc = segScratch{stds: sc.stds[:0], seeded: sc.seeded[:0], work: sc.work[:0],
+		active: sc.active[:0], spans: sc.spans[:0], sortedStds: sc.sortedStds[:0],
+		rms: sc.rms[:0], sortedRMS: sc.sortedRMS[:0]}
+}
+
 // sortedInsert adds v to the sorted multiset s (NaNs are excluded, as
 // the quantile path excludes them).
 func sortedInsert(s []float64, v float64) []float64 {

@@ -57,7 +57,8 @@ func TestSegmentRMSFromMatchesFromScratch(t *testing.T) {
 	frameLen := seg.FrameLen
 	confirmGap := time.Duration(seg.WindowFrames) * frameLen
 	const letterGap = 2500 * time.Millisecond
-	cache := newSegCache(frameLen, cal)
+	var cache segCache
+	cache.reset(frameLen, cal)
 	var sc segScratch
 
 	var (

@@ -813,6 +813,9 @@ func (s *shard) evict(it item) {
 	}
 	s.stampEpoch(st, &cp)
 	delete(s.streams, it.id)
+	// The checkpoint is all the new owner needs; the stream's buffers go
+	// to the next stream built in this process.
+	st.st.Release()
 	s.eng.tel.calibrated.Add(-1)
 	s.eng.tel.evicted.Inc()
 	s.eng.mu.Lock()
@@ -973,8 +976,10 @@ func (s *shard) deliver(st *streamState, evs []core.Event, enq time.Time) {
 
 // finish flushes every stream that has not been flushed (each under
 // its own recover boundary — a panicking final flush quarantines that
-// stream, not the drain), writes final checkpoints, and reports the
-// shard's results to the engine.
+// stream, not the drain), writes final checkpoints, releases every
+// stream's buffers to the streams built after it, and reports the
+// shard's results to the engine. A quarantined stream is never
+// released: a panic may have left its buffers half-written.
 func (s *shard) finish() {
 	now := time.Now()
 	results := make([]StreamResult, 0, len(s.streams))
@@ -990,6 +995,9 @@ func (s *shard) finish() {
 			}()
 		}
 		s.checkpoint(st)
+		if !st.quarantined {
+			st.st.Release()
+		}
 		results = append(results, st.res)
 	}
 	s.eng.mu.Lock()

@@ -17,8 +17,10 @@ import (
 // engine.Engine shards many of them across workers.
 type Stream struct {
 	cfg Config
-	// prelude holds the static capture until it covers CalibDuration.
-	prelude  core.ReadingBatch
+	// prelude holds the static capture until it covers CalibDuration,
+	// in a pooled batch that goes back to the pool once calibration
+	// succeeds.
+	prelude  *core.ReadingBatch
 	cal      *core.Calibration
 	rec      *core.Recognizer
 	lastTime time.Duration
@@ -31,6 +33,7 @@ type Stream struct {
 	// calCursor is the frame calEnd falls in: the earliest frame cursor
 	// a checkpoint may carry, even before anything was recognized.
 	calCursor time.Duration
+	released  bool
 }
 
 // NewStream builds a stream state machine from the run config (only
@@ -81,10 +84,16 @@ func AppendReports(dst *core.ReadingBatch, reports []llrp.TagReport) {
 // only read, never retained. A calibration error is terminal for the
 // stream: the rest of the batch is not ingested.
 func (s *Stream) IngestBatch(b *core.ReadingBatch) ([]core.Event, error) {
+	if s.released {
+		panic("live: Stream used after Release")
+	}
 	n := b.Len()
 	i := 0
 	for i < n && s.rec == nil {
 		t := b.Times[i]
+		if s.prelude == nil {
+			s.prelude = core.GetBatch()
+		}
 		s.prelude.Append(t, b.Phases[i], b.RSS[i], b.TagIndices[i])
 		i++
 		if t > s.lastTime {
@@ -93,12 +102,13 @@ func (s *Stream) IngestBatch(b *core.ReadingBatch) ([]core.Event, error) {
 		if t < s.cfg.CalibDuration {
 			continue
 		}
-		cal, err := core.CalibrateBatch(&s.prelude, s.cfg.Grid.NumTags())
+		cal, err := core.CalibrateBatch(s.prelude, s.cfg.Grid.NumTags())
 		if err != nil {
 			return nil, fmt.Errorf("live: calibration failed: %w", err)
 		}
 		s.cal = cal
-		s.prelude = core.ReadingBatch{}
+		core.PutBatch(s.prelude)
+		s.prelude = nil
 		pipe := core.NewPipeline(s.cfg.Grid, cal)
 		pipe.Obs = s.cfg.Obs
 		seg := core.NewSegmenter()
@@ -144,10 +154,28 @@ func (s *Stream) preludeOwns(t time.Duration, tag int32) bool {
 // Flush declares the stream over, forcing any pending stroke and
 // letter out (no-op before calibration).
 func (s *Stream) Flush() []core.Event {
+	if s.released {
+		panic("live: Stream used after Release")
+	}
 	if s.rec == nil {
 		return nil
 	}
 	return s.rec.Flush(s.lastTime + s.cfg.FlushAfter)
+}
+
+// Release hands the stream's buffers to the streams built after it:
+// the recognizer's (core.Recognizer.Release) and, before calibration,
+// the prelude batch. Call it once the stream's final events and
+// checkpoint are taken; the stream must not be used afterwards.
+// IngestBatch and Flush panic, and Checkpoint reports nothing. A second
+// Release is a no-op.
+func (s *Stream) Release() {
+	s.released = true
+	core.PutBatch(s.prelude)
+	s.prelude = nil
+	if s.rec != nil {
+		s.rec.Release()
+	}
 }
 
 // Calibrated reports whether the static prelude completed.
@@ -156,9 +184,9 @@ func (s *Stream) Calibrated() bool { return s.rec != nil }
 // Checkpoint exports the stream's durable recovery state: its
 // calibration plus the frame cursor recognition would resume from.
 // ok is false before calibration — an uncalibrated stream has nothing
-// worth persisting.
+// worth persisting — and after Release.
 func (s *Stream) Checkpoint(name string) (supervise.Checkpoint, bool) {
-	if s.cal == nil || s.rec == nil {
+	if s.cal == nil || s.rec == nil || s.released {
 		return supervise.Checkpoint{}, false
 	}
 	return supervise.Checkpoint{

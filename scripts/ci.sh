@@ -50,10 +50,12 @@ go test -race -shuffle=on ./...
 # and flight-recorder chaos tests (stitched traces, anomaly dumps) are
 # part of the same set; with RFIPAD_FLIGHT_DIR exported (the workflow
 # does), their flight.jsonl dumps survive for artifact upload when the
-# job fails.
+# job fails. So are the buffer-release tests: a drain that releases every
+# stream but the one its final flush quarantined, and an evict whose
+# checkpoint must survive its stream's buffers going to the next stream.
 echo '== chaos + recovery tests (-race -count=2)'
 go test -race -count=2 \
-    -run 'TestEnginePanic|TestEngineSourcePanic|TestEngineCheckpoint|TestEngineDrain|TestCheckpointRestore|TestCheckpointStale|TestSessionBreaker|TestClusterNodeKill|TestClusterHandoff|TestClusterLeave|TestClusterFlight' \
+    -run 'TestEnginePanic|TestEngineSourcePanic|TestEngineCheckpoint|TestEngineDrain|TestEngineRelease|TestCheckpointRestore|TestCheckpointStale|TestSessionBreaker|TestClusterNodeKill|TestClusterHandoff|TestClusterLeave|TestClusterFlight' \
     ./internal/engine ./internal/live ./internal/llrp ./internal/cluster
 
 # Split-brain containment: asymmetric partitions (heartbeats severed,
@@ -77,8 +79,11 @@ go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/supervise
 # detector allocates on instrumented paths), so run them again pure.
 # This covers the recognizer hot path, the disturbance scratch map,
 # one stroke window and one letter composition (bounded counts), the
-# cluster intake (Cluster.Push through the owner's shard), and the
-# unsampled/sampled tracing paths (0 allocs per span).
+# cluster intake (Cluster.Push through the owner's shard), the
+# unsampled/sampled tracing paths (0 allocs per span), and
+# TestRecycledStreamAllocs: a stream built after another is released
+# allocates at most a tenth of the first one's bytes (skipped under
+# -race, where sync.Pool drops Puts at random).
 echo '== alloc regression tests (pure build)'
 go test -run 'Allocs' . ./internal/obs/trace
 
