@@ -44,11 +44,12 @@ type Event struct {
 // The hot path is columnar: IngestBatch consumes a ReadingBatch
 // (struct-of-arrays) and bulk-appends every strictly-in-order run with
 // four copy calls, folding the run into the incremental per-frame
-// statistics cache (segCache) in one column sweep. Full segmentation
-// runs only when the stream crosses a frame boundary — never per
-// reading — over cached frame values, and the segmenter's window stds
-// and frame-RMS quiet floor are themselves maintained incrementally
-// between polls. The
+// statistics cache (segCache) in one column sweep. Segmentation runs
+// only when the stream crosses a frame boundary — never per reading —
+// and a poll costs the frames that changed since the last one, not the
+// retained trace: the cache recomputes frames from its change watermark
+// on, and the segmenter keeps its window stds, the frame-RMS quiet
+// floor, and the seeded frames with their median across polls. The
 // per-reading Ingest survives as a thin wrapper over a one-element
 // batch, so both entry points share one code path and emit identical
 // events. The history columns trim in place and every segmentation
@@ -318,8 +319,8 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 		// Throttle segmentation to frame boundaries: between two
 		// boundaries every poll would see the identical complete-frame
 		// trace, so re-running it per reading only burns cycles. Late
-		// (reordered) readings dirty their old frame in the cache and
-		// are picked up at the next boundary.
+		// (reordered) readings lower the cache's change watermark to
+		// their old frame and are picked up at the next boundary.
 		if pf := int64(r.now / frameLen); pf != r.lastPollFrame {
 			r.lastPollFrame = pf
 			events = append(events, r.poll(r.now)...)

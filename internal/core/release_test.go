@@ -27,27 +27,38 @@ func midLetterRecognizer(t *testing.T) (*Recognizer, *Calibration) {
 
 // TestRecBuffersResetKeepsOnlyCapacity pins what a recycled recognizer
 // starts from: the buffers a mid-letter recognizer grew come back empty,
-// with the frame grid at origin 0, no dead prefix and the incremental
-// segmentation invalid, and with their capacity kept.
+// with the frame grid at origin 0, no dead prefix, the change watermark
+// at frame 0 and the incremental segmentation invalid (no cover counts,
+// no seeded frames, no remembered threshold), and with their capacity
+// kept.
 func TestRecBuffersResetKeepsOnlyCapacity(t *testing.T) {
 	r, cal := midLetterRecognizer(t)
 	b := r.recBuffers
-	histCap, accCap, stdsCap := cap(b.hist.Times), cap(b.cache.acc), cap(b.scratch.stds)
+	if b.cache.clean == 0 || len(b.scratch.sortedSeeded) == 0 || b.scratch.seedThre == 0 {
+		t.Fatalf("mid-letter recognizer holds no watermark or seeded frames: clean %d, %d seeded at %v",
+			b.cache.clean, len(b.scratch.sortedSeeded), b.scratch.seedThre)
+	}
+	histCap, accCap, stdsCap, coverCap := cap(b.hist.Times), cap(b.cache.acc), cap(b.scratch.stds), cap(b.scratch.cover)
 	b.reset(r.seg.FrameLen, cal)
-	if b.hist.Len() != 0 || len(b.cache.acc) != 0 || len(b.cache.vals) != 0 || len(b.cache.dirty) != 0 {
-		t.Errorf("reset kept contents: %d history readings, %d cells, %d/%d frames",
-			b.hist.Len(), len(b.cache.acc), len(b.cache.vals), len(b.cache.dirty))
+	if b.hist.Len() != 0 || len(b.cache.acc) != 0 || len(b.cache.vals) != 0 || b.cache.clean != 0 {
+		t.Errorf("reset kept contents: %d history readings, %d cells, %d frames, watermark %d",
+			b.hist.Len(), len(b.cache.acc), len(b.cache.vals), b.cache.clean)
 	}
 	if b.cache.origin != 0 || b.cache.off != 0 {
 		t.Errorf("reset kept the frame grid: origin %v, %d dead frames", b.cache.origin, b.cache.off)
 	}
-	if b.scratch.incrValid || b.scratch.incrStart != 0 || len(b.scratch.stds) != 0 || len(b.scratch.rms) != 0 {
+	sc := &b.scratch
+	if sc.incrValid || sc.incrStart != 0 || len(sc.stds) != 0 || len(sc.rms) != 0 {
 		t.Errorf("reset kept the incremental segmentation: valid %v from %v, %d stds, %d frames",
-			b.scratch.incrValid, b.scratch.incrStart, len(b.scratch.stds), len(b.scratch.rms))
+			sc.incrValid, sc.incrStart, len(sc.stds), len(sc.rms))
 	}
-	if cap(b.hist.Times) != histCap || cap(b.cache.acc) != accCap || cap(b.scratch.stds) != stdsCap {
-		t.Errorf("reset dropped capacity: history %d → %d, cells %d → %d, stds %d → %d",
-			histCap, cap(b.hist.Times), accCap, cap(b.cache.acc), stdsCap, cap(b.scratch.stds))
+	if len(sc.cover) != 0 || len(sc.sortedSeeded) != 0 || sc.seedThre != 0 {
+		t.Errorf("reset kept the seeded frames: %d cover counts, %d seeded, threshold %v",
+			len(sc.cover), len(sc.sortedSeeded), sc.seedThre)
+	}
+	if cap(b.hist.Times) != histCap || cap(b.cache.acc) != accCap || cap(sc.stds) != stdsCap || cap(sc.cover) != coverCap {
+		t.Errorf("reset dropped capacity: history %d → %d, cells %d → %d, stds %d → %d, cover %d → %d",
+			histCap, cap(b.hist.Times), accCap, cap(b.cache.acc), stdsCap, cap(sc.stds), coverCap, cap(sc.cover))
 	}
 }
 

@@ -27,11 +27,11 @@ const (
 // incrementally so the streaming recognizer never rescans its buffer.
 // Each accepted reading folds into its frame's per-tag (Σp², count)
 // accumulators in O(1); producing the frame-RMS trace for a poll only
-// recomputes frames a reading has touched since the last poll. The
-// cache's frame grid is anchored at origin, which the recognizer keeps
-// frame-aligned, so history trims never shift frame boundaries and the
-// incremental trace stays bit-identical to Segmenter.frameRMS over the
-// same readings.
+// recomputes frames from the lowest one a reading has touched since the
+// last poll. The cache's frame grid is anchored at origin, which the
+// recognizer keeps frame-aligned, so history trims never shift frame
+// boundaries and the incremental trace stays bit-identical to
+// Segmenter.frameRMS over the same readings.
 type segCache struct {
 	frameLen time.Duration
 	n        int       // tags
@@ -48,10 +48,16 @@ type segCache struct {
 	// compact once the dead prefix outgrows the live span, so the
 	// steady-state per-frame trim is O(1) amortized. Logical frame f
 	// (0 = origin) lives at physical index off+f.
-	off   int
-	acc   []segAcc  // [(off+frame)*n + tag] accumulators
-	vals  []float64 // cached Eq. 11 value per frame
-	dirty []bool    // frame touched since its value was computed
+	off  int
+	acc  []segAcc  // [(off+frame)*n + tag] accumulators
+	vals []float64 // cached Eq. 11 value per frame
+	// clean is the change watermark: logical frames [0, clean) hold the
+	// value of their current accumulators. A reading lowers it to its
+	// frame; a poll recomputes from it and raises it to the poll's
+	// horizon. In-order ingest lands at or past the watermark, so it
+	// only moves for a late reading or after a horizon jump computed
+	// frames that were not complete yet.
+	clean int
 }
 
 // reset empties the cache for one calibrated stream. It keeps only the
@@ -61,7 +67,7 @@ func (c *segCache) reset(frameLen time.Duration, cal *Calibration) {
 	n := cal.NumTags()
 	*c = segCache{frameLen: frameLen, n: n,
 		factor: grow(c.factor, n), adjMean: grow(c.adjMean, n),
-		acc: c.acc[:0], vals: c.vals[:0], dirty: c.dirty[:0]}
+		acc: c.acc[:0], vals: c.vals[:0]}
 	// The factor only attenuates (≤1): a tag noisier than typical is
 	// damped toward the typical level; quiet tags pass unchanged — the
 	// same normalization Segmenter.frameRMS applies batch-wise.
@@ -94,7 +100,6 @@ func (c *segCache) frames() int { return len(c.vals) - c.off }
 func (c *segCache) ensure(nFrames int) {
 	for len(c.vals)-c.off < nFrames {
 		c.vals = append(c.vals, 0)
-		c.dirty = append(c.dirty, true)
 		for k := 0; k < c.n; k++ {
 			c.acc = append(c.acc, segAcc{})
 		}
@@ -125,7 +130,7 @@ func (c *segCache) add(rd Reading) {
 	a := &c.acc[pf*c.n+rd.TagIndex]
 	a.sumSq += p * p
 	a.count++
-	c.dirty[pf] = true
+	c.clean = min(c.clean, f)
 }
 
 // addColumns folds a column run of accepted readings into the frame
@@ -181,9 +186,8 @@ func (c *segCache) addColumns(times []time.Duration, phases []float64, tags []in
 			acc = c.acc
 			frameLo = c.origin + time.Duration(f)*c.frameLen
 			frameHi = frameLo + c.frameLen
-			pf := c.off + f
-			c.dirty[pf] = true
-			base = pf * c.n
+			c.clean = min(c.clean, f)
+			base = (c.off + f) * c.n
 		}
 		a := &acc[base+int(tag)]
 		a.sumSq += d * d
@@ -210,9 +214,9 @@ func (c *segCache) trimTo(newOrigin time.Duration) {
 		return
 	}
 	live := len(c.vals) - c.off
+	c.clean = max(c.clean-drop, 0)
 	if drop >= live {
 		c.vals = c.vals[:0]
-		c.dirty = c.dirty[:0]
 		c.acc = c.acc[:0]
 		c.off = 0
 	} else {
@@ -220,8 +224,6 @@ func (c *segCache) trimTo(newOrigin time.Duration) {
 		if live-drop < c.off {
 			nv := copy(c.vals, c.vals[c.off:])
 			c.vals = c.vals[:nv]
-			nd := copy(c.dirty, c.dirty[c.off:])
-			c.dirty = c.dirty[:nd]
 			na := copy(c.acc, c.acc[c.off*c.n:])
 			c.acc = c.acc[:na]
 			c.off = 0
@@ -231,8 +233,8 @@ func (c *segCache) trimTo(newOrigin time.Duration) {
 }
 
 // values returns the Eq. 11 trace for every complete frame before
-// horizon, recomputing only frames marked dirty since the last call.
-// The returned slice is owned by the cache and valid until the next
+// horizon, recomputing only frames from the change watermark on. The
+// returned slice is owned by the cache and valid until the next
 // add/trim/values call.
 func (c *segCache) values(horizon time.Duration) []float64 {
 	trace, _ := c.valuesSince(horizon)
@@ -243,33 +245,28 @@ func (c *segCache) values(horizon time.Duration) []float64 {
 // lowest frame index whose value was recomputed by this call (or
 // len(trace) when every returned frame was already clean). The
 // segmenter's incremental window-std path uses it to recompute only the
-// sliding windows whose inputs moved.
+// sliding windows whose inputs moved. A frame past the watermark that
+// no reading touched recomputes to the same bits, so the watermark only
+// costs work, never exactness.
 func (c *segCache) valuesSince(horizon time.Duration) (trace []float64, changedFrom int) {
 	nFrames := int((horizon - c.origin) / c.frameLen)
 	if nFrames <= 0 {
 		return nil, 0
 	}
 	c.ensure(nFrames)
-	changedFrom = nFrames
+	changedFrom = min(c.clean, nFrames)
 	off := c.off
 	acc, factor := c.acc, c.factor
-	for f := 0; f < nFrames; f++ {
-		pf := off + f
-		if !c.dirty[pf] {
-			continue
-		}
-		if f < changedFrom {
-			changedFrom = f
-		}
+	for f := changedFrom; f < nFrames; f++ {
 		var sum float64
-		base := pf * c.n
+		base := (off + f) * c.n
 		for i := 0; i < c.n; i++ {
 			if a := &acc[base+i]; a.count > 0 {
 				sum += factor[i] * math.Sqrt(a.sumSq/float64(a.count))
 			}
 		}
-		c.vals[pf] = sum
-		c.dirty[pf] = false
+		c.vals[off+f] = sum
 	}
+	c.clean = max(c.clean, nFrames)
 	return c.vals[off : off+nFrames], changedFrom
 }

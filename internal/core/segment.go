@@ -147,17 +147,14 @@ func (g *Segmenter) Segment(readings []Reading, cal *Calibration, start, end tim
 // and stay there.
 //
 // Across calls the scratch also carries the incremental order-statistic
-// state (stds, sortedStds, rms, sortedRMS, incr*): a streaming caller
-// that knows which frames changed since its last poll pays only for the
-// handful of sliding windows and frames those changes touch, instead of
-// recomputing — and re-sorting — every window std and the whole
-// frame-RMS trace per poll.
+// state (stds, sortedStds, rms, sortedRMS, cover, sortedSeeded, incr*,
+// seedThre): a streaming caller that knows which frames changed since
+// its last poll pays only for the handful of sliding windows and frames
+// those changes touch, instead of recomputing — and re-sorting — every
+// window std, the whole frame-RMS trace and the seeded frames per poll.
 type segScratch struct {
-	stds   []float64
-	seeded []float64
-	work   []float64 // quantile's selection workspace (NaN-free copy, partitioned in place)
-	active []bool
-	spans  []Span
+	stds  []float64
+	spans []Span
 
 	// sortedStds mirrors stds and sortedRMS mirrors rms as NaN-free
 	// sorted multisets, maintained incrementally so the adaptive
@@ -169,17 +166,26 @@ type segScratch struct {
 	sortedStds []float64
 	rms        []float64
 	sortedRMS  []float64
-	incrValid  bool
-	incrStart  time.Duration // rms[0]'s stream time when stds was built
+
+	// cover[k] counts the windows over stds whose std exceeds seedThre
+	// and that contain frame k; a frame with a non-zero count is seeded.
+	// sortedSeeded is the NaN-free sorted multiset of rms over the
+	// seeded frames, so the bridge's active level is a lookup too.
+	cover        []int32
+	sortedSeeded []float64
+	seedThre     float64
+
+	incrValid bool
+	incrStart time.Duration // rms[0]'s stream time when stds was built
 }
 
 // reset empties the scratch for a new stream, keeping only its
 // buffers' capacity. The incremental state goes back to invalid, so the
 // first poll rebuilds it.
 func (sc *segScratch) reset() {
-	*sc = segScratch{stds: sc.stds[:0], seeded: sc.seeded[:0], work: sc.work[:0],
-		active: sc.active[:0], spans: sc.spans[:0], sortedStds: sc.sortedStds[:0],
-		rms: sc.rms[:0], sortedRMS: sc.sortedRMS[:0]}
+	*sc = segScratch{stds: sc.stds[:0], spans: sc.spans[:0],
+		sortedStds: sc.sortedStds[:0], rms: sc.rms[:0], sortedRMS: sc.sortedRMS[:0],
+		cover: sc.cover[:0], sortedSeeded: sc.sortedSeeded[:0]}
 }
 
 // sortedInsert adds v to the sorted multiset s (NaNs are excluded, as
@@ -227,19 +233,6 @@ func appendSorted(dst, x []float64) []float64 {
 	return dst
 }
 
-// quantile computes the q-th quantile of x by selection over the
-// scratch's workspace, bit-identical to dsp.NewCDF(x).Quantile(q)
-// without the allocation or the full sort. NaNs are dropped as CDF does.
-func (sc *segScratch) quantile(x []float64, q float64) float64 {
-	sc.work = sc.work[:0]
-	for _, v := range x {
-		if !math.IsNaN(v) {
-			sc.work = append(sc.work, v)
-		}
-	}
-	return dsp.QuantileSelect(sc.work, q)
-}
-
 // segmentRMS runs the span-detection back half of Segment over an
 // already-computed per-frame RMS trace starting at start. With a nil
 // scratch it allocates fresh buffers (the batch path); the streaming
@@ -254,12 +247,13 @@ func (g *Segmenter) segmentRMS(rms []float64, start time.Duration, sc *segScratc
 // whose rms values may differ from the previous call on the same
 // scratch (start advances — history trims — are detected and handled
 // by shifting). Only the sliding windows and frames those changes touch
-// are updated, and the threshold's quantile/peak and the quiet floor
-// read the incrementally maintained sorted multisets, so a steady-state
-// poll costs a few window stds and sorted inserts instead of full
-// re-sorts. changedFrom < 0 (or any inconsistency with the scratch's
-// remembered geometry) falls back to a full rebuild; the detected spans
-// are bit-identical either way.
+// are updated, and the threshold's quantile/peak, the quiet floor and
+// the seeded frames' median read incrementally maintained sorted
+// multisets, so a steady-state poll costs a few window stds and sorted
+// inserts plus one linear pass that emits the spans. changedFrom < 0
+// (or any inconsistency with the scratch's remembered geometry) falls
+// back to a full rebuild; the detected spans are bit-identical either
+// way.
 func (g *Segmenter) segmentRMSFrom(rms []float64, start time.Duration, sc *segScratch, changedFrom int) []Span {
 	if len(rms) == 0 {
 		return nil
@@ -276,83 +270,38 @@ func (g *Segmenter) segmentRMSFrom(rms []float64, start time.Duration, sc *segSc
 	// containing it exceeds the threshold. Sliding (rather than the
 	// strictly tiled windows of the paper) removes the 0.5 s
 	// quantization of stroke boundaries while keeping Eq. 12 intact.
-	g.updateStds(rms, start, sc, changedFrom, w)
-	stds := sc.stds
+	first := g.updateStds(rms, start, sc, changedFrom, w)
+	thre := g.threshold(sc.sortedStds)
+	sc.reseed(first, thre, w)
 
-	var thre float64
-	if g.Threshold > 0 {
-		thre = g.Threshold
-	} else {
-		// The adaptive rule of effectiveThresholdScratch over the sorted
-		// multiset: same multiset → same order statistics → same value.
-		thre = adaptiveK * dsp.QuantileSorted(sc.sortedStds, adaptiveQuantile)
-		if n := len(sc.sortedStds); n > 0 {
-			if peak := sc.sortedStds[n-1]; peak*adaptivePeakFrac > thre {
-				thre = peak * adaptivePeakFrac
-			}
-		}
-		if !(thre > thresholdFloor) { // also catches NaN
-			thre = thresholdFloor
-		}
-	}
-
-	// Quiet-poll early exit: when no window std clears the threshold,
-	// the seeding loop below cannot activate a frame, so the call would
-	// fall through to the len(seeded) == 0 return anyway. The sorted
-	// multiset's tail is the peak, making the common all-quiet poll a
-	// comparison instead of a sweep.
+	// Quiet-poll early exit: when no window std clears the threshold, no
+	// frame is seeded and no span can start. The sorted multiset's tail
+	// is the peak, making the common all-quiet poll a comparison.
 	if n := len(sc.sortedStds); n == 0 || sc.sortedStds[n-1] <= thre {
-		return nil
-	}
-
-	if cap(sc.active) < len(rms) {
-		sc.active = make([]bool, len(rms))
-	}
-	active := sc.active[:len(rms)]
-	for i := range active {
-		active[i] = false
-	}
-	seeded := sc.seeded[:0]
-	for f := 0; f+w <= len(rms); f++ {
-		if stds[f] > thre {
-			for k := f; k < f+w; k++ {
-				if !active[k] {
-					active[k] = true
-					seeded = append(seeded, rms[k])
-				}
-			}
-		}
-	}
-	sc.seeded = seeded
-
-	if len(seeded) == 0 {
 		return nil
 	}
 
 	// Bridging: Eq. 12's std(RMS) rule fires on transitions but can
 	// dip mid-stroke when the disturbance plateaus. A frame whose RMS
 	// sits above the midpoint between the quiet floor and the typical
-	// active level is part of a stroke too.
+	// seeded level is part of a stroke too.
 	quiet := dsp.QuantileSorted(sc.sortedRMS, adaptiveQuantile)
-	bridge := (quiet + sc.quantile(seeded, 0.5)) / 2
-	for f, v := range rms {
-		if v > bridge {
-			active[f] = true
-		}
-	}
+	bridge := (quiet + dsp.QuantileSorted(sc.sortedSeeded, 0.5)) / 2
 
-	// Trim the edges of each active run back to the bridge level: this
+	// One pass finds each run of frames that are seeded or above the
+	// bridge, then trims the run's edges back to the bridge level: this
 	// sharpens boundaries that the window-level rule blurs and discards
 	// runs that were only transition ripple.
+	cover := sc.cover
 	spans := sc.spans[:0]
 	f := 0
-	for f < len(active) {
-		if !active[f] {
+	for f < len(rms) {
+		if cover[f] == 0 && !(rms[f] > bridge) {
 			f++
 			continue
 		}
 		lo := f
-		for f < len(active) && active[f] {
+		for f < len(rms) && (cover[f] > 0 || rms[f] > bridge) {
 			f++
 		}
 		hi := f // exclusive
@@ -389,19 +338,22 @@ func (g *Segmenter) segmentRMSFrom(rms []float64, start time.Duration, sc *segSc
 
 // updateStds brings the scratch's sliding-window stds and its copy of
 // the frame-RMS trace, with their sorted multisets, up to date with
-// rms. Each recomputed window std is a fresh dsp.Std over the current
-// rms values — never a running update — so an incrementally maintained
-// entry is bit-identical to a full rebuild's, and each multiset holds
-// exactly the values a from-scratch sort would.
+// rms, and retracts from the seeded cover, at the threshold it was
+// built with, every window it drops or recomputes. It returns lo, the
+// first recomputed window: windows [0, lo) kept their std, and reseed
+// re-asserts the rest. Each recomputed window std is a fresh dsp.Std
+// over the current rms values — never a running update — so an
+// incrementally maintained entry is bit-identical to a full rebuild's,
+// and each multiset holds exactly the values a from-scratch sort would.
 //
 // The incremental path survives the two geometry changes a streaming
 // caller produces: a history trim (start advanced by whole frames; the
-// dropped frames and their windows leave both multisets, and the rest
+// dropped frames and their windows leave every multiset, and the rest
 // shift down unchanged because the surviving rms values are unchanged)
 // and appended frames. A horizon regression (rms shorter than the
 // scratch remembers, e.g. the poll after a flush pushed the horizon far
 // ahead) forces a full rebuild, as does any call without a watermark.
-func (g *Segmenter) updateStds(rms []float64, start time.Duration, sc *segScratch, changedFrom, w int) {
+func (g *Segmenter) updateStds(rms []float64, start time.Duration, sc *segScratch, changedFrom, w int) (lo int) {
 	nw := len(rms) - w + 1
 	if nw < 0 {
 		nw = 0
@@ -413,7 +365,15 @@ func (g *Segmenter) updateStds(rms []float64, start time.Duration, sc *segScratc
 		} else if drop := int((start - sc.incrStart) / g.FrameLen); drop >= len(sc.stds) {
 			rebuild = true
 		} else {
-			// drop < len(stds) <= len(sc.rms)-w+1: both lose a prefix.
+			// drop < len(stds) <= len(sc.rms)-w+1: every array loses a
+			// prefix, and the dropped frames are covered only by dropped
+			// windows.
+			for f, v := range sc.stds[:drop] {
+				if v > sc.seedThre {
+					sc.unseed(f, w)
+				}
+			}
+			sc.cover = sc.cover[:copy(sc.cover, sc.cover[drop:])]
 			sc.stds, sc.sortedStds = dropFront(sc.stds, sc.sortedStds, drop)
 			sc.rms, sc.sortedRMS = dropFront(sc.rms, sc.sortedRMS, drop)
 		}
@@ -429,19 +389,19 @@ func (g *Segmenter) updateStds(rms []float64, start time.Duration, sc *segScratc
 		}
 		sc.sortedStds = appendSorted(sc.sortedStds[:0], sc.stds)
 		sc.sortedRMS = appendSorted(sc.sortedRMS[:0], rms)
+		sc.cover, sc.sortedSeeded = sc.cover[:0], sc.sortedSeeded[:0]
 	} else {
 		// Windows touching a changed frame: [changedFrom-w+1, nw), plus
-		// any windows beyond the previous high-water mark.
-		lo := changedFrom - w + 1
-		if lo < 0 {
-			lo = 0
-		}
-		if lo > len(sc.stds) {
-			lo = len(sc.stds)
-		}
+		// any windows beyond the previous high-water mark. Every window
+		// covering a changed frame is among them, so the seeded multiset
+		// holds no changed frame's old value once they are retracted.
+		lo = min(max(changedFrom-w+1, 0), len(sc.stds))
 		for f := lo; f < nw; f++ {
 			v := dsp.Std(rms[f : f+w])
 			if f < len(sc.stds) {
+				if sc.stds[f] > sc.seedThre {
+					sc.unseed(f, w)
+				}
 				sc.sortedStds = sortedRemove(sc.sortedStds, sc.stds[f])
 				sc.stds[f] = v
 			} else {
@@ -460,8 +420,53 @@ func (g *Segmenter) updateStds(rms []float64, start time.Duration, sc *segScratc
 		}
 	}
 	sc.rms = append(sc.rms[:keep], rms[keep:]...)
+	sc.cover = append(sc.cover, make([]int32, len(rms)-len(sc.cover))...)
 	sc.incrValid = true
 	sc.incrStart = start
+	return lo
+}
+
+// reseed brings the seeded cover from the threshold it was built with
+// to thre, after updateStds retracted windows [lo, len(stds)): each
+// window [0, lo) kept its std, so it moves only if thre crossed it, and
+// each window from lo on is asserted afresh.
+func (sc *segScratch) reseed(lo int, thre float64, w int) {
+	if old := sc.seedThre; thre != old {
+		for f, v := range sc.stds[:lo] {
+			if was, is := v > old, v > thre; is && !was {
+				sc.seed(f, w)
+			} else if was && !is {
+				sc.unseed(f, w)
+			}
+		}
+	}
+	for f := lo; f < len(sc.stds); f++ {
+		if sc.stds[f] > thre {
+			sc.seed(f, w)
+		}
+	}
+	sc.seedThre = thre
+}
+
+// seed asserts window f: frames it is the first to cover enter the
+// seeded multiset.
+func (sc *segScratch) seed(f, w int) {
+	for k := f; k < f+w; k++ {
+		if sc.cover[k] == 0 {
+			sc.sortedSeeded = sortedInsert(sc.sortedSeeded, sc.rms[k])
+		}
+		sc.cover[k]++
+	}
+}
+
+// unseed retracts window f: frames it was the last to cover leave the
+// seeded multiset, with the value sc.rms holds for them.
+func (sc *segScratch) unseed(f, w int) {
+	for k := f; k < f+w; k++ {
+		if sc.cover[k]--; sc.cover[k] == 0 {
+			sc.sortedSeeded = sortedRemove(sc.sortedSeeded, sc.rms[k])
+		}
+	}
 }
 
 // merge joins spans closer than MergeGap.
@@ -481,22 +486,18 @@ func (g *Segmenter) merge(spans []Span) []Span {
 	return out
 }
 
-// effectiveThreshold resolves Eq. 12's `thre`: the configured constant
-// when set, otherwise the adaptive default derived from this capture's
-// window stds.
-func (g *Segmenter) effectiveThreshold(stds []float64) float64 {
-	return g.effectiveThresholdScratch(stds, &segScratch{})
-}
-
-// effectiveThresholdScratch is effectiveThreshold using the caller's
-// quantile workspace.
-func (g *Segmenter) effectiveThresholdScratch(stds []float64, sc *segScratch) float64 {
+// threshold resolves Eq. 12's `thre` from the NaN-free sorted multiset
+// of a capture's window stds: the configured constant when set,
+// otherwise the adaptive default derived from the stds.
+func (g *Segmenter) threshold(sortedStds []float64) float64 {
 	if g.Threshold > 0 {
 		return g.Threshold
 	}
-	thre := adaptiveK * sc.quantile(stds, adaptiveQuantile)
-	if _, peak := dsp.MinMax(stds); peak*adaptivePeakFrac > thre {
-		thre = peak * adaptivePeakFrac
+	thre := adaptiveK * dsp.QuantileSorted(sortedStds, adaptiveQuantile)
+	if n := len(sortedStds); n > 0 {
+		if peak := sortedStds[n-1]; peak*adaptivePeakFrac > thre {
+			thre = peak * adaptivePeakFrac
+		}
 	}
 	if !(thre > thresholdFloor) { // also catches NaN
 		thre = thresholdFloor
@@ -507,7 +508,7 @@ func (g *Segmenter) effectiveThresholdScratch(stds []float64, sc *segScratch) fl
 // EffectiveThreshold reports the Eq. 12 threshold that Segment would
 // use on this capture — diagnostic for tests and figure benches.
 func (g *Segmenter) EffectiveThreshold(readings []Reading, cal *Calibration, start, end time.Duration) float64 {
-	return g.effectiveThreshold(g.WindowStdTrace(readings, cal, start, end))
+	return g.threshold(appendSorted(nil, g.WindowStdTrace(readings, cal, start, end)))
 }
 
 // FrameRMSTrace exposes the per-frame RMS values (Fig. 9's middle

@@ -13,8 +13,8 @@ import (
 // three letters of two or three strokes, letters more than LetterGap
 // apart, and a quiet stretch longer than historyKeep before the last
 // letter, so a streaming consumer sees letter trims, quiet-stream trims
-// and appended frames.
-func multiLetterCapture(t testing.TB) (*Calibration, []Reading) {
+// and appended frames. gains, when given, scale each stroke's sweep.
+func multiLetterCapture(t testing.TB, gains ...float64) (*Calibration, []Reading) {
 	t.Helper()
 	const n = 25
 	centres := evenCentres(n)
@@ -29,7 +29,7 @@ func multiLetterCapture(t testing.TB) (*Calibration, []Reading) {
 		{ms(9500), ms(10500)}, {ms(11500), ms(12300)}, {ms(13300), ms(14300)}, // letter 2
 		{ms(27000), ms(28200)}, {ms(29200), ms(30000)}, // letter 3
 	}
-	return cal, synthLetterStream(n, strokes, 34*time.Second, centres, sigmas, 32)
+	return cal, synthLetterStream(n, strokes, 34*time.Second, centres, sigmas, 32, gains...)
 }
 
 // checkSortedMirror asserts that sorted is exactly the NaN-free sorted
@@ -42,31 +42,88 @@ func checkSortedMirror(t *testing.T, what string, step int, vals, sorted []float
 	}
 }
 
-// TestSegmentRMSFromMatchesFromScratch drives the streaming
-// segmentation the way the recognizer does — a segCache fed reading by
-// reading (some delivered late, dirtying frames behind the tail), one
+// checkScratch asserts every piece of state segmentRMSFrom carries
+// across polls against a from-scratch computation over rms, the trace
+// the last poll saw: the trace copy, each window std bit for bit, the
+// two sorted multisets, and the seeding — the threshold it was built
+// with, each frame's count of covering above-threshold windows, and the
+// sorted multiset of the covered frames' values.
+func checkScratch(t *testing.T, seg *Segmenter, step int, sc *segScratch, rms []float64) {
+	t.Helper()
+	if !slices.Equal(sc.rms, rms) {
+		t.Fatalf("step %d: scratch trace copy diverged from the trace", step)
+	}
+	w := seg.WindowFrames
+	if len(sc.stds) != max(len(rms)-w+1, 0) {
+		t.Fatalf("step %d: %d window stds for %d frames", step, len(sc.stds), len(rms))
+	}
+	for f := range sc.stds {
+		if v := dsp.Std(rms[f : f+w]); math.Float64bits(v) != math.Float64bits(sc.stds[f]) {
+			t.Fatalf("step %d: window %d std %v, from scratch %v", step, f, sc.stds[f], v)
+		}
+	}
+	checkSortedMirror(t, "window-std", step, sc.stds, sc.sortedStds)
+	checkSortedMirror(t, "frame-RMS", step, rms, sc.sortedRMS)
+
+	thre := seg.threshold(appendSorted(nil, sc.stds))
+	if math.Float64bits(sc.seedThre) != math.Float64bits(thre) {
+		t.Fatalf("step %d: seeded at threshold %v, from scratch %v", step, sc.seedThre, thre)
+	}
+	cover := make([]int32, len(rms))
+	for f, v := range sc.stds {
+		if v > thre {
+			for k := f; k < f+w; k++ {
+				cover[k]++
+			}
+		}
+	}
+	if !slices.Equal(sc.cover, cover) {
+		t.Fatalf("step %d: cover counts %v, from scratch %v", step, sc.cover, cover)
+	}
+	var seeded []float64
+	for k, c := range cover {
+		if c > 0 {
+			seeded = append(seeded, rms[k])
+		}
+	}
+	checkSortedMirror(t, "seeded-frame", step, seeded, sc.sortedSeeded)
+}
+
+// segDrive counts what one driveSegmentation run exercised.
+type segDrive struct {
+	polls, active, rebuilds       int
+	letterTrims, quietTrims, jump int
+	// columnPolls follow readings folded in by addColumns.
+	columnPolls int
+	// crossUp and crossDown count windows outside a poll's recomputed
+	// range that the threshold moved past: up out of the seeded set,
+	// down into it.
+	crossUp, crossDown int
+}
+
+// driveSegmentation drives the streaming segmentation the way the
+// recognizer does — a segCache fed reading by reading or in column runs
+// (some readings delivered late, into frames behind the tail), one
 // poll per frame crossing, history trims after each letter and on the
 // quiet stretch, and flush-style horizon jumps whose following poll
 // sees a shorter trace — and at every poll compares the incremental
-// spans with a from-scratch segmentRMS over a copy of the same trace.
-// Both maintained multisets must equal sorted copies of what they
-// mirror after every poll.
-func TestSegmentRMSFromMatchesFromScratch(t *testing.T) {
-	cal, readings := multiLetterCapture(t)
-	seg := NewSegmenter()
+// spans with a from-scratch segmentRMS over a copy of the same trace and
+// checks the scratch with checkScratch.
+func driveSegmentation(t *testing.T, seg *Segmenter, cal *Calibration, readings []Reading) segDrive {
 	frameLen := seg.FrameLen
-	confirmGap := time.Duration(seg.WindowFrames) * frameLen
+	w := seg.WindowFrames
+	confirmGap := time.Duration(w) * frameLen
 	const letterGap = 2500 * time.Millisecond
 	var cache segCache
 	cache.reset(frameLen, cal)
 	var sc segScratch
 
 	var (
-		start, now                    time.Duration
-		lastEnd                       time.Duration
-		letterOpen                    bool
-		polls, active, rebuilds       int
-		letterTrims, quietTrims, jump int
+		d          segDrive
+		start, now time.Duration
+		lastEnd    time.Duration
+		letterOpen bool
+		prevStds   []float64
 	)
 	lastFrame := int64(-1)
 	trim := func(cut time.Duration) bool {
@@ -80,28 +137,38 @@ func TestSegmentRMSFromMatchesFromScratch(t *testing.T) {
 	}
 	poll := func(horizon time.Duration) {
 		rms, changed := cache.valuesSince(horizon)
-		if drop := int((start - sc.incrStart) / frameLen); sc.incrValid && len(rms) < len(sc.rms)-drop {
-			rebuilds++
-		}
-		got := slices.Clone(seg.segmentRMSFrom(rms, start, &sc, changed))
-		want := seg.segmentRMS(slices.Clone(rms), start, nil)
-		polls++
-		if !slices.Equal(got, want) {
-			t.Fatalf("poll %d (horizon %v, start %v, changed %d/%d): incremental spans %v, from scratch %v",
-				polls, horizon, start, changed, len(rms), got, want)
-		}
-		if !slices.Equal(sc.rms, rms) {
-			t.Fatalf("poll %d: scratch trace copy diverged from the trace", polls)
-		}
-		for f := range sc.stds {
-			if v := dsp.Std(rms[f : f+seg.WindowFrames]); math.Float64bits(v) != math.Float64bits(sc.stds[f]) {
-				t.Fatalf("poll %d: window %d std %v, from scratch %v", polls, f, sc.stds[f], v)
+		// The windows the poll leaves untouched, when it is incremental:
+		// those before the first window that holds a changed frame, and
+		// that survive the trim.
+		untouched := 0
+		if drop := int((start - sc.incrStart) / frameLen); sc.incrValid {
+			if len(rms) < len(sc.rms)-drop {
+				d.rebuilds++
+			} else if drop < len(sc.stds) {
+				untouched = min(max(changed-w+1, 0), len(sc.stds)-drop)
+				prevStds = append(prevStds[:0], sc.stds[drop:drop+untouched]...)
 			}
 		}
-		checkSortedMirror(t, "window-std", polls, sc.stds, sc.sortedStds)
-		checkSortedMirror(t, "frame-RMS", polls, rms, sc.sortedRMS)
-		if n := len(sc.sortedStds); n > 0 && sc.sortedStds[n-1] > seg.effectiveThreshold(sc.stds) {
-			active++
+		prevThre := sc.seedThre
+		got := slices.Clone(seg.segmentRMSFrom(rms, start, &sc, changed))
+		want := seg.segmentRMS(slices.Clone(rms), start, nil)
+		d.polls++
+		if !slices.Equal(got, want) {
+			t.Fatalf("poll %d (horizon %v, start %v, changed %d/%d): incremental spans %v, from scratch %v",
+				d.polls, horizon, start, changed, len(rms), got, want)
+		}
+		if len(rms) > 0 { // an empty trace leaves the scratch as it was
+			checkScratch(t, seg, d.polls, &sc, rms)
+		}
+		for _, v := range prevStds[:untouched] {
+			if was, is := v > prevThre, v > sc.seedThre; was && !is {
+				d.crossUp++
+			} else if is && !was {
+				d.crossDown++
+			}
+		}
+		if n := len(sc.sortedStds); n > 0 && sc.sortedStds[n-1] > sc.seedThre {
+			d.active++
 		}
 
 		// The recognizer's trim rules, reduced to span ends: a letter
@@ -116,15 +183,46 @@ func TestSegmentRMSFromMatchesFromScratch(t *testing.T) {
 		case letterOpen && horizon-lastEnd >= letterGap:
 			letterOpen = false
 			if trim(lastEnd - historyKeep) {
-				letterTrims++
+				d.letterTrims++
 			}
 		case !letterOpen && horizon-historyKeep > lastEnd:
 			if trim(horizon - historyKeep) {
-				quietTrims++
+				d.quietTrims++
 			}
 		}
 	}
 
+	// In-order readings in odd seconds of stream time gather into a
+	// column run that addColumns folds in at the next frame crossing or
+	// late reading, as the recognizer's bulk path does; the rest go
+	// through add one by one.
+	var run ReadingBatch
+	foldRun := func() bool {
+		if run.Len() == 0 {
+			return false
+		}
+		cache.addColumns(run.Times, run.Phases, run.TagIndices)
+		run.Reset()
+		return true
+	}
+	ingest := func(rd Reading, inOrder bool) {
+		if inOrder && rd.Time/time.Second%2 == 1 {
+			run.AppendReading(rd)
+		} else {
+			foldRun()
+			cache.add(rd)
+		}
+		if rd.Time > now {
+			now = rd.Time
+		}
+		if f := int64(now / frameLen); f != lastFrame {
+			lastFrame = f
+			if foldRun() {
+				d.columnPolls++
+			}
+			poll(now)
+		}
+	}
 	// Every 17th reading arrives 250 ms late, landing in a frame the
 	// previous polls already consumed.
 	type held struct {
@@ -132,61 +230,76 @@ func TestSegmentRMSFromMatchesFromScratch(t *testing.T) {
 		until time.Duration
 	}
 	var late []held
-	ingest := func(rd Reading) {
-		cache.add(rd)
-		if rd.Time > now {
-			now = rd.Time
-		}
-		if f := int64(now / frameLen); f != lastFrame {
-			lastFrame = f
-			poll(now)
-		}
-	}
 	jumpAt := []time.Duration{7500 * time.Millisecond, 20 * time.Second}
 	for i, rd := range readings {
 		for len(late) > 0 && late[0].until <= rd.Time {
-			ingest(late[0].rd)
+			ingest(late[0].rd, false)
 			late = late[1:]
 		}
 		if i%17 == 5 {
 			late = append(late, held{rd, rd.Time + 250*time.Millisecond})
 			continue
 		}
-		ingest(rd)
+		ingest(rd, true)
 		if len(jumpAt) > 0 && now >= jumpAt[0] {
 			// Flush's horizon: past ConfirmGap, bypassing the frame
 			// throttle; the next regular poll sees a shorter trace.
 			jumpAt = jumpAt[1:]
+			foldRun()
 			poll(now + confirmGap + time.Millisecond)
-			jump++
+			d.jump++
 		}
 	}
 	for _, h := range late {
-		ingest(h.rd)
+		ingest(h.rd, false)
 	}
+	foldRun()
 	poll(now + confirmGap + time.Millisecond)
-
-	t.Logf("%d polls (%d past the quiet exit), %d letter trims, %d quiet trims, %d horizon jumps, %d rebuilds",
-		polls, active, letterTrims, quietTrims, jump, rebuilds)
-	if active < polls/4 || letterTrims < 2 || quietTrims < 10 || rebuilds < 2 {
-		t.Errorf("capture did not exercise every incremental path: %d/%d active polls, %d letter trims, %d quiet trims, %d rebuilds",
-			active, polls, letterTrims, quietTrims, rebuilds)
-	}
+	return d
 }
 
-// TestRecognizerSegmentMultisetsStayExact checks the same multiset
+// TestSegmentRMSFromMatchesFromScratch checks the incremental
+// segmentation against a from-scratch one at every poll of
+// driveSegmentation, with the adaptive threshold and with a fixed one.
+// The adaptive run writes letter 1's second stroke at 2.4 times the
+// others' sweep, so the threshold moves both ways across windows the
+// poll does not recompute: up past letter 1's first stroke when the
+// strong one arrives, and down past letter 2's strokes when the letter
+// trim drops the strong one.
+func TestSegmentRMSFromMatchesFromScratch(t *testing.T) {
+	t.Run("adaptive", func(t *testing.T) {
+		cal, readings := multiLetterCapture(t, 1, 2.4)
+		d := driveSegmentation(t, NewSegmenter(), cal, readings)
+		t.Logf("%+v", d)
+		if d.active < d.polls/4 || d.letterTrims < 2 || d.quietTrims < 10 || d.rebuilds < 2 ||
+			d.columnPolls < d.polls/4 || d.crossUp == 0 || d.crossDown == 0 {
+			t.Errorf("capture did not exercise every incremental path: %+v", d)
+		}
+	})
+	t.Run("fixed", func(t *testing.T) {
+		cal, readings := multiLetterCapture(t)
+		seg := NewSegmenter()
+		seg.Threshold = 0.6
+		d := driveSegmentation(t, seg, cal, readings)
+		t.Logf("%+v", d)
+		if d.active < d.polls/4 || d.letterTrims < 2 || d.quietTrims < 10 || d.rebuilds < 2 || d.columnPolls < d.polls/4 {
+			t.Errorf("capture did not exercise every incremental path: %+v", d)
+		}
+	})
+}
+
+// TestRecognizerSegmentMultisetsStayExact checks the same scratch
 // invariants on the production recognizer, whose own poll schedule,
 // trims and Flush decide the geometry: after every ingest and after
-// each Flush (one mid-stream, one at the end), both sorted multisets
-// equal sorted copies of the window stds and the frame-RMS trace the
-// last poll saw.
+// each Flush (one mid-stream, one at the end), checkScratch holds for
+// the frame-RMS trace the last poll saw.
 func TestRecognizerSegmentMultisetsStayExact(t *testing.T) {
 	cal, readings := multiLetterCapture(t)
 	rec := NewRecognizer(NewPipeline(Grid{Rows: 5, Cols: 5}, cal), nil)
 	check := func(step int) {
-		sc := &rec.scratch
-		checkSortedMirror(t, "window-std", step, sc.stds, sc.sortedStds)
-		checkSortedMirror(t, "frame-RMS", step, sc.rms, sc.sortedRMS)
+		if sc := &rec.scratch; len(sc.rms) > 0 {
+			checkScratch(t, rec.seg, step, sc, sc.rms)
+		}
 	}
 	flushed := false
 	for i, rd := range readings {
@@ -205,24 +318,163 @@ func TestRecognizerSegmentMultisetsStayExact(t *testing.T) {
 	}
 }
 
+// TestSegCacheCleanFramesAfterMidStreamFlush pins the cache's change
+// watermark on the resume path: a stream that keeps ingesting column
+// batches after a mid-stream Flush. Flush's poll computes frames past
+// the stream's tail, before their readings arrive; the column batches
+// that then fill those frames must lower the watermark, or the next
+// polls see their stale values. After every batch, each frame below the
+// watermark must equal, bit for bit, Segmenter.FrameRMSTrace over the
+// recognizer's live history.
+func TestSegCacheCleanFramesAfterMidStreamFlush(t *testing.T) {
+	cal, readings := multiLetterCapture(t)
+	seg := NewSegmenter()
+	rec := NewRecognizer(NewPipeline(Grid{Rows: 5, Cols: 5}, cal), seg)
+	var batch ReadingBatch
+	var live []Reading
+	flushedAt, refilled := time.Duration(-1), 0
+	for i := 0; i < len(readings); i += 64 {
+		batch.Reset()
+		for _, rd := range readings[i:min(i+64, len(readings))] {
+			batch.AppendReading(rd)
+		}
+		rec.IngestBatch(&batch)
+		if flushedAt < 0 && rec.now >= 7500*time.Millisecond {
+			rec.Flush(rec.now)
+			flushedAt = rec.now
+		}
+
+		c := &rec.cache
+		live = live[:0]
+		for k := rec.head; k < rec.hist.Len(); k++ {
+			live = append(live, rec.hist.Reading(k))
+		}
+		want := seg.FrameRMSTrace(live, cal, c.origin, c.origin+time.Duration(c.clean)*seg.FrameLen)
+		got := c.vals[c.off : c.off+c.clean]
+		for f := range want {
+			if math.Float64bits(got[f]) != math.Float64bits(want[f]) {
+				t.Fatalf("batch %d: frame %d of %d below the watermark holds %v, its readings give %v",
+					i/64, f, c.clean, got[f], want[f])
+			}
+		}
+		if flushedAt >= 0 && rec.now > flushedAt && rec.now < flushedAt+rec.ConfirmGap {
+			refilled++
+		}
+	}
+	if refilled == 0 {
+		t.Fatal("no batch landed in the frames the mid-stream Flush computed ahead")
+	}
+}
+
+// FuzzSegmentRMSFromMatchesFromScratch drives one scratch through trace
+// edits decoded from the input — frames appended, frames rewritten from
+// a watermark on, a prefix trimmed, and a horizon jump whose next poll
+// sees a shorter trace — and after each edit compares the incremental
+// spans with a from-scratch segmentRMS and checks the scratch with
+// checkScratch. An odd first byte fixes the threshold instead of
+// adapting it.
+func FuzzSegmentRMSFromMatchesFromScratch(f *testing.F) {
+	// Ops are a byte each (mod 4: append, rewrite, trim, jump) followed
+	// by a length or position byte and, for appends, rewrites and jumps,
+	// the frame values (byte/32).
+	f.Add([]byte{0, 0, 15, 2, 3, 2, 4, 3, 2, 30, 90, 20, 100, 3, 2, 2, 3, 4, 3, 2, 2,
+		0, 9, 1, 2, 3, 2, 80, 120, 60, 3, 2, 2, 1, 3, 50, 70, 3, 4, 2, 3, 2, 2, 2, 2, 2,
+		2, 4, 3, 3, 60, 90, 40, 0, 5, 3, 2, 3, 2, 2, 2, 2})
+	f.Add([]byte{1, 0, 15, 1, 1, 1, 1, 1, 40, 40, 40, 40, 1, 1, 1, 1, 1, 1,
+		1, 6, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+		2, 3, 0, 7, 9, 9, 9, 9, 9, 9, 9, 9, 3, 5, 200, 200, 200, 200, 200, 200})
+	f.Add([]byte{2, 0, 15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 0, 0,
+		0, 15, 5, 9, 60, 2, 70, 1, 80, 0, 90, 5, 6, 5, 4, 2, 2, 2, 9, 2, 2, 1, 1, 2, 2, 200})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		seg := NewSegmenter()
+		if b := next(); b%2 == 1 {
+			seg.Threshold = float64(b) / 64
+		}
+		var (
+			sc    segScratch
+			trace []float64
+			start time.Duration
+		)
+		poll := func(step int, rms []float64, changed int) {
+			got := slices.Clone(seg.segmentRMSFrom(rms, start, &sc, changed))
+			want := seg.segmentRMS(slices.Clone(rms), start, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d (%d frames from %v, changed %d): incremental spans %v, from scratch %v",
+					step, len(rms), start, changed, got, want)
+			}
+			if len(rms) > 0 {
+				checkScratch(t, seg, step, &sc, rms)
+			}
+		}
+		for step := 0; len(data) > 0 && step < 48; step++ {
+			switch next() % 4 {
+			case 0: // append frames
+				from := len(trace)
+				for n := int(next()%8) + 1; n > 0; n-- {
+					trace = append(trace, float64(next())/32)
+				}
+				poll(step, trace, from)
+			case 1: // rewrite the frames from a watermark on
+				if len(trace) == 0 {
+					continue
+				}
+				from := int(next()) % len(trace)
+				for k := from; k < len(trace); k++ {
+					trace[k] = float64(next()) / 32
+				}
+				poll(step, trace, from)
+			case 2: // trim a prefix
+				drop := int(next()) % (len(trace) + 1)
+				trace = trace[:copy(trace, trace[drop:])]
+				start += time.Duration(drop) * seg.FrameLen
+				poll(step, trace, len(trace))
+			case 3: // jump the horizon: the next poll sees the shorter trace
+				ahead := slices.Clone(trace)
+				for n := int(next()%8) + 1; n > 0; n-- {
+					ahead = append(ahead, float64(next())/32)
+				}
+				poll(step, ahead, len(trace))
+			}
+		}
+	})
+}
+
 // BenchmarkSegmenterActivePoll measures one streaming segmentation poll
 // that gets past the quiet early exit — the shape of every poll while a
 // user writes: a 15 s writing trace with two letters in view, a warmed
-// scratch, and one changed frame per op. The ingest benchmarks feed
-// quiet captures, which leave at the early exit and never reach the
-// threshold, seeding and bridging work measured here. Must stay at
-// 0 allocs/op (scripts/ci.sh gates it).
+// scratch, and one changed frame per op. The changed frame alternates
+// between its recorded value, which leaves the trace's own threshold,
+// and one far above every stroke's, which makes its window the peak and
+// lifts the adaptive threshold past seeded windows the poll does not
+// recompute; so every op moves the threshold, up or back down. The
+// ingest benchmarks feed quiet captures, which leave at the early exit
+// and never reach the threshold, seeding and bridging work measured
+// here. Must stay at 0 allocs/op (scripts/ci.sh gates it), on the
+// threshold-move path too.
 func BenchmarkSegmenterActivePoll(b *testing.B) {
 	cal, readings := multiLetterCapture(b)
 	seg := NewSegmenter()
 	rms := seg.FrameRMSTrace(readings, cal, 0, 15*time.Second)
 	last := len(rms) - 1
-	vals := [2]float64{rms[last], 1.5*rms[last] + 0.01}
+	vals := [2]float64{rms[last], 2 * slices.Max(rms)}
 	var sc segScratch
 	seg.segmentRMSFrom(rms, 0, &sc, -1)
-	for _, v := range vals { // warm every buffer to its high-water mark
+	var thre [2]float64
+	for i, v := range vals { // warm every buffer to its high-water mark
 		rms[last] = v
 		seg.segmentRMSFrom(rms, 0, &sc, last)
+		thre[i] = sc.seedThre
+	}
+	if thre[0] == thre[1] {
+		b.Fatal("the alternate frame value does not move the threshold")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

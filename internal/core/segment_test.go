@@ -11,24 +11,29 @@ import (
 
 // synthLetterStream builds a stream with quiet–stroke–quiet–stroke–…
 // structure: during stroke intervals a moving subset of tags shows
-// large phase excursions; elsewhere only noise.
-func synthLetterStream(numTags int, strokes []Span, total time.Duration, centres, sigmas []float64, seed int64) []Reading {
+// large phase excursions; elsewhere only noise. gains, when given,
+// scale each stroke's excursion (a missing entry is 1).
+func synthLetterStream(numTags int, strokes []Span, total time.Duration, centres, sigmas []float64, seed int64, gains ...float64) []Reading {
 	rng := rand.New(rand.NewSource(seed))
 	var out []Reading
 	for tm := time.Duration(0); tm < total; tm += 30 * time.Millisecond {
 		inStroke := false
 		var u float64
-		for _, sp := range strokes {
+		gain := 1.0
+		for k, sp := range strokes {
 			if tm >= sp.Start && tm < sp.End {
 				inStroke = true
 				u = float64(tm-sp.Start) / float64(sp.End-sp.Start)
+				if k < len(gains) {
+					gain = gains[k]
+				}
 				break
 			}
 		}
 		for i := 0; i < numTags; i++ {
 			p := centres[i] + rng.NormFloat64()*sigmas[i]
 			if inStroke && i%5 == 2 { // the swept column
-				p += 1.3 * math.Sin(u*2*math.Pi*2)
+				p += gain * 1.3 * math.Sin(u*2*math.Pi*2)
 			}
 			out = append(out, Reading{
 				TagIndex: i, Time: tm + time.Duration(i)*200*time.Microsecond,

@@ -75,6 +75,14 @@ go test -race -count=2 \
 echo '== checkpoint decoder fuzz smoke (10s)'
 go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/supervise
 
+# Short fuzz pass over the streaming segmentation: random trace edits
+# (appends, rewrites from a watermark, trims, horizon jumps) must leave
+# the incremental spans and every maintained multiset equal to a
+# from-scratch segmentation. New crashers land in
+# internal/core/testdata/fuzz.
+echo '== incremental segmentation fuzz smoke (10s)'
+go test -run '^$' -fuzz FuzzSegmentRMSFromMatchesFromScratch -fuzztime 10s ./internal/core
+
 # The exact AllocsPerRun assertions skip themselves under -race (the
 # detector allocates on instrumented paths), so run them again pure.
 # This covers the recognizer hot path, the disturbance scratch map,
@@ -93,10 +101,10 @@ echo '== bench smoke (hot path + engine + columnar ingest + active segmentation 
 go test -run '^$' -bench 'BenchmarkRecognizerIngestSteadyState|BenchmarkEngineMultiStream|BenchmarkStreamingIngest$|BenchmarkIngestBatch$|BenchmarkSegmenterActivePoll$|BenchmarkRecognizeWindow$' \
     -benchtime=1x -benchmem . ./internal/core | tee bench_smoke.txt
 # The columnar batch path must stay allocation-free at steady state,
-# and so must a segmentation poll while a user writes (the quiet
-# ingest benchmarks leave at the segmenter's early exit and never reach
-# that path): any allocation on either is a hot-path regression, so it
-# fails the gate outright.
+# and so must a segmentation poll while a user writes, with and without
+# a threshold move (the quiet ingest benchmarks leave at the segmenter's
+# early exit and never reach that path): any allocation on either is a
+# hot-path regression, so it fails the gate outright.
 for b in BenchmarkIngestBatch BenchmarkSegmenterActivePoll; do
     if ! grep "$b" bench_smoke.txt | grep -q ' 0 allocs/op'; then
         echo "FAIL: $b allocates on the steady-state workload"
