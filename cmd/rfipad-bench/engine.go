@@ -47,6 +47,27 @@ type engineReport struct {
 	PerStream         map[string]streamLatency `json:"per_stream"`
 }
 
+// sliceSource feeds a synthesized capture to the engine in 256-report
+// batches as fast as it drains them (no replay pacing), so wall time
+// measures the recognition stack alone.
+type sliceSource struct {
+	reports []llrp.TagReport
+	pos     int
+}
+
+func (s *sliceSource) NextReports() ([]llrp.TagReport, error) {
+	const chunk = 256
+	if s.pos >= len(s.reports) {
+		return nil, llrp.ErrStreamEnded
+	}
+	end := min(s.pos+chunk, len(s.reports))
+	b := s.reports[s.pos:end]
+	s.pos = end
+	return b, nil
+}
+
+func (s *sliceSource) Stats() llrp.SessionStats { return llrp.SessionStats{} }
+
 // runEngineLoad pushes every capture through a fresh engine (one
 // unpaced source goroutine per stream) and returns the wall time plus
 // the per-run registry and results.

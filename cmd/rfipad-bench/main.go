@@ -1,18 +1,12 @@
 // Command rfipad-bench regenerates every table and figure of the
 // paper's evaluation (§V) plus the DESIGN.md ablations.
 //
-// It also measures the live recognition pipeline itself (throughput
-// and per-stage latency from the obs histograms) and writes the
-// machine-readable BENCH_pipeline.json so the perf trajectory is
-// tracked across commits.
-//
 // Usage:
 //
 //	rfipad-bench -list
-//	rfipad-bench                 # quick pass over every experiment + pipeline bench
+//	rfipad-bench                 # quick pass over every experiment
 //	rfipad-bench -full           # paper-scale sample sizes (slow)
 //	rfipad-bench -run table1     # one experiment
-//	rfipad-bench -pipeline       # only the pipeline bench (BENCH_pipeline.json)
 //	rfipad-bench -engine         # only the multi-stream engine bench (BENCH_engine.json)
 //	rfipad-bench -engine -engine-streams 16 -engine-workers 4
 //	rfipad-bench -cluster        # only the multi-node cluster bench (BENCH_cluster.json)
@@ -63,9 +57,7 @@ func run() int {
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		parallel = flag.Int("parallel", 4, "concurrent groups")
 
-		pipeline     = flag.Bool("pipeline", false, "run only the recognition-pipeline bench")
-		pipelineJSON = flag.String("pipeline-json", "BENCH_pipeline.json", "output path for the pipeline bench report")
-		pipelineWord = flag.String("pipeline-word", "HELLO", "word the pipeline bench recognizes")
+		pipelineWord = flag.String("pipeline-word", "HELLO", "word the engine and cluster benches recognize")
 
 		engineBench   = flag.Bool("engine", false, "run only the sharded multi-stream engine bench")
 		engineJSON    = flag.String("engine-json", "BENCH_engine.json", "output path for the engine bench report")
@@ -148,14 +140,6 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *pipeline {
-		if err := runPipelineBench(*seed, *pipelineWord, *pipelineJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
 	if *engineBench {
 		if err := runEngineBench(*seed, *pipelineWord, *engineStreams, *engineWorkers, *engineJSON); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -223,10 +207,6 @@ func run() int {
 		start := time.Now()
 		res, _ := experiments.Run(e.Name, cfg)
 		fmt.Printf("=== %s (%v)\n%s\n", e.Name, time.Since(start).Round(time.Millisecond), res)
-	}
-	if err := runPipelineBench(*seed, *pipelineWord, *pipelineJSON); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
 	}
 	return 0
 }

@@ -18,13 +18,14 @@
 // in-flight batches are flushed, final telemetry is emitted, and
 // checkpoints are written before exit.
 //
-// Recognition output (strokes, letters, the final word) goes to
+// Recognition output (strokes, letters, the final words) goes to
 // stdout; everything operational is structured logging on stderr via
-// log/slog, tagged with a component attribute (session, live). With
-// -obs-addr set, an admin listener serves Prometheus metrics
-// (/metrics), health (/healthz), readiness for load balancers
-// (/readyz — ready only once calibration is restored-or-complete),
-// expvar (/debug/vars), and pprof (/debug/pprof/).
+// log/slog, tagged with a component attribute (session, engine,
+// cluster). With -obs-addr set, an admin listener serves Prometheus
+// metrics (/metrics), health (/healthz), readiness for load balancers
+// (/readyz — ready once the engine accepts pushes and a stream's
+// calibration is restored-or-complete), expvar (/debug/vars), and
+// pprof (/debug/pprof/).
 //
 // Usage:
 //
@@ -34,10 +35,13 @@
 //	rfipad-live -checkpoint-dir /var/lib/rfipad -breaker-threshold 8
 //	rfipad-live -obs-addr 127.0.0.1:9090 -log-format json -log-level debug
 //
-// With -streams > 1 the backend opens that many sessions and fans them
-// into the sharded recognition engine (internal/engine); pair it with
-// rfipad-readerd -streams, whose successive connections serve distinct
-// capture variants.
+// The backend opens -streams sessions (default 1) and fans them into
+// the sharded recognition engine (internal/engine), which owns each
+// stream's lifecycle: restore, calibration, checkpoints, tracing,
+// fencing, and panic quarantine. Pair -streams N with rfipad-readerd
+// -streams, whose successive connections serve distinct capture
+// variants. With -cluster-nodes the streams spread over an in-process
+// cluster of engines instead.
 package main
 
 import (
@@ -84,7 +88,7 @@ func run() int {
 		cols  = flag.Int("cols", 5, "tag array columns")
 
 		streams       = flag.Int("streams", 1, "concurrent reader sessions fed into one sharded engine (pair with rfipad-readerd -streams)")
-		engineWorkers = flag.Int("engine-workers", 0, "engine shard workers when -streams > 1 (0 = GOMAXPROCS)")
+		engineWorkers = flag.Int("engine-workers", 0, "engine shard workers (0 = GOMAXPROCS)")
 		clusterNodes  = flag.Int("cluster-nodes", 0, "run an in-process multi-node cluster with this many members; streams place via consistent hashing and migrate by checkpoint handoff (0 = single engine)")
 		drainTimeout  = flag.Duration("drain-timeout", 5*time.Second, "bound on mailbox drain during graceful shutdown")
 
@@ -215,12 +219,10 @@ func run() int {
 		})
 	}
 
+	streamCfg := live.Config{Grid: rfipad.Grid{Rows: *rows, Cols: *cols}, CalibDuration: *calib}
 	if *clusterNodes > 0 {
 		return runClusterMode(log, dial, *addr, *streams, *clusterNodes, cluster.Config{
-			Stream: live.Config{
-				Grid:          rfipad.Grid{Rows: *rows, Cols: *cols},
-				CalibDuration: *calib,
-			},
+			Stream:           streamCfg,
 			EngineWorkers:    *engineWorkers,
 			LeaseDuration:    *leaseDuration,
 			LeaseCheckEvery:  *leaseCheckEvery,
@@ -233,70 +235,24 @@ func run() int {
 		})
 	}
 
-	if *streams > 1 {
-		return runEngineMode(log, dial, *addr, *streams, *engineWorkers, engine.Config{
-			Stream: live.Config{
-				Grid:          rfipad.Grid{Rows: *rows, Cols: *cols},
-				CalibDuration: *calib,
-			},
-			Checkpoints:      store,
-			CheckpointEvery:  *checkpointEvery,
-			CheckpointMaxAge: *checkpointMaxAge,
-			DrainTimeout:     *drainTimeout,
-			Trace:            tracer,
-			Flight:           flight,
-		})
-	}
-
-	sess, err := dial()
-	if err != nil {
-		log.Error("dial failed", "component", "session", "addr", *addr, "err", err)
-		return 1
-	}
-	defer sess.Close()
-	fmt.Printf("connected to %s, calibrating from the first %v...\n", *addr, *calib)
-
-	res, err := live.Run(sess, live.Config{
-		Grid:             rfipad.Grid{Rows: *rows, Cols: *cols},
-		CalibDuration:    *calib,
-		Logger:           obs.Component(log, "live"),
+	return runEngineMode(log, dial, *addr, *streams, *engineWorkers, engine.Config{
+		Stream:           streamCfg,
 		Checkpoints:      store,
 		CheckpointEvery:  *checkpointEvery,
 		CheckpointMaxAge: *checkpointMaxAge,
+		DrainTimeout:     *drainTimeout,
 		Trace:            tracer,
 		Flight:           flight,
-		OnEvent: func(ev rfipad.Event) {
-			switch ev.Kind {
-			case rfipad.StrokeDetected:
-				fmt.Printf("stroke %-8v span %v–%v\n", ev.Stroke.Motion,
-					ev.Span.Start.Round(10*time.Millisecond), ev.Span.End.Round(10*time.Millisecond))
-			case rfipad.LetterDeduced:
-				fmt.Printf("letter %q\n", ev.Letter)
-			}
-		},
 	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			// Graceful drain: the signal context cancelled the session.
-			// The checkpoint (if enabled) was written on the way out.
-			log.Info("drained on signal", "component", "live",
-				"letters", res.Letters, "strokes", res.Strokes)
-			fmt.Printf("drained; recognized %q so far\n", res.Letters)
-			return 0
-		}
-		log.Error("run failed", "component", "live", "err", err, "partial_letters", res.Letters)
-		return 1
-	}
-	fmt.Printf("stream ended; recognized %q (%d stroke(s), %d reconnect(s), %d dead tag(s))\n",
-		res.Letters, res.Strokes, res.Reconnects, res.DeadTags)
-	return 0
 }
 
 // runEngineMode fans n reader sessions into one sharded engine: each
 // successive connection to a rfipad-readerd -streams daemon receives a
 // distinct capture variant, so this drives n independent calibrations
-// and recognizers concurrently. Events stream to stdout tagged with
-// their stream ID; per-stream summaries print after every source ends.
+// and recognizers concurrently (n = 1 is the single-reader setup).
+// Events stream to stdout tagged with their stream ID; per-stream
+// summaries, with each session's reconnect count, print after every
+// source ends.
 func runEngineMode(log *slog.Logger, dial func() (*llrp.Session, error), addr string, n, workers int, cfg engine.Config) int {
 	cfg.Workers = workers
 	cfg.Logger = obs.Component(log, "engine")
@@ -310,10 +266,11 @@ func runEngineMode(log *slog.Logger, dial func() (*llrp.Session, error), addr st
 		}
 	}
 	eng := engine.New(cfg)
-	fmt.Printf("connecting %d streams to %s...\n", n, addr)
+	fmt.Printf("connecting %d stream(s) to %s...\n", n, addr)
 	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
+		wg       sync.WaitGroup
+		failed   atomic.Bool
+		sessions = make(map[engine.StreamID]*llrp.Session, n)
 	)
 	for i := 0; i < n; i++ {
 		sess, err := dial()
@@ -324,6 +281,7 @@ func runEngineMode(log *slog.Logger, dial func() (*llrp.Session, error), addr st
 		}
 		defer sess.Close()
 		id := engine.StreamID(fmt.Sprintf("stream-%02d", i))
+		sessions[id] = sess
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -341,8 +299,8 @@ func runEngineMode(log *slog.Logger, dial func() (*llrp.Session, error), addr st
 			failed.Store(true)
 			continue
 		}
-		fmt.Printf("[%s] recognized %q (%d stroke(s), %d dead tag(s))\n",
-			res.ID, res.Letters, res.Strokes, res.DeadTags)
+		fmt.Printf("[%s] recognized %q (%d stroke(s), %d reconnect(s), %d dead tag(s))\n",
+			res.ID, res.Letters, res.Strokes, sessions[res.ID].Stats().Reconnects, res.DeadTags)
 	}
 	if failed.Load() {
 		return 1
@@ -422,40 +380,38 @@ func runClusterMode(log *slog.Logger, dial func() (*llrp.Session, error), addr s
 }
 
 // liveHealth evaluates /healthz from the metrics registry: healthy
-// while the reader link is up, with calibration state and reconnect
-// counts as detail fields.
+// while a reader link is up, with calibration state and reconnect
+// counts as detail fields. The same engine series back it in every
+// mode.
 func liveHealth(reg *obs.Registry) obs.HealthFunc {
 	return func() obs.Health {
 		snap := reg.Snapshot()
 		connected := snap.Value("llrp_session_connected") == 1
+		calibrated := snap.Value("engine_streams_calibrated")
 		return obs.Health{
 			OK: connected,
 			Detail: map[string]any{
-				"connected":  connected,
-				"calibrated": snap.Value("rfipad_calibrated") == 1,
-				"dead_tags":  snap.Value("rfipad_dead_tags"),
-				"reconnects": snap.Value("llrp_session_reconnects_total"),
+				"connected":          connected,
+				"calibrated":         calibrated > 0,
+				"streams_calibrated": calibrated,
+				"dead_tags":          snap.Value("engine_dead_tags"),
+				"reconnects":         snap.Value("llrp_session_reconnects_total"),
 			},
 		}
 	}
 }
 
-// liveReady evaluates /readyz: the load-balancer gate. Ready only once
-// calibration is restored-or-complete — single-stream mode sets
-// rfipad_ready; engine mode is ready while the engine accepts pushes
-// and at least one stream has calibrated (so traffic routed here can
-// actually be recognized).
+// liveReady evaluates /readyz, the load-balancer gate, by
+// engine.Ready: the engine accepts pushes and at least one stream's
+// calibration is restored-or-complete, so traffic routed here can
+// actually be recognized.
 func liveReady(reg *obs.Registry) obs.HealthFunc {
 	return func() obs.Health {
 		snap := reg.Snapshot()
-		single := snap.Value("rfipad_ready") == 1
-		engineReady := snap.Value("engine_accepting") == 1 &&
-			snap.Value("engine_streams_calibrated") > 0
 		return obs.Health{
-			OK: single || engineReady,
+			OK: engine.Ready(snap),
 			Detail: map[string]any{
-				"calibrated":         snap.Value("rfipad_calibrated") == 1,
-				"restored":           snap.Value("rfipad_calibration_restored_total"),
+				"restored":           snap.Value("checkpoint_restore_total", obs.L("outcome", "restored")),
 				"engine_accepting":   snap.Value("engine_accepting") == 1,
 				"streams_calibrated": snap.Value("engine_streams_calibrated"),
 			},

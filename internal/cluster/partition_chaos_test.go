@@ -408,8 +408,8 @@ func TestClusterCoordinatorRestartEpochContinuity(t *testing.T) {
 	waitFor(t, 15*time.Second, `letters after coordinator restart`, func() bool { return tape2.get(id) == "LC" })
 
 	s := reg2.Snapshot()
-	if v := s.Value("engine_checkpoints_restored_total"); v != 1 {
-		t.Errorf("engine_checkpoints_restored_total = %v, want 1 (zero recalibration across the restart)", v)
+	if v := s.Value("checkpoint_restore_total", obs.L("outcome", "restored")); v != 1 {
+		t.Errorf("checkpoint_restore_total{outcome=restored} = %v, want 1 (zero recalibration across the restart)", v)
 	}
 	newEpoch := s.Value("cluster_ownership_epoch", obs.L("stream", string(id)))
 	if newEpoch <= float64(firstEpoch) {

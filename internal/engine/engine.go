@@ -53,8 +53,9 @@ type Config struct {
 	// (default 256).
 	QueueDepth int
 	// Stream is the per-stream recognition config (grid geometry,
-	// calibration prelude, flush horizon). Its OnEvent/OnStatus fields
-	// are ignored; event fan-out goes through Engine.Config.OnEvent.
+	// calibration prelude, flush horizon, recognizer registry). A nil
+	// Stream.Obs defaults to Obs, so one registry holds the engine's
+	// and its recognizers' series.
 	Stream live.Config
 	// OnEvent receives every recognition event, tagged with its
 	// stream. It is called from shard goroutines — implementations
@@ -123,6 +124,9 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
+	if c.Stream.Obs == nil {
+		c.Stream.Obs = c.Obs
+	}
 	return c
 }
 
@@ -154,6 +158,7 @@ type telemetry struct {
 	reg         *obs.Registry
 	streams     *obs.Gauge
 	calibrated  *obs.Gauge
+	deadTags    *obs.Gauge
 	quarantined *obs.Gauge
 	accepting   *obs.Gauge
 	batches     *obs.Counter
@@ -169,10 +174,9 @@ type telemetry struct {
 	ckptSaved   *obs.Counter
 	ckptErrors  *obs.Counter
 	ckptFenced  *obs.Counter
-	ckptLoaded  *obs.Counter
 	evicted     *obs.Counter
 	adopted     *obs.Counter
-	restore     live.RestoreCounters
+	restore     restoreCounters
 }
 
 func newTelemetry(reg *obs.Registry) *telemetry {
@@ -182,6 +186,8 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 			"Streams the engine has seen (cumulative per run)."),
 		calibrated: reg.Gauge("engine_streams_calibrated",
 			"Streams whose calibration is complete or restored."),
+		deadTags: reg.Gauge("engine_dead_tags",
+			"Dead tags summed over calibrated streams (their cells are interpolated)."),
 		quarantined: reg.Gauge("engine_streams_quarantined",
 			"Streams quarantined after a panic in their handler."),
 		accepting: reg.Gauge("engine_accepting",
@@ -211,14 +217,28 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 			"Checkpoint writes that failed."),
 		ckptFenced: reg.Counter("engine_checkpoints_fenced_total",
 			"Checkpoint writes rejected by the ownership fence (a newer epoch is stored)."),
-		ckptLoaded: reg.Counter("engine_checkpoints_restored_total",
-			"Streams whose calibration was restored from a checkpoint."),
 		evicted: reg.Counter("engine_streams_evicted_total",
 			"Streams evicted for migration, with their checkpoint handed to the caller."),
 		adopted: reg.Counter("engine_streams_adopted_total",
 			"Streams adopted from a migrated checkpoint, skipping calibration."),
-		restore: live.NewRestoreCounters(reg),
+		restore: newRestoreCounters(reg),
 	}
+}
+
+// countCalibrated moves the calibration gauges for one stream with
+// deadTags dead tags: sign +1 when it calibrates (prelude, restore, or
+// adoption), -1 when it leaves the engine calibrated (eviction).
+func (t *telemetry) countCalibrated(sign, deadTags int) {
+	t.calibrated.Add(float64(sign))
+	t.deadTags.Add(float64(sign * deadTags))
+}
+
+// Ready is the readiness rule over a registry snapshot: the engine
+// accepts pushes and at least one stream is calibrated (restored,
+// adopted, or past its prelude), so traffic routed here can be
+// recognized. Close drops it by clearing engine_accepting.
+func Ready(snap obs.Snapshot) bool {
+	return snap.Value("engine_accepting") == 1 && snap.Value("engine_streams_calibrated") > 0
 }
 
 // itemOp selects what a shard does with a mailbox item.
@@ -572,9 +592,8 @@ func (s *shard) stream(id StreamID) *streamState {
 				st.epoch = cp.Epoch
 				st.res.Calibrated = true
 				st.res.DeadTags = restored.DeadTags()
-				s.eng.tel.ckptLoaded.Inc()
-				s.eng.tel.restore.Restored.Inc()
-				s.eng.tel.calibrated.Add(1)
+				s.eng.tel.restore.restored.Inc()
+				s.eng.tel.countCalibrated(1, st.res.DeadTags)
 				// A durable checkpoint carries the trace identity of the
 				// previous incarnation: continue it rather than starting a
 				// fresh ring, so a restart shows up as restore inside one
@@ -590,7 +609,7 @@ func (s *shard) stream(id StreamID) *streamState {
 						"stream_time", cp.StreamTime, "dead_tags", st.res.DeadTags)
 				}
 			} else {
-				s.eng.tel.restore.Corrupt.Inc()
+				s.eng.tel.restore.corrupt.Inc()
 				s.flight(trace.TriggerCorruptCheckpoint, string(id), rerr.Error(), st.tr, nil)
 				if s.eng.cfg.Logger != nil {
 					s.eng.cfg.Logger.Warn("stream checkpoint unusable; calibrating live",
@@ -598,7 +617,7 @@ func (s *shard) stream(id StreamID) *streamState {
 				}
 			}
 		} else {
-			s.eng.tel.restore.ObserveLoad(err)
+			s.eng.tel.restore.observeLoad(err)
 			if errors.Is(err, supervise.ErrCorrupt) || errors.Is(err, supervise.ErrVersion) {
 				s.flight(trace.TriggerCorruptCheckpoint, string(id), err.Error(), st.tr, nil)
 			}
@@ -704,7 +723,7 @@ func (s *shard) noteCalibrated(st *streamState) {
 	}
 	st.res.Calibrated = true
 	st.res.DeadTags = st.st.DeadTags()
-	s.eng.tel.calibrated.Add(1)
+	s.eng.tel.countCalibrated(1, st.res.DeadTags)
 	st.tr.Add(trace.Span{Name: trace.SpanCalibrate, Node: s.eng.cfg.TraceNode,
 		Start: time.Now(), Count: st.res.DeadTags})
 	s.checkpoint(st)
@@ -816,7 +835,7 @@ func (s *shard) evict(it item) {
 	// The checkpoint is all the new owner needs; the stream's buffers go
 	// to the next stream built in this process.
 	st.st.Release()
-	s.eng.tel.calibrated.Add(-1)
+	s.eng.tel.countCalibrated(-1, st.res.DeadTags)
 	s.eng.tel.evicted.Inc()
 	s.eng.mu.Lock()
 	s.eng.results = append(s.eng.results, st.res)
@@ -882,7 +901,7 @@ func (s *shard) adopt(it item) {
 		Start: adoptStart, Duration: time.Since(adoptStart), Count: st.res.DeadTags})
 	s.streams[it.id] = st
 	s.eng.tel.streams.Add(1)
-	s.eng.tel.calibrated.Add(1)
+	s.eng.tel.countCalibrated(1, st.res.DeadTags)
 	s.eng.tel.adopted.Inc()
 	if s.eng.cfg.Logger != nil {
 		s.eng.cfg.Logger.Info("stream adopted from migrated checkpoint",

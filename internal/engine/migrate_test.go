@@ -122,8 +122,8 @@ func TestEngineEvictAdoptRoundTrip(t *testing.T) {
 	if v := snap.Value("engine_streams_adopted_total"); v != 1 {
 		t.Errorf("engine_streams_adopted_total = %v, want 1", v)
 	}
-	if v := snap.Value("engine_checkpoints_restored_total"); v != 0 {
-		t.Errorf("engine_checkpoints_restored_total = %v, want 0 (adoption, not store restore)", v)
+	if v := snap.Value("checkpoint_restore_total", obs.L("outcome", "restored")); v != 0 {
+		t.Errorf("checkpoint_restore_total{outcome=restored} = %v, want 0 (adoption, not store restore)", v)
 	}
 }
 

@@ -23,6 +23,13 @@ func pushCapture(t *testing.T, e *Engine, id StreamID, seed int64, word string) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	pushReports(e, id, reps)
+	return reps
+}
+
+// pushReports pushes reports into the engine in 256-report batches,
+// retrying refused ones.
+func pushReports(e *Engine, id StreamID, reps []llrp.TagReport) {
 	for i := 0; i < len(reps); i += 256 {
 		b := core.GetBatch()
 		live.AppendReports(b, reps[i:min(i+256, len(reps))])
@@ -30,7 +37,6 @@ func pushCapture(t *testing.T, e *Engine, id StreamID, seed int64, word string) 
 			runtime.Gosched()
 		}
 	}
-	return reps
 }
 
 // waitIngested blocks until the engine has ingested n readings.

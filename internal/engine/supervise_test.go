@@ -144,8 +144,8 @@ func (panicSource) Stats() llrp.SessionStats               { return llrp.Session
 // engine after a full run, then feeds a second engine (same store) a
 // capture time-shifted past the saved frame cursor: the stream must
 // restore its calibration — visible on
-// engine_checkpoints_restored_total — and recognize the new word
-// without a calibration prelude being consumed again.
+// checkpoint_restore_total{outcome="restored"} — and recognize the new
+// word without a calibration prelude being consumed again.
 func TestEngineCheckpointRestoreSkipsPrelude(t *testing.T) {
 	store, err := supervise.NewStore(t.TempDir())
 	if err != nil {
@@ -202,8 +202,8 @@ func TestEngineCheckpointRestoreSkipsPrelude(t *testing.T) {
 		t.Errorf("restored stream recognized %q, want %q", res2[0].Letters, "LC")
 	}
 	snap := reg2.Snapshot()
-	if v := snap.Value("engine_checkpoints_restored_total"); v != 1 {
-		t.Errorf("engine_checkpoints_restored_total = %v, want 1", v)
+	if v := snap.Value("checkpoint_restore_total", obs.L("outcome", "restored")); v != 1 {
+		t.Errorf("checkpoint_restore_total{outcome=restored} = %v, want 1", v)
 	}
 	if v := snap.Value("engine_streams_calibrated"); v != 1 {
 		t.Errorf("engine_streams_calibrated = %v, want 1", v)

@@ -13,8 +13,8 @@ import (
 // Stream is the calibrate-then-recognize state machine for one tag
 // stream: it buffers the static prelude, calibrates once enough of it
 // has arrived (tolerating dead tags), then feeds every further reading
-// to an online Recognizer. Run wraps one Stream around a session;
-// engine.Engine shards many of them across workers.
+// to an online Recognizer. engine.Engine runs one per tag stream,
+// sharded across its workers, and owns the lifecycle around it.
 type Stream struct {
 	cfg Config
 	// prelude holds the static capture until it covers CalibDuration,
@@ -36,9 +36,8 @@ type Stream struct {
 	released  bool
 }
 
-// NewStream builds a stream state machine from the run config (only
-// Grid, CalibDuration, FlushAfter, and Obs are consulted here; event
-// fan-out stays with the caller).
+// NewStream builds a stream state machine; event fan-out stays with
+// the caller.
 func NewStream(cfg Config) *Stream {
 	return &Stream{cfg: cfg.withDefaults()}
 }

@@ -36,9 +36,9 @@ func (p Point) Quantile(q float64) float64 {
 	return quantile(q, p.bounds, p.counts)
 }
 
-// Snapshot is a point-in-time copy of every series in a registry —
-// what live.Result carries out of a run so tests and callers can
-// assert on telemetry without scraping.
+// Snapshot is a point-in-time copy of every series in a registry, so
+// tests, health checks, and callers can assert on telemetry without
+// scraping.
 type Snapshot struct {
 	Points []Point `json:"points"`
 }

@@ -53,10 +53,12 @@ go test -race -shuffle=on ./...
 # job fails. So are the buffer-release tests: a drain that releases every
 # stream but the one its final flush quarantined, and an evict whose
 # checkpoint must survive its stream's buffers going to the next stream.
+# The two end-to-end chaos tests run rfipad-live's production path (a
+# one-worker engine draining a session) over a faulted link.
 echo '== chaos + recovery tests (-race -count=2)'
 go test -race -count=2 \
-    -run 'TestEnginePanic|TestEngineSourcePanic|TestEngineCheckpoint|TestEngineDrain|TestEngineRelease|TestCheckpointRestore|TestCheckpointStale|TestSessionBreaker|TestClusterNodeKill|TestClusterHandoff|TestClusterLeave|TestClusterFlight' \
-    ./internal/engine ./internal/live ./internal/llrp ./internal/cluster
+    -run 'TestEnginePanic|TestEngineSourcePanic|TestEngineCheckpoint|TestEngineDrain|TestEngineRelease|TestEndToEndChaos|TestCheckpointRestore|TestCheckpointStale|TestSessionBreaker|TestClusterNodeKill|TestClusterHandoff|TestClusterLeave|TestClusterFlight' \
+    ./internal/engine ./internal/llrp ./internal/cluster
 
 # Split-brain containment: asymmetric partitions (heartbeats severed,
 # data paths up), zombie owners whose watchdog is suspended, epoch
