@@ -1,69 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
-	"sort"
 
 	"rfipad/internal/experiments/scenario"
 )
 
-// flattenNumbers walks an unmarshalled JSON value and collects every
-// numeric leaf under its dotted path ("core_scalar.readings_per_sec",
-// "per_stream.stream-00.p95_ms", "wire_batch.0.events", ...).
-func flattenNumbers(prefix string, v any, out map[string]float64) {
-	switch x := v.(type) {
-	case float64:
-		out[prefix] = x
-	case map[string]any:
-		for k, child := range x {
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			flattenNumbers(p, child, out)
-		}
-	case []any:
-		for i, child := range x {
-			flattenNumbers(fmt.Sprintf("%s.%d", prefix, i), child, out)
-		}
-	}
-}
-
-func loadNumbers(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var v any
-	if err := json.Unmarshal(data, &v); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := map[string]float64{}
-	flattenNumbers("", v, out)
-	return out, nil
-}
-
-// runDiff compares two bench JSON reports — the CI before/after view
-// against a committed baseline. When both inputs are scenario reports
-// it gates cell-by-cell on the accuracy-class fields with the given
-// tolerance and fails on regression; otherwise it prints the generic
-// numeric field-by-field comparison, which never fails the run.
-func runDiff(oldPath, newPath string, accuracyTol float64) error {
-	if scenario.IsReport(oldPath) && scenario.IsReport(newPath) {
-		return runScenarioDiff(oldPath, newPath, accuracyTol)
-	}
-	return runNumericDiff(oldPath, newPath)
-}
-
-// runScenarioDiff is the scenario-aware arm: a per-cell table of the
-// gated fields, then a verdict. Latency columns are informational —
-// machine noise would make a hard latency threshold flaky — while an
-// accuracy, exact-rate, recovery-rate drop or a drop-rate rise beyond
-// tolerance fails the diff.
-func runScenarioDiff(oldPath, newPath string, tol float64) error {
+// runDiff gates a scenario report against a baseline: a per-cell table
+// of the gated fields, then a verdict. Both inputs must load as
+// scenario reports of this schema and version; anything else is an
+// error, so the gate cannot pass by default. Latency columns are
+// informational — machine noise would make a hard latency threshold
+// flaky — while an accuracy, exact-rate, recovery-rate drop or a
+// drop-rate rise beyond tolerance fails the diff.
+func runDiff(oldPath, newPath string, tol float64) error {
 	oldRep, err := scenario.Load(oldPath)
 	if err != nil {
 		return err
@@ -101,52 +51,5 @@ func runScenarioDiff(oldPath, newPath string, tol float64) error {
 		return fmt.Errorf("scenario diff: %d regression(s) beyond tolerance %.3f", len(regs), tol)
 	}
 	fmt.Println("scenario diff: no accuracy regressions")
-	return nil
-}
-
-// runNumericDiff prints a numeric field-by-field comparison. Fields
-// present on only one side are listed as added/removed; it never fails
-// the run, it only reports.
-func runNumericDiff(oldPath, newPath string) error {
-	oldN, err := loadNumbers(oldPath)
-	if err != nil {
-		return err
-	}
-	newN, err := loadNumbers(newPath)
-	if err != nil {
-		return err
-	}
-	keys := map[string]bool{}
-	for k := range oldN {
-		keys[k] = true
-	}
-	for k := range newN {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-
-	fmt.Printf("--- %s -> %s\n", oldPath, newPath)
-	for _, k := range sorted {
-		o, haveOld := oldN[k]
-		n, haveNew := newN[k]
-		switch {
-		case !haveOld:
-			fmt.Printf("%-52s            ->%14.4g   (added)\n", k, n)
-		case !haveNew:
-			fmt.Printf("%-52s%14.4g ->              (removed)\n", k, o)
-		case o == n:
-			fmt.Printf("%-52s%14.4g\n", k, o)
-		default:
-			pct := ""
-			if o != 0 && !math.IsInf(n/o, 0) {
-				pct = fmt.Sprintf("  %+7.1f%%", (n/o-1)*100)
-			}
-			fmt.Printf("%-52s%14.4g ->%14.4g%s\n", k, o, n, pct)
-		}
-	}
 	return nil
 }

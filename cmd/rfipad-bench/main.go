@@ -1,5 +1,6 @@
 // Command rfipad-bench regenerates every table and figure of the
-// paper's evaluation (§V) plus the DESIGN.md ablations.
+// paper's evaluation (§V) plus the DESIGN.md ablations, and runs the
+// scenario matrix with its accuracy gate.
 //
 // Usage:
 //
@@ -7,18 +8,14 @@
 //	rfipad-bench                 # quick pass over every experiment
 //	rfipad-bench -full           # paper-scale sample sizes (slow)
 //	rfipad-bench -run table1     # one experiment
-//	rfipad-bench -engine         # only the multi-stream engine bench (BENCH_engine.json)
-//	rfipad-bench -engine -engine-streams 16 -engine-workers 4
-//	rfipad-bench -cluster        # only the multi-node cluster bench (BENCH_cluster.json)
-//	rfipad-bench -cluster -cluster-nodes 4 -cluster-streams-per-node 4
-//	rfipad-bench -ingest         # single-core columnar vs per-reading ingest (BENCH_ingest.json)
-//	rfipad-bench -ingest -ingest-copies 32
 //	rfipad-bench -scenarios      # scenario matrix, smoke preset (BENCH_scenarios.json)
 //	rfipad-bench -scenarios-full # scenario matrix, every axis populated
 //	rfipad-bench -scenarios -scenario-preset full
-//	rfipad-bench -diff OLD.json NEW.json   # field-by-field comparison of two reports
-//	rfipad-bench -diff OLD.json NEW.json -diff-accuracy-tol 0.02   # scenario reports: gated cell diff
+//	rfipad-bench -diff OLD.json NEW.json   # gated cell-by-cell diff of two scenario reports
+//	rfipad-bench -diff OLD.json NEW.json -diff-accuracy-tol 0.02
 //	rfipad-bench -trials 10 -groups 3 -seed 7
+//
+// Performance benchmarks live in the bench/ module (bench/README.md).
 package main
 
 import (
@@ -57,30 +54,14 @@ func run() int {
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		parallel = flag.Int("parallel", 4, "concurrent groups")
 
-		pipelineWord = flag.String("pipeline-word", "HELLO", "word the engine and cluster benches recognize")
-
-		engineBench   = flag.Bool("engine", false, "run only the sharded multi-stream engine bench")
-		engineJSON    = flag.String("engine-json", "BENCH_engine.json", "output path for the engine bench report")
-		engineStreams = flag.Int("engine-streams", 16, "concurrent streams the engine bench fans out")
-		engineWorkers = flag.Int("engine-workers", 0, "engine shard workers (0 = GOMAXPROCS)")
-
-		clusterBench   = flag.Bool("cluster", false, "run only the multi-node cluster bench (scaling sweep + node-kill failover)")
-		clusterJSON    = flag.String("cluster-json", "BENCH_cluster.json", "output path for the cluster bench report")
-		clusterNodes   = flag.Int("cluster-nodes", 3, "largest node count in the cluster scaling sweep")
-		clusterStreams = flag.Int("cluster-streams-per-node", 4, "streams per node in the cluster scaling sweep")
-
-		ingestBench  = flag.Bool("ingest", false, "run only the single-core columnar-vs-scalar ingest sweep")
-		ingestJSON   = flag.String("ingest-json", "BENCH_ingest.json", "output path for the ingest bench report")
-		ingestCopies = flag.Int("ingest-copies", 16, "workload density: interleaved replicas of the quiet capture")
-
 		scenarios     = flag.Bool("scenarios", false, "run the scenario matrix through the real pipeline (smoke preset)")
 		scenariosFull = flag.Bool("scenarios-full", false, "run the full scenario matrix (every axis populated)")
 		scenarioName  = flag.String("scenario-preset", "", "scenario preset to run (overrides -scenarios/-scenarios-full selection)")
 		scenariosJSON = flag.String("scenarios-json", "BENCH_scenarios.json", "output path for the scenario matrix report")
 		flightDir     = flag.String("flight-dir", os.Getenv("RFIPAD_FLIGHT_DIR"), "flight-recorder directory for anomalous scenario trials (default $RFIPAD_FLIGHT_DIR)")
 
-		diff    = flag.Bool("diff", false, "compare two bench JSON reports: rfipad-bench -diff OLD.json NEW.json")
-		diffTol = flag.Float64("diff-accuracy-tol", 0.05, "per-cell accuracy tolerance when -diff compares two scenario reports")
+		diff    = flag.Bool("diff", false, "gate a scenario report against a baseline: rfipad-bench -diff OLD.json NEW.json")
+		diffTol = flag.Float64("diff-accuracy-tol", 0.05, "per-cell accuracy tolerance for -diff")
 	)
 	flag.Parse()
 
@@ -89,18 +70,6 @@ func run() int {
 		return usageError("-trials and -groups must be non-negative")
 	case *parallel <= 0:
 		return usageError("-parallel must be positive (got %d)", *parallel)
-	case *engineStreams <= 0:
-		return usageError("-engine-streams must be positive (got %d)", *engineStreams)
-	case *engineWorkers < 0:
-		return usageError("-engine-workers must be non-negative (got %d)", *engineWorkers)
-	case *clusterNodes <= 0:
-		return usageError("-cluster-nodes must be positive (got %d)", *clusterNodes)
-	case *clusterStreams <= 0:
-		return usageError("-cluster-streams-per-node must be positive (got %d)", *clusterStreams)
-	case *pipelineWord == "":
-		return usageError("-pipeline-word must be non-empty")
-	case *ingestCopies <= 0:
-		return usageError("-ingest-copies must be positive (got %d)", *ingestCopies)
 	case *diffTol < 0:
 		return usageError("-diff-accuracy-tol must be non-negative (got %g)", *diffTol)
 	}
@@ -139,30 +108,6 @@ func run() int {
 	// Ctrl-C aborts between experiments instead of mid-table.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *engineBench {
-		if err := runEngineBench(*seed, *pipelineWord, *engineStreams, *engineWorkers, *engineJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
-	if *clusterBench {
-		if err := runClusterBench(*seed, *pipelineWord, *clusterNodes, *clusterStreams, *clusterJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
-	if *ingestBench {
-		if err := runIngestBench(*seed, *ingestCopies, *ingestJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
 
 	if *list {
 		for _, e := range experiments.List() {

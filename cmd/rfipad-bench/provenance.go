@@ -10,9 +10,9 @@ import (
 	"rfipad/internal/experiments/scenario"
 )
 
-// newProvenance stamps a report with the commit, seed, and toolchain
-// that produced it, so every committed BENCH_* baseline is
-// self-describing. The struct is shared with the scenario schema.
+// newProvenance stamps a scenario report with the commit, seed, and
+// toolchain that produced it, so the committed BENCH_scenarios.json
+// baseline is self-describing.
 func newProvenance(seed int64) scenario.Provenance {
 	return scenario.Provenance{
 		Commit:    buildCommit(),

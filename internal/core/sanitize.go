@@ -51,33 +51,16 @@ func NewSanitizer(reg *obs.Registry) *Sanitizer {
 	}
 }
 
-// Admit reports whether the reading is usable. newest is the stream's
-// newest previously delivered timestamp (0 before any). A rejection is
-// counted before returning false.
-func (z *Sanitizer) Admit(rd Reading, newest time.Duration) bool {
-	if !isFinite(rd.Phase) {
-		z.phase.Inc()
-		return false
-	}
-	if rd.RSS < z.RSSMin || rd.RSS > z.RSSMax {
-		z.rss.Inc()
-		return false
-	}
-	if newest > 0 && rd.Time < newest-z.MaxRegression {
-		z.time.Inc()
-		return false
-	}
-	return true
-}
-
-// AdmitColumns filters a columnar batch in place, keeping exactly the
-// readings Admit would keep when the batch is delivered element by
-// element: newest is the stream's newest previously delivered timestamp
-// (0 before any) and advances over each admitted reading, so a
-// regressing timestamp later in the batch is judged against the batch's
-// own progress, just as the per-reading loop would. Rejections are
-// counted by reason; admitted readings compact toward the front and the
-// batch shrinks to hold only them.
+// AdmitColumns filters a columnar batch in place, keeping only the
+// readings downstream stages can use: a reading is rejected if its
+// phase is NaN or ±Inf, if its RSS lies outside [RSSMin, RSSMax], or if
+// its timestamp is more than MaxRegression behind newest. newest is the
+// stream's newest previously delivered timestamp (0 before any, when
+// nothing can regress) and advances over each admitted reading, so a
+// regressing timestamp later in the batch is judged against the
+// batch's own progress. Rejections are counted by reason; admitted
+// readings compact toward the front in order and the batch shrinks to
+// hold only them.
 func (z *Sanitizer) AdmitColumns(b *ReadingBatch, newest time.Duration) {
 	times, phases, rss, tags := b.Times, b.Phases, b.RSS, b.TagIndices
 	w := 0

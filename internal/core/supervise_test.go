@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -100,9 +101,19 @@ func TestRestoreCalibrationRejectsGarbage(t *testing.T) {
 func TestSanitizerAdmit(t *testing.T) {
 	reg := obs.NewRegistry()
 	san := NewSanitizer(reg)
+	rejected := func(reason string) float64 {
+		return reg.Snapshot().Value("readings_rejected_total", obs.L("reason", reason))
+	}
+	// admit runs one reading through AdmitColumns as a one-element batch.
+	admit := func(rd Reading, newest time.Duration) bool {
+		var b ReadingBatch
+		b.AppendReading(rd)
+		san.AdmitColumns(&b, newest)
+		return b.Len() == 1
+	}
 	good := Reading{TagIndex: 0, Time: 5 * time.Second, Phase: 1.2, RSS: -60}
 
-	if !san.Admit(good, 5*time.Second) {
+	if !admit(good, 5*time.Second) {
 		t.Fatal("clean reading rejected")
 	}
 
@@ -119,25 +130,57 @@ func TestSanitizerAdmit(t *testing.T) {
 		{"clock regression", Reading{Time: time.Second, Phase: 1, RSS: -60}, 10 * time.Second, "time_regression"},
 	}
 	for _, tc := range cases {
-		before := reg.Snapshot().Value("readings_rejected_total", obs.L("reason", tc.reason))
-		if san.Admit(tc.rd, tc.newest) {
+		before := rejected(tc.reason)
+		if admit(tc.rd, tc.newest) {
 			t.Errorf("%s: admitted", tc.name)
 			continue
 		}
-		after := reg.Snapshot().Value("readings_rejected_total", obs.L("reason", tc.reason))
-		if after != before+1 {
+		if after := rejected(tc.reason); after != before+1 {
 			t.Errorf("%s: readings_rejected_total{reason=%q} = %v, want %v", tc.name, tc.reason, after, before+1)
 		}
 	}
 
 	// Within the duplicate window: modest regression is reordering, not
 	// a broken clock, and passes through to the recognizer's dedup.
-	if !san.Admit(Reading{Time: 9500 * time.Millisecond, Phase: 1, RSS: -60}, 10*time.Second) {
+	if !admit(Reading{Time: 9500 * time.Millisecond, Phase: 1, RSS: -60}, 10*time.Second) {
 		t.Error("reading inside the regression window rejected")
 	}
 	// Before any delivery (newest == 0) nothing can regress.
-	if !san.Admit(Reading{Time: 0, Phase: 1, RSS: -60}, 0) {
+	if !admit(Reading{Time: 0, Phase: 1, RSS: -60}, 0) {
 		t.Error("first reading rejected")
+	}
+
+	// A mixed batch on a fresh stream: newest starts at 0 and advances
+	// over each admitted reading, so a reading more than MaxRegression
+	// behind an earlier reading of the same batch is a regression.
+	var b ReadingBatch
+	for _, rd := range []Reading{
+		{TagIndex: 0, Time: 5 * time.Second, Phase: 1.0, RSS: -60},
+		{TagIndex: 1, Time: 3 * time.Second, Phase: 1.1, RSS: -61}, // 2 s behind 5 s
+		{TagIndex: 2, Time: 4500 * time.Millisecond, Phase: math.NaN(), RSS: -62},
+		{TagIndex: 3, Time: 4500 * time.Millisecond, Phase: 1.3, RSS: -63}, // reordering
+		{TagIndex: 4, Time: 6 * time.Second, Phase: 1.4, RSS: -64},
+		{TagIndex: 5, Time: 4800 * time.Millisecond, Phase: 1.5, RSS: -65}, // 1.2 s behind 6 s
+	} {
+		b.AppendReading(rd)
+	}
+	phaseBefore, timeBefore := rejected("phase"), rejected("time_regression")
+	san.AdmitColumns(&b, 0)
+	want := ReadingBatch{
+		Times:      []time.Duration{5 * time.Second, 4500 * time.Millisecond, 6 * time.Second},
+		Phases:     []float64{1.0, 1.3, 1.4},
+		RSS:        []float64{-60, -63, -64},
+		TagIndices: []int32{0, 3, 4},
+	}
+	if !slices.Equal(b.Times, want.Times) || !slices.Equal(b.Phases, want.Phases) ||
+		!slices.Equal(b.RSS, want.RSS) || !slices.Equal(b.TagIndices, want.TagIndices) {
+		t.Errorf("mixed batch kept %+v, want %+v", b, want)
+	}
+	if got := rejected("phase") - phaseBefore; got != 1 {
+		t.Errorf("mixed batch: %v phase rejections, want 1", got)
+	}
+	if got := rejected("time_regression") - timeBefore; got != 2 {
+		t.Errorf("mixed batch: %v time_regression rejections, want 2", got)
 	}
 }
 

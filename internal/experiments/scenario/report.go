@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// Schema identifies a scenario report; `rfipad-bench -diff` switches
-// to cell-by-cell comparison when both inputs carry it.
+// Schema identifies a scenario report; Load, and so `rfipad-bench
+// -diff`, rejects any file that does not carry it.
 const Schema = "rfipad-bench/scenarios"
 
 // SchemaVersion is bumped whenever the report layout changes
@@ -78,18 +78,6 @@ func Load(path string) (Report, error) {
 	return r, nil
 }
 
-// IsReport cheaply probes whether a JSON file is a scenario report.
-func IsReport(path string) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false
-	}
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	return json.Unmarshal(data, &probe) == nil && probe.Schema == Schema
-}
-
 // Regression is one gated metric that moved the wrong way between two
 // reports (or a cell that disappeared).
 type Regression struct {
@@ -109,9 +97,8 @@ func (r Regression) String() string {
 // Compare diffs two reports cell-by-cell on the deterministic
 // accuracy-class fields. Accuracy, exact rate, and recovery rate may
 // drop by at most tol; drop rate may rise by at most tol. Latency and
-// telemetry are machine-dependent and never gated — the generic
-// numeric diff shows them informationally. A cell present in old but
-// absent in new is a regression (coverage loss); new cells are
+// telemetry are machine-dependent and never gated. A cell present in
+// old but absent in new is a regression (coverage loss); new cells are
 // reported in notes only.
 func Compare(old, new Report, tol float64) (regressions []Regression, notes []string) {
 	newCells := map[string]ScenarioResult{}

@@ -120,36 +120,16 @@ done
 echo '== benchmark module (vet + harness tests)'
 (cd bench && go vet ./... && go test ./...)
 
-# Bench reports: stash the committed baselines, regenerate each report,
-# then print a field-by-field before/after comparison. The diff is
-# informational (machine noise would make a hard threshold flaky); the
-# uploaded artifacts and the committed baselines carry the numbers.
-echo '== bench reports (BENCH_engine / BENCH_cluster / BENCH_ingest)'
-for name in engine cluster ingest; do
-    if [ -f "BENCH_${name}.json" ]; then
-        cp "BENCH_${name}.json" "BENCH_${name}.baseline.json"
-    fi
-done
-go run ./cmd/rfipad-bench -engine -engine-streams 8 -engine-json BENCH_engine.json
-go run ./cmd/rfipad-bench -cluster -cluster-nodes 3 -cluster-json BENCH_cluster.json
-go run ./cmd/rfipad-bench -ingest -ingest-json BENCH_ingest.json
-for name in engine cluster ingest; do
-    if [ -f "BENCH_${name}.baseline.json" ]; then
-        echo "== bench diff: ${name} (committed baseline -> this run)"
-        go run ./cmd/rfipad-bench -diff "BENCH_${name}.baseline.json" "BENCH_${name}.json"
-        rm -f "BENCH_${name}.baseline.json"
-    fi
-done
-
 # Scenario-matrix accuracy gate: rerun the smoke matrix through the
 # real pipeline (llrp server -> faultnet -> session -> engine) and diff
-# it cell-by-cell against the committed baseline. Unlike the bench
-# diffs above, this one is HARD: an accuracy/exact/recovery drop or a
-# drop-rate rise beyond tolerance exits nonzero. The committed
-# BENCH_scenarios.json is the floor of the observed run-to-run spread
-# (flaky-link cells land at either 0.75 or 1.0 depending on where the
-# reconnect cuts a letter), so tolerance 0.1 only has to absorb
-# drop-rate jitter (~±0.006), not the bimodal accuracy swing.
+# it cell-by-cell against the committed baseline. The gate is HARD: an
+# accuracy/exact/recovery drop or a drop-rate rise beyond tolerance
+# exits nonzero, and so does an input that is not a scenario report of
+# this schema and version. The committed BENCH_scenarios.json is the
+# floor of the observed run-to-run spread (flaky-link cells land at
+# either 0.75 or 1.0 depending on where the reconnect cuts a letter),
+# so tolerance 0.1 only has to absorb drop-rate jitter (~±0.006), not
+# the bimodal accuracy swing.
 echo '== scenario matrix accuracy gate (smoke preset)'
 go run ./cmd/rfipad-bench -scenarios -scenarios-json BENCH_scenarios.ci.json
 go run ./cmd/rfipad-bench -diff -diff-accuracy-tol 0.1 BENCH_scenarios.json BENCH_scenarios.ci.json
