@@ -19,9 +19,6 @@ import (
 
 // Config tunes a cluster coordinator.
 type Config struct {
-	// VirtualNodes is the consistent-hash points per member
-	// (default 64).
-	VirtualNodes int
 	// HeartbeatInterval is how often each node beats (default 500 ms).
 	HeartbeatInterval time.Duration
 	// FailAfter is the heartbeat silence that declares a node dead
@@ -54,10 +51,6 @@ type Config struct {
 	// HandoffRetryInitial is the first retry backoff, doubling per
 	// attempt (default 25 ms).
 	HandoffRetryInitial time.Duration
-	// PendingBatches bounds the batches buffered per stream while its
-	// migration is in flight (default 64); overflow is shed and
-	// counted.
-	PendingBatches int
 	// Dial overrides the handoff dialer (tests wrap it with faultnet
 	// to inject partitions, delays, and drops; nil = net.DialTimeout).
 	Dial Dialer
@@ -143,11 +136,17 @@ func (c Config) withDefaults() Config {
 	if c.HandoffRetryInitial <= 0 {
 		c.HandoffRetryInitial = 25 * time.Millisecond
 	}
-	if c.PendingBatches <= 0 {
-		c.PendingBatches = 64
-	}
 	return c
 }
+
+const (
+	// virtualNodes is the consistent-hash points each member
+	// contributes to the ring.
+	virtualNodes = 64
+	// pendingBatches bounds the batches buffered per stream while its
+	// migration is in flight; overflow is shed and counted.
+	pendingBatches = 64
+)
 
 // member is one live node plus its failure-detector state.
 type member struct {
@@ -215,7 +214,7 @@ func New(cfg Config) *Cluster {
 		tel:        newTelemetry(reg),
 		reg:        reg,
 		log:        cfg.Logger,
-		ring:       NewRing(cfg.VirtualNodes),
+		ring:       NewRing(virtualNodes),
 		members:    map[NodeID]*member{},
 		allNodes:   map[NodeID]*Node{},
 		placements: map[engine.StreamID]*placement{},
@@ -774,7 +773,7 @@ func (c *Cluster) routeLocked(id engine.StreamID, b *core.ReadingBatch) bool {
 		c.grantLeaseLocked(owner, id, c.nextEpochLocked(id, 0))
 	}
 	if p.migrating {
-		if len(p.pending) >= c.cfg.PendingBatches {
+		if len(p.pending) >= pendingBatches {
 			return false
 		}
 		p.pending = append(p.pending, b)
@@ -815,13 +814,6 @@ func (c *Cluster) Owner(id engine.StreamID) (NodeID, bool) {
 		return p.node, true
 	}
 	return c.ring.Owner(string(id))
-}
-
-// Members returns the live membership, sorted.
-func (c *Cluster) Members() []NodeID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ring.Nodes()
 }
 
 // Backoff bounds for RunStream's retry of a refused push.

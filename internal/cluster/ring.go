@@ -125,13 +125,3 @@ func (r *Ring) Owner(key string) (NodeID, bool) {
 
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
-
-// Nodes returns the members sorted by ID.
-func (r *Ring) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(r.nodes))
-	for id := range r.nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"rfipad/internal/dsp"
@@ -27,18 +26,11 @@ type TagTrough struct {
 	DepthDB  float64
 }
 
-// FindTagTroughs runs the two-stage trough estimator over the RSS
-// series of the given tags and returns the troughs found, ordered by
-// time — the sequence of tags the hand passed (§III-B).
-func FindTagTroughs(readings []Reading, numTags int, tags []int) []TagTrough {
-	var sc DisturbanceScratch
-	sc.split.split(sc.columns(readings), numTags)
-	return sc.tagTroughs(tags)
-}
-
-// tagTroughs is FindTagTroughs over the window the scratch last split:
-// each tag's time and RSS runs go to the trough finder as they sit in
-// the split.
+// tagTroughs runs the two-stage trough estimator over the RSS series
+// of the given tags in the window the scratch last split, and returns
+// the troughs found, ordered by time — the sequence of tags the hand
+// passed (§III-B). Each tag's time and RSS runs go to the trough finder
+// as they sit in the split; out-of-range tags are skipped.
 func (sc *DisturbanceScratch) tagTroughs(tags []int) []TagTrough {
 	var out []TagTrough
 	for _, i := range tags {
@@ -61,23 +53,15 @@ func (sc *DisturbanceScratch) tagTroughs(tags []int) []TagTrough {
 	return out
 }
 
-// EstimateDirection fits the hand's travel direction across the
-// foreground tags from the order of their RSS troughs. It returns a
-// unit direction in normalized canvas coordinates. ok is false with
-// fewer than two usable troughs.
-func EstimateDirection(readings []Reading, grid Grid, fgTags []int) (dir geo.Vec2, troughs []TagTrough, ok bool) {
-	troughs = FindTagTroughs(readings, grid.NumTags(), fgTags)
-	dir, ok = fitDirection(grid, troughs)
-	return dir, troughs, ok
-}
-
-// fitDirection is the depth-weighted least-squares fit behind
-// EstimateDirection, over troughs ordered by time.
+// fitDirection fits the hand's travel direction across the foreground
+// tags from their RSS troughs, ordered by time: a depth-weighted least
+// squares of position against trough time. It returns a unit direction
+// in normalized canvas coordinates; ok is false with fewer than two
+// usable troughs or an indeterminate fit.
 func fitDirection(grid Grid, troughs []TagTrough) (geo.Vec2, bool) {
 	if len(troughs) < 2 {
 		return geo.Vec2{}, false
 	}
-	// Depth-weighted least squares of position against trough time.
 	var wSum, tMean float64
 	for _, tr := range troughs {
 		wSum += tr.DepthDB
@@ -167,12 +151,4 @@ func DirectionFor(shape stroke.Shape, dir geo.Vec2) (stroke.Direction, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// directionAngleDiff is a test helper measuring how far two unit
-// directions disagree, in radians.
-func directionAngleDiff(a, b geo.Vec2) float64 {
-	dot := a.Dot(b)
-	dot = math.Max(-1, math.Min(1, dot))
-	return math.Acos(dot)
 }

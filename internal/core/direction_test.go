@@ -34,11 +34,35 @@ func synthSweepRSS(grid Grid, order []int, visitGap time.Duration, seed int64) [
 	return out
 }
 
+// troughsOf splits readings by tag the way a stroke window is split and
+// runs the trough estimator over the given tags.
+func troughsOf(readings []Reading, numTags int, tags []int) []TagTrough {
+	var sc DisturbanceScratch
+	sc.split.split(sc.columns(readings), numTags)
+	return sc.tagTroughs(tags)
+}
+
+// directionOf estimates the travel direction across fgTags from the
+// order of their RSS troughs, as the direction stage does.
+func directionOf(readings []Reading, grid Grid, fgTags []int) (geo.Vec2, []TagTrough, bool) {
+	troughs := troughsOf(readings, grid.NumTags(), fgTags)
+	dir, ok := fitDirection(grid, troughs)
+	return dir, troughs, ok
+}
+
+// directionAngleDiff measures how far two unit directions disagree, in
+// radians.
+func directionAngleDiff(a, b geo.Vec2) float64 {
+	dot := a.Dot(b)
+	dot = math.Max(-1, math.Min(1, dot))
+	return math.Acos(dot)
+}
+
 func TestFindTagTroughsOrdering(t *testing.T) {
 	g := Grid{Rows: 5, Cols: 5}
 	order := []int{2, 7, 12, 17, 22} // down column 2... visiting row 0 upward
 	readings := synthSweepRSS(g, order, 300*time.Millisecond, 1)
-	troughs := FindTagTroughs(readings, g.NumTags(), order)
+	troughs := troughsOf(readings, g.NumTags(), order)
 	if len(troughs) != 5 {
 		t.Fatalf("troughs = %d, want 5", len(troughs))
 	}
@@ -48,7 +72,7 @@ func TestFindTagTroughsOrdering(t *testing.T) {
 		}
 	}
 	// Out-of-range indices are skipped silently.
-	if got := FindTagTroughs(readings, g.NumTags(), []int{-1, 99}); len(got) != 0 {
+	if got := troughsOf(readings, g.NumTags(), []int{-1, 99}); len(got) != 0 {
 		t.Errorf("bogus tags produced %d troughs", len(got))
 	}
 }
@@ -58,7 +82,7 @@ func TestEstimateDirectionUpAndDown(t *testing.T) {
 	col := []int{2, 7, 12, 17, 22} // indices bottom row → top row
 	// Visiting in this order means moving +y (upward).
 	up := synthSweepRSS(g, col, 300*time.Millisecond, 2)
-	dir, _, ok := EstimateDirection(up, g, col)
+	dir, _, ok := directionOf(up, g, col)
 	if !ok {
 		t.Fatal("no direction")
 	}
@@ -68,7 +92,7 @@ func TestEstimateDirectionUpAndDown(t *testing.T) {
 	// Reverse order → downward.
 	rev := []int{22, 17, 12, 7, 2}
 	down := synthSweepRSS(g, rev, 300*time.Millisecond, 3)
-	dir, _, ok = EstimateDirection(down, g, col)
+	dir, _, ok = directionOf(down, g, col)
 	if !ok {
 		t.Fatal("no direction")
 	}
@@ -81,7 +105,7 @@ func TestEstimateDirectionDiagonal(t *testing.T) {
 	g := Grid{Rows: 5, Cols: 5}
 	diag := []int{0, 6, 12, 18, 24} // bottom-left → top-right
 	readings := synthSweepRSS(g, diag, 250*time.Millisecond, 4)
-	dir, troughs, ok := EstimateDirection(readings, g, diag)
+	dir, troughs, ok := directionOf(readings, g, diag)
 	if !ok {
 		t.Fatal("no direction")
 	}
@@ -104,7 +128,7 @@ func TestEstimateDirectionInsufficientTroughs(t *testing.T) {
 			readings = append(readings, Reading{TagIndex: i, Time: tm, RSS: -45 + rng.NormFloat64()*0.3})
 		}
 	}
-	if _, _, ok := EstimateDirection(readings, g, []int{2, 7, 12}); ok {
+	if _, _, ok := directionOf(readings, g, []int{2, 7, 12}); ok {
 		t.Error("flat RSS should not yield a direction")
 	}
 }

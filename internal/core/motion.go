@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"time"
 
 	"rfipad/internal/geo"
 	"rfipad/internal/obs"
@@ -94,25 +95,24 @@ func (p *Pipeline) recognize(sc *DisturbanceScratch, w ReadingBatch) MotionResul
 	tel := p.telemetry()
 	tel.windows.Inc()
 
-	span := obs.StartTimer(tel.disturbance)
+	t := time.Now()
 	vals := sc.mapColumns(w, p.Cal, p.Opts)
 	// Fill cells of dead (uncalibrated) tags from live neighbors so a
 	// stroke crossing a hole in the array stays one bright region.
 	vals = InterpolateDead(p.Grid, vals, p.Cal.Dead)
 	img := NewGridImage(p.Grid, vals)
-	span.End()
 	if n := p.Cal.DeadCount(); n > 0 {
 		tel.interpolated.Add(uint64(n))
 	}
+	t = tel.disturbance.ObserveSince(t)
 
-	span = obs.StartTimer(tel.classify)
 	// Otsu runs on the range-compressed image so a stroke's intensity
 	// gradient stays in one foreground cluster; the geometric
 	// classifier weights cells by the raw scores so residual noise
 	// cells in the mask barely deflect the fit.
 	mask := LargestComponent(p.Grid, img.Binarize(), vals)
 	shape := ClassifyShapeDegraded(p.Grid, vals, mask, p.Cal.Dead)
-	span.End()
+	t = tel.classify.ObserveSince(t)
 	if !shape.Ok {
 		return MotionResult{Image: img, Mask: mask}
 	}
@@ -126,11 +126,10 @@ func (p *Pipeline) recognize(sc *DisturbanceScratch, w ReadingBatch) MotionResul
 		Ok:      true,
 	}
 
-	span = obs.StartTimer(tel.direction)
 	if shape.Shape == stroke.Click {
 		res.Motion = stroke.M(stroke.Click, 0)
 		res.Troughs = sc.tagTroughs(shape.Cells)
-		span.End()
+		tel.direction.ObserveSince(t)
 		return res
 	}
 
@@ -143,7 +142,7 @@ func (p *Pipeline) recognize(sc *DisturbanceScratch, w ReadingBatch) MotionResul
 			dir, dirOK = d, true
 		}
 	}
-	span.End()
+	tel.direction.ObserveSince(t)
 	res.Troughs = troughs
 	res.TravelDir = dir
 

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"rfipad/internal/obs"
 )
 
 // EventKind tags streaming recognizer outputs.
@@ -315,7 +313,7 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 			reordered++
 			r.hist.insertAt(r.head, idx, t, phases[i], rss[i], tag)
 		}
-		r.cache.add(Reading{TagIndex: int(tag), Time: t, Phase: phases[i], RSS: rss[i]})
+		r.cache.addColumns(times[i:i+1], phases[i:i+1], tags[i:i+1])
 		// Throttle segmentation to frame boundaries: between two
 		// boundaries every poll would see the identical complete-frame
 		// trace, so re-running it per reading only burns cycles. Late
@@ -383,10 +381,10 @@ func (r *Recognizer) poll(horizon time.Duration) []Event {
 		return nil
 	}
 	var events []Event
-	segSpan := obs.StartTimer(r.tel.segment)
+	t0 := time.Now()
 	rms, changed := r.cache.valuesSince(horizon)
 	spans := r.seg.segmentRMSFrom(rms, r.bufStart, &r.scratch, changed)
-	segSpan.End()
+	r.tel.segment.ObserveSince(t0)
 	openSpan := false
 	var lastSpanEnd time.Duration
 	for _, sp := range spans {
@@ -475,9 +473,9 @@ func (r *Recognizer) trimTo(cut time.Duration) {
 // finishLetter composes the pending strokes and resets for the next
 // letter.
 func (r *Recognizer) finishLetter(at time.Duration) []Event {
-	span := obs.StartTimer(r.tel.grammar)
+	t0 := time.Now()
 	ch, ok := ComposeLetter(r.pending)
-	span.End()
+	r.tel.grammar.ObserveSince(t0)
 	r.tel.letters.Inc()
 	ev := Event{
 		Kind:     LetterDeduced,

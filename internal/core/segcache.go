@@ -30,8 +30,9 @@ const (
 // recomputes frames from the lowest one a reading has touched since the
 // last poll. The cache's frame grid is anchored at origin, which the
 // recognizer keeps frame-aligned, so history trims never shift frame
-// boundaries and the incremental trace stays bit-identical to
-// Segmenter.frameRMS over the same readings.
+// boundaries and the incremental trace stays bit-identical to a fresh
+// cache folding the same readings. Offline segmentation builds exactly
+// such a cache (Segmenter.frameTrace), so this is the one Eq. 11.
 type segCache struct {
 	frameLen time.Duration
 	n        int       // tags
@@ -39,10 +40,12 @@ type segCache struct {
 	// adjMean folds the dead-tag exclusion into the mean-phase lookup:
 	// a live tag's entry is its calibrated mean, a dead tag's is NaN, so
 	// the column hot loop's suppressed phase comes out NaN for dead tags
-	// and the single NaN check covers both exclusions.
+	// and the single NaN check covers both exclusions. Sporadic reads
+	// from an uncalibrated tag would otherwise feed raw, unsuppressed
+	// phases into the frame statistic.
 	adjMean []float64
 
-	origin time.Duration // stream time of frame 0; multiple of frameLen
+	origin time.Duration // stream time of frame 0; the recognizer keeps it frame-aligned
 	// off is the number of dead frames at the physical head of the
 	// arrays: trims advance it instead of copying, and the arrays only
 	// compact once the dead prefix outgrows the live span, so the
@@ -68,9 +71,13 @@ func (c *segCache) reset(frameLen time.Duration, cal *Calibration) {
 	*c = segCache{frameLen: frameLen, n: n,
 		factor: grow(c.factor, n), adjMean: grow(c.adjMean, n),
 		acc: c.acc[:0], vals: c.vals[:0]}
-	// The factor only attenuates (≤1): a tag noisier than typical is
-	// damped toward the typical level; quiet tags pass unchanged — the
-	// same normalization Segmenter.frameRMS applies batch-wise.
+	// Eq. 11 runs over the diversity-suppressed streams: each tag's
+	// contribution is normalized by its relative deviation bias, so a
+	// tag sitting in heavy multipath cannot drown the frame statistic
+	// (with UniformCalibration all factors are 1 — the unsuppressed
+	// arm of Fig. 16). The factor only attenuates (≤1): a tag noisier
+	// than typical is damped toward the typical level; quiet tags pass
+	// unchanged.
 	typBias := dsp.Median(cal.Bias)
 	for i := range c.factor {
 		f := 1.0
@@ -106,40 +113,11 @@ func (c *segCache) ensure(nFrames int) {
 	}
 }
 
-// add folds one accepted reading into its frame's accumulators. The
-// reading's time must be >= origin (the recognizer drops older ones as
-// late). Order within and across frames is irrelevant, so transport
-// reordering needs no special handling here.
-func (c *segCache) add(rd Reading) {
-	if rd.TagIndex < 0 || rd.TagIndex >= c.n {
-		return
-	}
-	if rd.Time < c.origin {
-		return
-	}
-	// adjMean is NaN for dead tags, so the NaN check below also applies
-	// the dead-tag exclusion (their sporadic reads would feed raw,
-	// unsuppressed phases into the frame statistic — same as frameRMS).
-	p := dsp.WrapSignedNear(rd.Phase - c.adjMean[rd.TagIndex])
-	if math.IsNaN(p) {
-		return
-	}
-	f := int((rd.Time - c.origin) / c.frameLen)
-	c.ensure(f + 1)
-	pf := c.off + f
-	a := &c.acc[pf*c.n+rd.TagIndex]
-	a.sumSq += p * p
-	a.count++
-	c.clean = min(c.clean, f)
-}
-
 // addColumns folds a column run of accepted readings into the frame
-// accumulators — the batch counterpart of calling add per element, with
-// the frame division hoisted out of the loop. The run must be
-// time-sorted (non-decreasing) with every Time >= origin; the
-// recognizer's bulk-append fast path guarantees both. Tag filtering,
-// suppression, and accumulation order produce bit-identical sums to
-// add over the same elements.
+// accumulators, in run order. Every Time must be >= origin: callers
+// drop older readings as late. The run may be in any time order, since
+// the frame is recomputed whenever a reading leaves the current one;
+// in-order runs pay the frame division once per frame.
 func (c *segCache) addColumns(times []time.Duration, phases []float64, tags []int32) {
 	if len(times) == 0 {
 		return
@@ -235,7 +213,7 @@ func (c *segCache) trimTo(newOrigin time.Duration) {
 // values returns the Eq. 11 trace for every complete frame before
 // horizon, recomputing only frames from the change watermark on. The
 // returned slice is owned by the cache and valid until the next
-// add/trim/values call.
+// addColumns/trimTo/values call.
 func (c *segCache) values(horizon time.Duration) []float64 {
 	trace, _ := c.valuesSince(horizon)
 	return trace

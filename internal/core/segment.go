@@ -71,74 +71,25 @@ type Span struct {
 // Duration returns the span length.
 func (s Span) Duration() time.Duration { return s.End - s.Start }
 
-// frameRMS computes Eq. 11 per frame: the sum over tags of the RMS of
-// the mean-subtracted phase samples in the frame.
-func (g *Segmenter) frameRMS(readings []Reading, cal *Calibration, start, end time.Duration) []float64 {
-	nFrames := int((end - start) / g.FrameLen)
-	if nFrames <= 0 {
-		return nil
-	}
-	n := cal.NumTags()
-	// Collect θ' samples per (frame, tag).
-	perFrame := make([][][]float64, nFrames)
-	for i := range perFrame {
-		perFrame[i] = make([][]float64, n)
-	}
-	for _, r := range readings {
-		if r.Time < start || r.Time >= end || r.TagIndex < 0 || r.TagIndex >= n {
-			continue
-		}
-		if cal.IsDead(r.TagIndex) {
-			// Sporadic reads from an uncalibrated tag would feed raw
-			// (unsuppressed) phases into the frame statistic.
-			continue
-		}
-		f := int((r.Time - start) / g.FrameLen)
-		if f >= nFrames {
-			continue
-		}
-		// p_ij: the diversity-suppressed phase, as a signed excursion
-		// around the tag's static centre.
-		p := dsp.WrapSigned(r.Phase - cal.MeanPhase[r.TagIndex])
-		perFrame[f][r.TagIndex] = append(perFrame[f][r.TagIndex], p)
-	}
-	// Eq. 11 runs over the diversity-suppressed streams: each tag's
-	// contribution is normalized by its relative deviation bias, so a
-	// tag sitting in heavy multipath cannot drown the frame statistic
-	// (with UniformCalibration all factors are 1 — the unsuppressed
-	// arm of Fig. 16).
-	// The factor only attenuates (≤1): a tag noisier than typical is
-	// damped toward the typical level; quiet tags pass unchanged.
-	typBias := dsp.Median(cal.Bias)
-	factor := make([]float64, n)
-	for i := range factor {
-		f := 1.0
-		if cal.Bias[i] > 0 && typBias > 0 && cal.Bias[i] > typBias {
-			f = typBias / cal.Bias[i]
-			if f < 1.0/32 {
-				f = 1.0 / 32
-			}
-		}
-		factor[i] = f
-	}
-	out := make([]float64, nFrames)
-	for f := range perFrame {
-		var sum float64
-		for i := 0; i < n; i++ {
-			if len(perFrame[f][i]) == 0 {
-				continue
-			}
-			sum += factor[i] * dsp.RMS(perFrame[f][i])
-		}
-		out[f] = sum
-	}
-	return out
-}
-
 // Segment detects the stroke spans in the readings between start and
 // end. The returned spans have frame granularity.
 func (g *Segmenter) Segment(readings []Reading, cal *Calibration, start, end time.Duration) []Span {
-	return g.segmentRMS(g.frameRMS(readings, cal, start, end), start, nil)
+	return g.segmentRMS(g.frameTrace(readings, cal, start, end), start, nil)
+}
+
+// frameTrace computes Eq. 11 for every complete frame in [start, end)
+// with the frame cache a streaming recognizer keeps: the readings in
+// the range fold into a cache anchored at start, in arrival order, and
+// the trace is read back at end. Offline and streaming segmentation
+// therefore share one frame statistic.
+func (g *Segmenter) frameTrace(readings []Reading, cal *Calibration, start, end time.Duration) []float64 {
+	var cols ReadingBatch
+	cols.setReadings(window(readings, start, end))
+	var c segCache
+	c.reset(g.FrameLen, cal)
+	c.origin = start
+	c.addColumns(cols.Times, cols.Phases, cols.TagIndices)
+	return c.values(end)
 }
 
 // segScratch holds every buffer one segmentRMS evaluation needs, so a
@@ -503,31 +454,4 @@ func (g *Segmenter) threshold(sortedStds []float64) float64 {
 		thre = thresholdFloor
 	}
 	return thre
-}
-
-// EffectiveThreshold reports the Eq. 12 threshold that Segment would
-// use on this capture — diagnostic for tests and figure benches.
-func (g *Segmenter) EffectiveThreshold(readings []Reading, cal *Calibration, start, end time.Duration) float64 {
-	return g.threshold(appendSorted(nil, g.WindowStdTrace(readings, cal, start, end)))
-}
-
-// FrameRMSTrace exposes the per-frame RMS values (Fig. 9's middle
-// panel) for diagnostics and the figure benchmarks.
-func (g *Segmenter) FrameRMSTrace(readings []Reading, cal *Calibration, start, end time.Duration) []float64 {
-	return g.frameRMS(readings, cal, start, end)
-}
-
-// WindowStdTrace exposes std(RMS) per sliding window position (Fig. 9's
-// bottom panel).
-func (g *Segmenter) WindowStdTrace(readings []Reading, cal *Calibration, start, end time.Duration) []float64 {
-	rms := g.frameRMS(readings, cal, start, end)
-	w := g.WindowFrames
-	if w <= 0 || len(rms) < w {
-		return nil
-	}
-	out := make([]float64, len(rms)-w+1)
-	for f := range out {
-		out[f] = dsp.Std(rms[f : f+w])
-	}
-	return out
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
 	"rfipad/internal/dsp"
+	"rfipad/internal/obs"
 )
 
 // multiLetterCapture synthesizes a 34 s writing stream on a 5×5 grid:
@@ -87,6 +89,16 @@ func checkScratch(t *testing.T, seg *Segmenter, step int, sc *segScratch, rms []
 		}
 	}
 	checkSortedMirror(t, "seeded-frame", step, seeded, sc.sortedSeeded)
+}
+
+// addReading folds one reading into the cache the way the recognizer's
+// per-element path does: a reading older than the cache's origin is
+// dropped as late, any other goes to addColumns as a one-element run.
+func addReading(c *segCache, rd Reading) {
+	if rd.Time < c.origin {
+		return
+	}
+	c.addColumns([]time.Duration{rd.Time}, []float64{rd.Phase}, []int32{NarrowTag(rd.TagIndex)})
 }
 
 // segDrive counts what one driveSegmentation run exercised.
@@ -195,7 +207,7 @@ func driveSegmentation(t *testing.T, seg *Segmenter, cal *Calibration, readings 
 	// In-order readings in odd seconds of stream time gather into a
 	// column run that addColumns folds in at the next frame crossing or
 	// late reading, as the recognizer's bulk path does; the rest go
-	// through add one by one.
+	// through addReading one by one.
 	var run ReadingBatch
 	foldRun := func() bool {
 		if run.Len() == 0 {
@@ -210,7 +222,7 @@ func driveSegmentation(t *testing.T, seg *Segmenter, cal *Calibration, readings 
 			run.AppendReading(rd)
 		} else {
 			foldRun()
-			cache.add(rd)
+			addReading(&cache, rd)
 		}
 		if rd.Time > now {
 			now = rd.Time
@@ -324,14 +336,12 @@ func TestRecognizerSegmentMultisetsStayExact(t *testing.T) {
 // the stream's tail, before their readings arrive; the column batches
 // that then fill those frames must lower the watermark, or the next
 // polls see their stale values. After every batch, each frame below the
-// watermark must equal, bit for bit, Segmenter.FrameRMSTrace over the
+// watermark must equal, bit for bit, the reference frameRMS over the
 // recognizer's live history.
 func TestSegCacheCleanFramesAfterMidStreamFlush(t *testing.T) {
 	cal, readings := multiLetterCapture(t)
-	seg := NewSegmenter()
-	rec := NewRecognizer(NewPipeline(Grid{Rows: 5, Cols: 5}, cal), seg)
+	rec := NewRecognizer(NewPipeline(Grid{Rows: 5, Cols: 5}, cal), nil)
 	var batch ReadingBatch
-	var live []Reading
 	flushedAt, refilled := time.Duration(-1), 0
 	for i := 0; i < len(readings); i += 64 {
 		batch.Reset()
@@ -343,26 +353,66 @@ func TestSegCacheCleanFramesAfterMidStreamFlush(t *testing.T) {
 			rec.Flush(rec.now)
 			flushedAt = rec.now
 		}
-
-		c := &rec.cache
-		live = live[:0]
-		for k := rec.head; k < rec.hist.Len(); k++ {
-			live = append(live, rec.hist.Reading(k))
-		}
-		want := seg.FrameRMSTrace(live, cal, c.origin, c.origin+time.Duration(c.clean)*seg.FrameLen)
-		got := c.vals[c.off : c.off+c.clean]
-		for f := range want {
-			if math.Float64bits(got[f]) != math.Float64bits(want[f]) {
-				t.Fatalf("batch %d: frame %d of %d below the watermark holds %v, its readings give %v",
-					i/64, f, c.clean, got[f], want[f])
-			}
-		}
+		checkCleanFrames(t, rec, i/64)
 		if flushedAt >= 0 && rec.now > flushedAt && rec.now < flushedAt+rec.ConfirmGap {
 			refilled++
 		}
 	}
 	if refilled == 0 {
 		t.Fatal("no batch landed in the frames the mid-stream Flush computed ahead")
+	}
+}
+
+// checkCleanFrames asserts that each frame below the recognizer's cache
+// watermark equals, bit for bit, the reference frameRMS over the
+// recognizer's live history.
+func checkCleanFrames(t *testing.T, rec *Recognizer, batch int) {
+	t.Helper()
+	var live []Reading
+	for k := rec.head; k < rec.hist.Len(); k++ {
+		live = append(live, rec.hist.Reading(k))
+	}
+	c, seg := &rec.cache, rec.seg
+	want := seg.frameRMS(live, rec.pipeline.Cal, c.origin, c.origin+time.Duration(c.clean)*seg.FrameLen)
+	got := c.vals[c.off : c.off+c.clean]
+	if f := sameBits(got, want); f >= 0 {
+		t.Fatalf("batch %d: frame %d of %d below the watermark holds %v, its readings give %v",
+			batch, f, c.clean, got[f], want[f])
+	}
+}
+
+// TestRecognizerPerElementReadingsReachFrameCache checks that readings
+// the recognizer accepts off its bulk path — reordered ones inserted
+// back into time order, and equal-time readings of another tag — fold
+// into the frame cache like the rest: after every batch of a stream
+// with local reordering, duplicates, late readings and out-of-range
+// tags, checkCleanFrames holds.
+func TestRecognizerPerElementReadingsReachFrameCache(t *testing.T) {
+	grid := Grid{Rows: 5, Cols: 5}
+	rng := rand.New(rand.NewSource(11))
+	base := make([]float64, grid.NumTags())
+	for i := range base {
+		base[i] = rng.Float64() * 6.28
+	}
+	cal, err := Calibrate(equivQuiet(grid, base, 3*time.Second, rng), grid.NumTags())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline(grid, cal)
+	p.Obs = obs.NewRegistry()
+	rec := NewRecognizer(p, nil)
+	stream := equivStream(grid, base, 20, rand.New(rand.NewSource(100)))
+	var batch ReadingBatch
+	for i := 0; i < len(stream); i += 64 {
+		batch.Reset()
+		for _, rd := range stream[i:min(i+64, len(stream))] {
+			batch.AppendReading(rd)
+		}
+		rec.IngestBatch(&batch)
+		checkCleanFrames(t, rec, i/64)
+	}
+	if n := p.Obs.Snapshot().Value("rfipad_readings_reordered_total"); n == 0 {
+		t.Fatal("no reading was inserted out of order")
 	}
 }
 
@@ -462,7 +512,7 @@ func FuzzSegmentRMSFromMatchesFromScratch(f *testing.F) {
 func BenchmarkSegmenterActivePoll(b *testing.B) {
 	cal, readings := multiLetterCapture(b)
 	seg := NewSegmenter()
-	rms := seg.FrameRMSTrace(readings, cal, 0, 15*time.Second)
+	rms := seg.frameTrace(readings, cal, 0, 15*time.Second)
 	last := len(rms) - 1
 	vals := [2]float64{rms[last], 2 * slices.Max(rms)}
 	var sc segScratch

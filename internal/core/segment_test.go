@@ -105,7 +105,7 @@ func TestSegmenterTraces(t *testing.T) {
 	truth := []Span{{Start: time.Second, End: 2 * time.Second}}
 	readings := synthLetterStream(n, truth, 3*time.Second, centres, sigmas, 16)
 	seg := NewSegmenter()
-	rms := seg.FrameRMSTrace(readings, cal, 0, 3*time.Second)
+	rms := seg.frameTrace(readings, cal, 0, 3*time.Second)
 	if len(rms) != 30 {
 		t.Fatalf("frames = %d, want 30", len(rms))
 	}
@@ -115,13 +115,13 @@ func TestSegmenterTraces(t *testing.T) {
 	if active <= quiet*1.5 {
 		t.Errorf("active RMS %v vs quiet %v", active, quiet)
 	}
-	stds := seg.WindowStdTrace(readings, cal, 0, 3*time.Second)
+	stds := windowStds(rms, seg.WindowFrames)
 	if len(stds) != 30-seg.WindowFrames+1 {
 		t.Fatalf("std trace = %d", len(stds))
 	}
 	// std(RMS) small in the adjustment interval, large in the stroke
 	// (Fig. 9 bottom), with the adaptive threshold between them.
-	thre := seg.EffectiveThreshold(readings, cal, 0, 3*time.Second)
+	thre := seg.threshold(appendSorted(nil, stds))
 	if thre <= 0 {
 		t.Fatalf("threshold = %v", thre)
 	}
@@ -146,7 +146,21 @@ func TestSegmenterEmptyInput(t *testing.T) {
 	if got := seg.Segment(nil, cal, 0, 0); got != nil {
 		t.Errorf("zero-length capture spans = %v", got)
 	}
-	if got := seg.WindowStdTrace(nil, cal, 0, 100*time.Millisecond); got != nil {
+	if got := windowStds(seg.frameTrace(nil, cal, 0, 100*time.Millisecond), seg.WindowFrames); got != nil {
 		t.Errorf("short trace = %v", got)
 	}
+}
+
+// windowStds is std(RMS) per sliding window position over a frame
+// trace (Fig. 9's bottom panel); nil when the trace is shorter than one
+// window.
+func windowStds(rms []float64, w int) []float64 {
+	if w <= 0 || len(rms) < w {
+		return nil
+	}
+	out := make([]float64, len(rms)-w+1)
+	for f := range out {
+		out[f] = dsp.Std(rms[f : f+w])
+	}
+	return out
 }

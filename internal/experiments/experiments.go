@@ -238,15 +238,3 @@ func Run(name string, cfg Config) (Result, bool) {
 	}
 	return nil, false
 }
-
-// RunAll executes every experiment in name order.
-func RunAll(cfg Config) []Result {
-	names := List()
-	out := make([]Result, 0, len(names))
-	for _, e := range names {
-		if r, ok := Run(e.Name, cfg); ok {
-			out = append(out, r)
-		}
-	}
-	return out
-}

@@ -27,8 +27,6 @@ type SessionConfig struct {
 	BackoffInitial time.Duration
 	// BackoffMax caps the exponential growth (default 5 s).
 	BackoffMax time.Duration
-	// BackoffFactor is the per-attempt growth factor (default 2).
-	BackoffFactor float64
 	// JitterSeed seeds the deterministic backoff jitter; equal seeds
 	// reproduce the exact reconnect schedule.
 	JitterSeed int64
@@ -87,9 +85,6 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
-	}
-	if c.BackoffFactor < 1 {
-		c.BackoffFactor = 2
 	}
 	if c.KeepaliveInterval == 0 {
 		c.KeepaliveInterval = 2 * time.Second
@@ -404,13 +399,16 @@ func (s *Session) breakerWait() error {
 	}
 }
 
-// backoff computes the nth delay: BackoffInitial·Factor^(n-1) capped
-// at BackoffMax, then jittered into [½·d, d] so a fleet of backends
-// does not reconnect in lockstep.
+// backoffFactor is the per-attempt growth of the reconnect delay.
+const backoffFactor = 2
+
+// backoff computes the nth delay: BackoffInitial·2^(n-1) capped at
+// BackoffMax, then jittered into [½·d, d] so a fleet of backends does
+// not reconnect in lockstep.
 func (s *Session) backoff(attempt int) time.Duration {
 	d := float64(s.cfg.BackoffInitial)
 	for i := 1; i < attempt; i++ {
-		d *= s.cfg.BackoffFactor
+		d *= backoffFactor
 		if d >= float64(s.cfg.BackoffMax) {
 			d = float64(s.cfg.BackoffMax)
 			break

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"strings"
@@ -16,9 +15,6 @@ const (
 
 // LogOptions configures NewLogger.
 type LogOptions struct {
-	// W is the destination (default os.Stderr, keeping stdout clean
-	// for recognition output).
-	W io.Writer
 	// Format is FormatText or FormatJSON (default text).
 	Format string
 	// Level is the minimum level (default slog.LevelInfo).
@@ -27,19 +23,16 @@ type LogOptions struct {
 
 // NewLogger builds the shared structured logger both daemons use:
 // slog with a component/field convention instead of ad-hoc stderr
-// prints. Attach a component with Component before handing the logger
+// prints. It writes to stderr, keeping stdout clean for recognition
+// output. Attach a component with Component before handing the logger
 // to a subsystem.
 func NewLogger(opts LogOptions) *slog.Logger {
-	w := opts.W
-	if w == nil {
-		w = os.Stderr
-	}
 	h := &slog.HandlerOptions{Level: opts.Level}
 	switch strings.ToLower(opts.Format) {
 	case FormatJSON:
-		return slog.New(slog.NewJSONHandler(w, h))
+		return slog.New(slog.NewJSONHandler(os.Stderr, h))
 	default:
-		return slog.New(slog.NewTextHandler(w, h))
+		return slog.New(slog.NewTextHandler(os.Stderr, h))
 	}
 }
 

@@ -273,14 +273,21 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
+// ObserveSince records the seconds elapsed since start and returns the
+// clock reading it took. Back-to-back stages chain on that reading —
+// each boundary reads the clock once, ending one stage and starting
+// the next — so timing stays cheap enough to leave on in production.
+func (h *Histogram) ObserveSince(start time.Time) time.Time {
+	now := time.Now()
+	h.ObserveDuration(now.Sub(start))
+	return now
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.total.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Bounds returns the finite upper bounds.
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // bucketCounts snapshots per-bucket (non-cumulative) counts.
 func (h *Histogram) bucketCounts() []uint64 {

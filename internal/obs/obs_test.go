@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -183,15 +184,25 @@ func TestSnapshotLookup(t *testing.T) {
 	}
 }
 
-func TestSpanRecordsLatency(t *testing.T) {
+func TestHistogramObserveSince(t *testing.T) {
 	r := NewRegistry()
-	sp := StartSpan(r, "stage_seconds", "stage latency", "segment")
-	d := sp.End()
-	if d < 0 {
-		t.Fatalf("negative span duration %v", d)
+	seg := r.Histogram("stage_seconds", "stage latency", nil, L("stage", "segment"))
+	gram := r.Histogram("stage_seconds", "stage latency", nil, L("stage", "grammar"))
+	t0 := time.Now()
+	t1 := seg.ObserveSince(t0)
+	t2 := gram.ObserveSince(t1)
+	if t1.Before(t0) || t2.Before(t1) {
+		t.Fatalf("clock readings out of order: %v, %v, %v", t0, t1, t2)
+	}
+	// Chained stages share their boundary reading, so the observed
+	// sums add up to the whole interval exactly.
+	if got, want := seg.Sum()+gram.Sum(), t2.Sub(t0).Seconds(); math.Abs(got-want) > 1e-12 {
+		t.Errorf("stage sums %v, whole interval %v", got, want)
 	}
 	snap := r.Snapshot()
-	if n := snap.HistCount("stage_seconds", L("stage", "segment")); n != 1 {
-		t.Fatalf("stage histogram count = %d, want 1", n)
+	for _, stage := range []string{"segment", "grammar"} {
+		if n := snap.HistCount("stage_seconds", L("stage", stage)); n != 1 {
+			t.Errorf("%s histogram count = %d, want 1", stage, n)
+		}
 	}
 }

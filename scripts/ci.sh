@@ -85,6 +85,13 @@ go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/supervise
 echo '== incremental segmentation fuzz smoke (10s)'
 go test -run '^$' -fuzz FuzzSegmentRMSFromMatchesFromScratch -fuzztime 10s ./internal/core
 
+# Short fuzz pass over the one Eq. 11: the frame cache folded over a
+# capture (any reading order, duplicates, out-of-range tags and times,
+# dead tags, starts off the frame grid) must equal the batch reference
+# bit for bit. New crashers land in internal/core/testdata/fuzz.
+echo '== frame trace fuzz smoke (10s)'
+go test -run '^$' -fuzz FuzzFrameTraceMatchesReference -fuzztime 10s ./internal/core
+
 # The exact AllocsPerRun assertions skip themselves under -race (the
 # detector allocates on instrumented paths), so run them again pure.
 # This covers the recognizer hot path, the disturbance scratch map,
