@@ -1,7 +1,7 @@
 package rfipad
 
 // Allocation-regression tests for the recognition hot path. The perf
-// contract (DESIGN.md §8): steady-state Recognizer.Ingest and a
+// contract (DESIGN.md §8): steady-state Recognizer.IngestBatch and a
 // scratch-reused disturbance map allocate nothing once their buffers
 // reach the high-water mark, so a long-running multi-stream engine's
 // per-reading cost is pure compute, not GC pressure.
@@ -22,8 +22,9 @@ import (
 
 // steadyStateRecognizer returns a recognizer warmed past its buffer
 // high-water marks (several trim/compaction cycles of quiet stream)
-// plus a feed function that keeps ingesting the same capture with
-// monotonically advancing timestamps.
+// plus a feed function that keeps ingesting the same capture, one
+// reading per one-element batch, with monotonically advancing
+// timestamps.
 func steadyStateRecognizer(t testing.TB) (feed func()) {
 	t.Helper()
 	sim, err := NewSimulator(SimulatorConfig{Seed: 21})
@@ -34,23 +35,26 @@ func steadyStateRecognizer(t testing.TB) (feed func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet := sim.CollectStatic(8 * time.Second)
-	if len(quiet) == 0 {
+	quiet := decode(sim.CollectStatic(8 * time.Second))
+	n := quiet.Len()
+	if n == 0 {
 		t.Fatal("no quiet capture")
 	}
 	rec := sim.NewRecognizer(cal)
-	lap := quiet[len(quiet)-1].Time + time.Millisecond
+	lap := quiet.Times[n-1] + time.Millisecond
+	var one ReadingBatch
 	i := 0
 	feed = func() {
-		r := quiet[i%len(quiet)]
-		r.Time += lap * time.Duration(1+i/len(quiet))
-		rec.Ingest(r)
+		k := i % n
+		one.Reset()
+		one.Append(quiet.Times[k]+lap*time.Duration(1+i/n), quiet.Phases[k], quiet.RSS[k], quiet.TagIndices[k])
+		rec.IngestBatch(&one)
 		i++
 	}
 	// Warm through several 8 s laps: the history buffer and the frame
 	// cache grow to their high-water capacity and cycle through
 	// multiple trim/compactions, after which ingest is allocation-free.
-	for n := 0; n < 6*len(quiet); n++ {
+	for w := 0; w < 6*n; w++ {
 		feed()
 	}
 	return feed
@@ -64,7 +68,7 @@ func TestRecognizerIngestSteadyStateAllocs(t *testing.T) {
 	}
 	feed := steadyStateRecognizer(t)
 	if avg := testing.AllocsPerRun(5000, func() { feed() }); avg != 0 {
-		t.Errorf("steady-state Ingest allocates %.4f objects/reading, want 0", avg)
+		t.Errorf("steady-state one-reading IngestBatch allocates %.4f objects/reading, want 0", avg)
 	}
 }
 
@@ -85,30 +89,26 @@ func TestIngestBatchSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet := sim.CollectStatic(8 * time.Second)
-	if len(quiet) == 0 {
+	quiet := decode(sim.CollectStatic(8 * time.Second))
+	if quiet.Len() == 0 {
 		t.Fatal("no quiet capture")
 	}
 	rec := sim.NewRecognizer(cal)
-	lap := quiet[len(quiet)-1].Time + time.Millisecond
+	lap := quiet.Times[quiet.Len()-1] + time.Millisecond
 
 	const chunk = 256
 	var batch core.ReadingBatch
 	pos, laps := 0, 0
 	feed := func() {
-		end := pos + chunk
-		if end > len(quiet) {
-			end = len(quiet)
-		}
+		end := min(pos+chunk, quiet.Len())
 		batch.Reset()
 		off := lap * time.Duration(laps)
-		for _, r := range quiet[pos:end] {
-			r.Time += off
-			batch.AppendReading(r)
+		for k := pos; k < end; k++ {
+			batch.Append(quiet.Times[k]+off, quiet.Phases[k], quiet.RSS[k], quiet.TagIndices[k])
 		}
 		rec.IngestBatch(&batch)
 		pos = end
-		if pos >= len(quiet) {
+		if pos >= quiet.Len() {
 			pos = 0
 			laps++
 		}
@@ -172,12 +172,12 @@ func TestClusterPushSteadyStateAllocs(t *testing.T) {
 	}
 	ingested := reg.Counter("engine_readings_total", "")
 
-	lap := quiet[len(quiet)-1].Time + time.Millisecond
+	lap := quiet[len(quiet)-1].Timestamp + time.Millisecond
 	batch := make([]core.Reading, 256)
 	pos, laps, offered, refused := 0, 0, 0, 0
 	fill := func() {
 		for j := range batch {
-			batch[j] = quiet[pos]
+			batch[j] = live.ReadingFromReport(quiet[pos])
 			batch[j].Time += prelude + lap*time.Duration(laps)
 			if pos++; pos == len(quiet) {
 				pos, laps = 0, laps+1
@@ -274,8 +274,8 @@ func TestDisturbanceScratchMapAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := sim.CollectStatic(4 * time.Second)
-	window = window[len(window)/2:] // ~2 s window, a typical stroke span
+	capture := decode(sim.CollectStatic(4 * time.Second))
+	window := capture.Slice(capture.Len()/2, capture.Len()) // ~2 s window, a typical stroke span
 
 	var sc core.DisturbanceScratch
 	sc.Map(window, cal, core.DisturbanceOptions{}) // reach high-water
@@ -286,11 +286,11 @@ func TestDisturbanceScratchMapAllocs(t *testing.T) {
 	}
 
 	// The allocating wrapper stays bounded by a constant: the scratch
-	// struct, the window's four columns, the split's two offset slices
-	// and three columns, and the unwrap and map buffers — 13 objects,
-	// each sized once, whatever the window length or tag count. 16
-	// leaves a little headroom and sits far below any per-tag or
-	// per-reading regression.
+	// struct, the split's two offset slices and three columns, the map
+	// and the unwrap buffer, which may regrow for a longer tag run — 9
+	// objects on this window, a count that does not grow with the
+	// window's length or tag count. 16 leaves headroom and sits far
+	// below any per-tag or per-reading regression.
 	const bound = 16
 	if avg := testing.AllocsPerRun(100, func() {
 		core.DisturbanceMap(window, cal, core.DisturbanceOptions{})
@@ -320,16 +320,17 @@ func TestRecognizeWindowAllocs(t *testing.T) {
 	p := sim.NewPipeline(cal)
 	const bound = 32
 	for i, m := range AllMotions() {
-		readings, _ := sim.PerformMotion(m, int64(i))
-		mid := len(readings) / 2
+		reports, _ := sim.PerformMotion(m, int64(i))
+		capture := decode(reports)
+		mid := capture.Len() / 2
 		for _, n := range []int{400, 800, 1600} {
 			lo := max(0, mid-n/2)
-			win := readings[lo:min(len(readings), lo+n)]
+			win := capture.Slice(lo, min(capture.Len(), lo+n))
 			if !p.RecognizeWindow(win).Ok {
-				t.Fatalf("%v: the %d-reading window holds no recognizable stroke", m, len(win))
+				t.Fatalf("%v: the %d-reading window holds no recognizable stroke", m, win.Len())
 			}
 			if avg := testing.AllocsPerRun(20, func() { p.RecognizeWindow(win) }); avg > bound {
-				t.Errorf("%v: RecognizeWindow over %d readings allocates %.0f objects, want <= %d", m, len(win), avg, bound)
+				t.Errorf("%v: RecognizeWindow over %d readings allocates %.0f objects, want <= %d", m, win.Len(), avg, bound)
 			}
 		}
 	}
@@ -384,18 +385,15 @@ func TestRecycledStreamAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const prelude = 3 * time.Second
-	var capture core.ReadingBatch
-	for _, rd := range sim.CollectStatic(prelude) {
-		capture.AppendReading(rd)
-	}
+	capture := decode(sim.CollectStatic(prelude))
 	word, _, err := sim.WriteWord("HI", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rd := range word {
-		rd.Time += prelude + time.Second
-		capture.AppendReading(rd)
+	for i := range word {
+		word[i].Timestamp += prelude + time.Second
 	}
+	AppendReports(capture, word)
 	// One P, so a Put and the next Get meet in the same pool slot, and
 	// no collection, which would empty the pools between the streams.
 	// The two forced collections start both pools empty.

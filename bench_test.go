@@ -87,9 +87,9 @@ func BenchmarkMotionConfusion(b *testing.B)      { runExperiment(b, "confusion")
 
 // Micro-benchmarks of the pipeline's hot paths.
 
-// benchCapture synthesizes one stroke capture for reuse across
-// micro-bench iterations.
-func benchCapture(b *testing.B) (*Simulator, *Calibration, []Reading, time.Duration) {
+// benchCapture synthesizes and decodes one stroke capture for reuse
+// across micro-bench iterations.
+func benchCapture(b *testing.B) (*Simulator, *Calibration, *ReadingBatch, time.Duration) {
 	b.Helper()
 	sim, err := NewSimulator(SimulatorConfig{Seed: 11})
 	if err != nil {
@@ -99,8 +99,8 @@ func benchCapture(b *testing.B) (*Simulator, *Calibration, []Reading, time.Durat
 	if err != nil {
 		b.Fatal(err)
 	}
-	readings, dur := sim.PerformMotion(M(Vertical, Forward), 77)
-	return sim, cal, readings, dur
+	reports, dur := sim.PerformMotion(M(Vertical, Forward), 77)
+	return sim, cal, decode(reports), dur
 }
 
 func BenchmarkPipelineRecognizeStream(b *testing.B) {
@@ -126,12 +126,7 @@ func BenchmarkRecognizeWindow(b *testing.B) {
 		b.Fatalf("expected one recognized stroke, got %d spans", len(results))
 	}
 	sp := results[0].Span
-	var win []Reading
-	for _, r := range readings {
-		if r.Time >= sp.Start && r.Time < sp.End {
-			win = append(win, r)
-		}
-	}
+	win := readings.Window(sp.Start, sp.End)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -146,7 +141,7 @@ func BenchmarkDisturbanceMap(b *testing.B) {
 	_ = sim
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.DisturbanceMap(readings, cal, core.DisturbanceOptions{})
+		core.DisturbanceMap(*readings, cal, core.DisturbanceOptions{})
 	}
 }
 
@@ -200,10 +195,10 @@ func BenchmarkSimulatedCapture(b *testing.B) {
 }
 
 // BenchmarkRecognizerIngestSteadyState measures the marginal cost of
-// one Ingest call with ~8 s of retained history — the steady state a
-// long-running stream settles into between letters. The capture cycles
-// through a quiet stream so the cost is the recognizer's own, not
-// stroke recognition.
+// ingesting one reading, as a one-element batch, with ~8 s of retained
+// history — the steady state a long-running stream settles into
+// between letters. The capture cycles through a quiet stream so the
+// cost is the recognizer's own, not stroke recognition.
 func BenchmarkRecognizerIngestSteadyState(b *testing.B) {
 	sim, err := NewSimulator(SimulatorConfig{Seed: 21})
 	if err != nil {
@@ -213,21 +208,27 @@ func BenchmarkRecognizerIngestSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	quiet := sim.CollectStatic(8 * time.Second)
-	if len(quiet) == 0 {
+	quiet := decode(sim.CollectStatic(8 * time.Second))
+	n := quiet.Len()
+	if n == 0 {
 		b.Fatal("no quiet capture")
 	}
 	rec := sim.NewRecognizer(cal)
-	for _, r := range quiet {
-		rec.Ingest(r)
+	lap := quiet.Times[n-1] + time.Millisecond
+	var one ReadingBatch
+	feed := func(i int) {
+		k := i % n
+		one.Reset()
+		one.Append(quiet.Times[k]+lap*time.Duration(i/n), quiet.Phases[k], quiet.RSS[k], quiet.TagIndices[k])
+		rec.IngestBatch(&one)
 	}
-	lap := quiet[len(quiet)-1].Time + time.Millisecond
+	for i := 0; i < n; i++ {
+		feed(i)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := quiet[i%len(quiet)]
-		r.Time += lap * time.Duration(1+i/len(quiet))
-		rec.Ingest(r)
+		feed(n + i)
 	}
 }
 
@@ -262,15 +263,12 @@ func synthesizeCapture(b *testing.B, seed int64, word string) []llrp.TagReport {
 		b.Fatal(err)
 	}
 	var reports []llrp.TagReport
-	add := func(rs []Reading, offset time.Duration) time.Duration {
+	add := func(rs []TagReport, offset time.Duration) time.Duration {
 		end := offset
 		for _, r := range rs {
-			ts := offset + r.Time
-			reports = append(reports, llrp.TagReport{
-				EPC: r.EPC, AntennaID: 1, PhaseRad: r.Phase,
-				RSSdBm: r.RSS, DopplerHz: r.Doppler, Timestamp: ts,
-			})
-			end = max(end, ts)
+			r.Timestamp += offset
+			reports = append(reports, r)
+			end = max(end, r.Timestamp)
 		}
 		return end
 	}
@@ -329,8 +327,9 @@ func BenchmarkStreamingIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := sim.NewRecognizer(cal)
-		for _, r := range readings {
-			rec.Ingest(r)
+		for k := 0; k < readings.Len(); k++ {
+			one := readings.Slice(k, k+1)
+			rec.IngestBatch(&one)
 		}
 		rec.Flush(dur + 2*time.Second)
 	}
@@ -344,31 +343,31 @@ func BenchmarkStreamingIngest(b *testing.B) {
 // inter-read gap so copies of neighbouring readings interleave and the
 // merged stream round-robins tags, the shape a reader's inventory loop
 // actually produces at the wire limit.
-func denseQuiet(quiet []Reading, copies int) []Reading {
-	out := make([]Reading, 0, len(quiet)*copies)
+func denseQuiet(quiet []TagReport, copies int) *ReadingBatch {
+	out := make([]TagReport, 0, len(quiet)*copies)
 	for _, r := range quiet {
 		for c := 0; c < copies; c++ {
 			rc := r
-			rc.Time += time.Duration(c) * 2917 * time.Microsecond
+			rc.Timestamp += time.Duration(c) * 2917 * time.Microsecond
 			out = append(out, rc)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Timestamp < out[j].Timestamp })
 	// Strict monotonicity: equal timestamps would be dropped as
 	// duplicates (same tag) or force the insert path; nudge collisions
 	// forward by 100 ns.
 	for i := 1; i < len(out); i++ {
-		if out[i].Time <= out[i-1].Time {
-			out[i].Time = out[i-1].Time + 100*time.Nanosecond
+		if out[i].Timestamp <= out[i-1].Timestamp {
+			out[i].Timestamp = out[i-1].Timestamp + 100*time.Nanosecond
 		}
 	}
-	return out
+	return decode(out)
 }
 
 // BenchmarkIngestBatch measures the columnar hot path per reading:
 // steady-state IngestBatch over a dense quiet stream in 256-reading
 // batches, with ~8 s of retained history cycling through trims exactly
-// like the scalar steady-state bench. One op is one reading. The CI
+// like the one-reading steady-state bench. One op is one reading. The CI
 // bench smoke gates on this benchmark reporting 0 allocs/op.
 func BenchmarkIngestBatch(b *testing.B) {
 	sim, err := NewSimulator(SimulatorConfig{Seed: 21})
@@ -385,23 +384,22 @@ func BenchmarkIngestBatch(b *testing.B) {
 	}
 	dense := denseQuiet(quiet, 16)
 	rec := sim.NewRecognizer(cal)
-	lap := dense[len(dense)-1].Time + time.Millisecond
+	lap := dense.Times[dense.Len()-1] + time.Millisecond
 
 	const chunk = 256
 	var batch ReadingBatch
 	pos, laps := 0, 0
 	feed := func() int {
-		end := min(pos+chunk, len(dense))
+		end := min(pos+chunk, dense.Len())
 		batch.Reset()
 		off := lap * time.Duration(laps)
-		for _, r := range dense[pos:end] {
-			r.Time += off
-			batch.AppendReading(r)
+		for k := pos; k < end; k++ {
+			batch.Append(dense.Times[k]+off, dense.Phases[k], dense.RSS[k], dense.TagIndices[k])
 		}
 		rec.IngestBatch(&batch)
 		n := end - pos
 		pos = end
-		if pos >= len(dense) {
+		if pos >= dense.Len() {
 			pos = 0
 			laps++
 		}

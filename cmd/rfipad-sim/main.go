@@ -84,12 +84,12 @@ func run() int {
 			return 0
 		}
 		rec := sim.NewRecognizer(cal)
-		readings, dur, err := sim.WriteLetter(ch, *seed*1000+int64(i))
+		reports, dur, err := sim.WriteLetter(ch, *seed*1000+int64(i))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "letter %q: %v\n", ch, err)
 			return 1
 		}
-		fmt.Printf("\nwriting %q (%d reads over %v)\n", ch, len(readings), dur.Round(time.Millisecond))
+		fmt.Printf("\nwriting %q (%d reads over %v)\n", ch, len(reports), dur.Round(time.Millisecond))
 		handle := func(evs []rfipad.Event) {
 			for _, ev := range evs {
 				switch ev.Kind {
@@ -109,9 +109,9 @@ func run() int {
 				}
 			}
 		}
-		for _, r := range readings {
-			handle(rec.Ingest(r))
-		}
+		var batch rfipad.ReadingBatch
+		rfipad.AppendReports(&batch, reports)
+		handle(rec.IngestBatch(&batch))
 		handle(rec.Flush(dur + 2*time.Second))
 	}
 	fmt.Printf("\nwrote %q, recognized %q\n", strings.ToUpper(*word), got.String())

@@ -36,7 +36,7 @@ func main() {
 		// Each letter gets its own streaming recognizer, as a kiosk
 		// would reset between inputs.
 		rec := sim.NewRecognizer(cal)
-		readings, dur, err := sim.WriteLetter(ch, int64(100+i))
+		reports, dur, err := sim.WriteLetter(ch, int64(100+i))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,9 +62,9 @@ func main() {
 				}
 			}
 		}
-		for _, r := range readings {
-			emit(rec.Ingest(r))
-		}
+		var batch rfipad.ReadingBatch
+		rfipad.AppendReports(&batch, reports)
+		emit(rec.IngestBatch(&batch))
 		emit(rec.Flush(dur + 2*time.Second))
 	}
 

@@ -45,8 +45,10 @@ func main() {
 		correct := 0
 		motions := rfipad.AllMotions()
 		for i, m := range motions {
-			readings, dur := sim.PerformMotion(m, int64(900+i))
-			results := pipeline.RecognizeStream(readings, nil, 0, dur+time.Second)
+			reports, dur := sim.PerformMotion(m, int64(900+i))
+			var capture rfipad.ReadingBatch
+			rfipad.AppendReports(&capture, reports)
+			results := pipeline.RecognizeStream(&capture, nil, 0, dur+time.Second)
 			if len(results) == 1 && results[0].Result.Ok && results[0].Result.Motion == m {
 				correct++
 			}

@@ -15,6 +15,7 @@ import (
 
 	"rfipad/internal/core"
 	"rfipad/internal/hand"
+	"rfipad/internal/live"
 	"rfipad/internal/scene"
 	"rfipad/internal/sim"
 	"rfipad/internal/stroke"
@@ -48,8 +49,10 @@ func main() {
 		{"plate A (visitor swiping)", plateA, scriptA},
 		{"plate B (visitor scrolling)", plateB, scriptB},
 	} {
+		var capture core.ReadingBatch
+		live.AppendReports(&capture, streams[i])
 		pipeline := core.NewPipeline(tc.plate.Grid, cals[i])
-		results := pipeline.RecognizeStream(streams[i], nil, 0, tc.script.Duration()+time.Second)
+		results := pipeline.RecognizeStream(&capture, nil, 0, tc.script.Duration()+time.Second)
 		fmt.Printf("%s: %d reads, ", tc.name, len(streams[i]))
 		if len(results) == 1 && results[0].Result.Ok {
 			fmt.Printf("recognized %v\n", results[0].Result.Motion)

@@ -29,12 +29,15 @@ func main() {
 
 	// The writer swipes right-to-left across the plate.
 	motion := rfipad.M(rfipad.Horizontal, rfipad.Reverse)
-	readings, dur := sim.PerformMotion(motion, 42)
-	fmt.Printf("performed %v: %d tag reads over %v\n", motion, len(readings), dur.Round(time.Millisecond))
+	reports, dur := sim.PerformMotion(motion, 42)
+	fmt.Printf("performed %v: %d tag reads over %v\n", motion, len(reports), dur.Round(time.Millisecond))
 
-	// Segment the stream and recognize each detected stroke.
+	// Decode the reports as the reader backend does, segment the
+	// stream and recognize each detected stroke.
+	var capture rfipad.ReadingBatch
+	rfipad.AppendReports(&capture, reports)
 	pipeline := sim.NewPipeline(cal)
-	for _, res := range pipeline.RecognizeStream(readings, nil, 0, dur+time.Second) {
+	for _, res := range pipeline.RecognizeStream(&capture, nil, 0, dur+time.Second) {
 		fmt.Printf("detected %v in %v–%v\n", res.Result.Motion,
 			res.Span.Start.Round(10*time.Millisecond), res.Span.End.Round(10*time.Millisecond))
 		fmt.Println("disturbance image:")

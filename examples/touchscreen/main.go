@@ -91,8 +91,10 @@ func main() {
 	}
 
 	for i, g := range gestures {
-		readings, dur := sim.PerformMotion(g, int64(500+i))
-		results := pipeline.RecognizeStream(readings, nil, 0, dur+time.Second)
+		reports, dur := sim.PerformMotion(g, int64(500+i))
+		var capture rfipad.ReadingBatch
+		rfipad.AppendReports(&capture, reports)
+		results := pipeline.RecognizeStream(&capture, nil, 0, dur+time.Second)
 		if len(results) == 0 || !results[0].Result.Ok {
 			fmt.Printf("gesture %v: not detected\n", g)
 			continue

@@ -49,22 +49,25 @@ type Calibration struct {
 	weights []float64
 }
 
-// Calibrate computes the per-tag statistics from a static capture.
+// Calibrate is CalibrateBatch over a static capture held as reading
+// records, for callers that still hold records.
+func Calibrate(static []Reading, numTags int) (*Calibration, error) {
+	var b ReadingBatch
+	for _, rd := range static {
+		b.AppendReading(rd)
+	}
+	return CalibrateBatch(&b, numTags)
+}
+
+// CalibrateBatch computes the per-tag statistics from a static capture.
 // Tags with fewer than minCalibrationReads reads are flagged dead
 // rather than failing the whole calibration — a production array
 // survives a detached or occluded tag. Calibration only errors when
 // so much of the array is dead (over maxDeadFraction) that the
-// disturbance image could not be trusted.
-func Calibrate(static []Reading, numTags int) (*Calibration, error) {
-	var b ReadingBatch
-	b.setReadings(static)
-	return CalibrateBatch(&b, numTags)
-}
-
-// CalibrateBatch is Calibrate over a static capture held as columns. It
-// splits the capture by tag the way a stroke window is split, into a
-// pooled window scratch, so duplicates and out-of-range tags are
-// dropped alike. The batch is only read.
+// disturbance image could not be trusted. It splits the capture by tag
+// the way a stroke window is split, into a pooled window scratch, so
+// duplicates and out-of-range tags are dropped alike. The batch is
+// only read.
 func CalibrateBatch(static *ReadingBatch, numTags int) (*Calibration, error) {
 	if numTags <= 0 {
 		return nil, errors.New("core: calibrate: no tags")

@@ -2,16 +2,19 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
 
 // ReadingBatch is the columnar (struct-of-arrays) form of a run of
 // readings: four parallel slices, one per hot field, indexed together.
-// The ingest path moves batches of readings as columns end to end —
-// decode, sanitize, shard mailbox, recognizer — so the per-reading cost
-// is a few column writes instead of a 64-byte struct copy, and the
-// recognizer's bulk append degenerates to four copy calls.
+// It is the one form every pipeline entry point takes, online and
+// offline. The ingest path moves batches of readings as columns end to
+// end — decode, sanitize, shard mailbox, recognizer — so the
+// per-reading cost is a few column writes instead of a 64-byte struct
+// copy, and the recognizer's bulk append degenerates to four copy
+// calls.
 //
 // EPC and Doppler are deliberately absent: nothing downstream of decode
 // reads them (the pipeline keys on TagIndex and consumes Time, Phase,
@@ -32,8 +35,7 @@ type ReadingBatch struct {
 	RSS []float64
 	// TagIndices holds each reading's row-major tag index. Indices that
 	// cannot be represented in an int32 are stored as -1, which every
-	// consumer already treats as out-of-range (the scalar path drops
-	// such readings too — a grid cannot have 2³¹ tags).
+	// consumer treats as out-of-range (a grid cannot have 2³¹ tags).
 	TagIndices []int32
 }
 
@@ -58,18 +60,9 @@ func (b *ReadingBatch) Append(t time.Duration, phase, rss float64, tag int32) {
 
 // AppendReading adds one reading record, narrowing its tag index to the
 // column type (out-of-int32-range indices become -1; see TagIndices).
+// It and Reading serve callers that still hold records.
 func (b *ReadingBatch) AppendReading(rd Reading) {
 	b.Append(rd.Time, rd.Phase, rd.RSS, NarrowTag(rd.TagIndex))
-}
-
-// setReadings makes the batch hold exactly the given records, reusing
-// its backing arrays when they are large enough.
-func (b *ReadingBatch) setReadings(readings []Reading) {
-	n := len(readings)
-	b.Times, b.Phases, b.RSS, b.TagIndices = grow(b.Times, n), grow(b.Phases, n), grow(b.RSS, n), grow(b.TagIndices, n)
-	for i, r := range readings {
-		b.Times[i], b.Phases[i], b.RSS[i], b.TagIndices[i] = r.Time, r.Phase, r.RSS, NarrowTag(r.TagIndex)
-	}
 }
 
 // NarrowTag converts a tag index to the column representation:
@@ -104,11 +97,23 @@ func (b *ReadingBatch) Slice(i, j int) ReadingBatch {
 	}
 }
 
-// AppendColumns bulk-appends parallel column runs (which must have
-// equal lengths) — four copies, no per-element work. This is the
-// fastest way to fill a batch from data that is already columnar.
-func (b *ReadingBatch) AppendColumns(times []time.Duration, phases, rss []float64, tags []int32) {
-	b.appendColumns(times, phases, rss, tags)
+// Window returns the readings with Time in [start, end), in arrival
+// order. Captures are time-sorted in practice, and a sorted batch's
+// window is the Slice view located by two binary searches: no copy.
+// An unsorted batch falls back to a filtered copy.
+func (b *ReadingBatch) Window(start, end time.Duration) ReadingBatch {
+	if slices.IsSorted(b.Times) {
+		lo, _ := slices.BinarySearch(b.Times, start)
+		hi, _ := slices.BinarySearch(b.Times[lo:], end)
+		return b.Slice(lo, lo+hi)
+	}
+	var out ReadingBatch
+	for i, t := range b.Times {
+		if t >= start && t < end {
+			out.Append(t, b.Phases[i], b.RSS[i], b.TagIndices[i])
+		}
+	}
+	return out
 }
 
 // appendColumns bulk-appends parallel column runs (which must have

@@ -8,6 +8,21 @@ import (
 	"time"
 )
 
+// batchOf holds a reading fixture as the columns every pipeline entry
+// point takes.
+func batchOf(readings []Reading) *ReadingBatch {
+	b := new(ReadingBatch)
+	for _, rd := range readings {
+		b.AppendReading(rd)
+	}
+	return b
+}
+
+// ingestOne feeds one reading to rec as a one-element batch.
+func ingestOne(rec *Recognizer, rd Reading) []Event {
+	return rec.IngestBatch(batchOf([]Reading{rd}))
+}
+
 // equivPhase folds a raw phase value onto the reporting range [0, 2π).
 func equivPhase(p float64) float64 {
 	p = math.Mod(p, 2*math.Pi)
@@ -96,9 +111,9 @@ func equivStream(grid Grid, base []float64, secs int, rng *rand.Rand) []Reading 
 // TestIngestBatchMatchesScalarIngest is the batch/scalar equivalence
 // property: feeding a randomized stream through IngestBatch in
 // arbitrary batch groupings emits exactly the same events — deeply
-// equal, in the same order — as feeding it reading by reading, late
-// and duplicate and out-of-range pathologies included. Run under
-// -race in CI.
+// equal, in the same order — as feeding it reading by reading in
+// one-element batches, late and duplicate and out-of-range
+// pathologies included. Run under -race in CI.
 func TestIngestBatchMatchesScalarIngest(t *testing.T) {
 	grid := Grid{Rows: 5, Cols: 5}
 	rng := rand.New(rand.NewSource(11))
@@ -119,7 +134,7 @@ func TestIngestBatchMatchesScalarIngest(t *testing.T) {
 		recScalar := NewRecognizer(NewPipeline(grid, cal), nil)
 		var wantEvents []Event
 		for _, rd := range stream {
-			wantEvents = append(wantEvents, recScalar.Ingest(rd)...)
+			wantEvents = append(wantEvents, ingestOne(recScalar, rd)...)
 		}
 		wantEvents = append(wantEvents, recScalar.Flush(21*time.Second)...)
 
@@ -150,9 +165,9 @@ func TestIngestBatchMatchesScalarIngest(t *testing.T) {
 	}
 }
 
-// TestIngestBatchSingleElementMatchesIngest pins the scalar wrapper
-// contract directly: Ingest(rd) and a one-element IngestBatch are the
-// same operation.
+// TestIngestBatchSingleElementMatchesIngest pins one-element ingest
+// directly: a one-element view of a decoded capture and a reused
+// one-element batch filled reading by reading are the same operation.
 func TestIngestBatchSingleElementMatchesIngest(t *testing.T) {
 	grid := Grid{Rows: 5, Cols: 5}
 	rng := rand.New(rand.NewSource(12))
@@ -164,14 +179,16 @@ func TestIngestBatchSingleElementMatchesIngest(t *testing.T) {
 	recA := NewRecognizer(NewPipeline(grid, cal), nil)
 	recB := NewRecognizer(NewPipeline(grid, cal), nil)
 	stream := syntheticQuiet(grid, 0, 12*time.Second, 10*time.Millisecond, rng)
+	capture := batchOf(stream)
 	var b ReadingBatch
-	for _, rd := range stream {
-		evA := recA.Ingest(rd)
+	for k, rd := range stream {
+		one := capture.Slice(k, k+1)
+		evA := recA.IngestBatch(&one)
 		b.Reset()
 		b.AppendReading(rd)
 		evB := recB.IngestBatch(&b)
 		if !reflect.DeepEqual(evA, evB) {
-			t.Fatalf("reading at %v: Ingest events %+v, one-element IngestBatch events %+v", rd.Time, evA, evB)
+			t.Fatalf("reading at %v: one-element view events %+v, one-element IngestBatch events %+v", rd.Time, evA, evB)
 		}
 	}
 	if recA.hist.Len() != recB.hist.Len() || recA.now != recB.now || recA.bufStart != recB.bufStart {
@@ -208,7 +225,8 @@ func TestDuplicatePolicyFirstArrivalWins(t *testing.T) {
 		}
 	}
 
-	// Recognizer paths: scalar and columnar must keep the same survivor.
+	// Recognizer paths: one-element and whole-batch feeding must keep
+	// the same survivor.
 	cal := UniformCalibration(4)
 	check := func(name string, ingest func(*Recognizer, []Reading)) {
 		rec := NewRecognizer(NewPipeline(Grid{Rows: 2, Cols: 2}, cal), nil)
@@ -221,14 +239,10 @@ func TestDuplicatePolicyFirstArrivalWins(t *testing.T) {
 	}
 	check("scalar", func(rec *Recognizer, rs []Reading) {
 		for _, rd := range rs {
-			rec.Ingest(rd)
+			ingestOne(rec, rd)
 		}
 	})
 	check("columnar", func(rec *Recognizer, rs []Reading) {
-		var b ReadingBatch
-		for _, rd := range rs {
-			b.AppendReading(rd)
-		}
-		rec.IngestBatch(&b)
+		rec.IngestBatch(batchOf(rs))
 	})
 }

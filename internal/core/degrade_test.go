@@ -109,7 +109,7 @@ func TestDisturbanceMapSkipsDeadTagReads(t *testing.T) {
 		readings = append(readings, Reading{TagIndex: 0, Time: time.Duration(j) * 10 * time.Millisecond, Phase: 0.1})
 		readings = append(readings, Reading{TagIndex: 1, Time: time.Duration(j) * 10 * time.Millisecond, Phase: float64(j % 5)})
 	}
-	vals := DisturbanceMap(readings, cal, DisturbanceOptions{})
+	vals := DisturbanceMap(*batchOf(readings), cal, DisturbanceOptions{})
 	if vals[1] != 0 {
 		t.Errorf("dead tag scored %v, want 0 (interpolation happens downstream)", vals[1])
 	}
@@ -137,11 +137,11 @@ func TestIngestToleratesDuplicatesAndReorder(t *testing.T) {
 	mk := func(tag int, ms int) Reading {
 		return Reading{TagIndex: tag, Time: time.Duration(ms) * time.Millisecond, Phase: 0.5}
 	}
-	rec.Ingest(mk(0, 10))
-	rec.Ingest(mk(1, 30))
-	rec.Ingest(mk(0, 20)) // late
-	rec.Ingest(mk(1, 30)) // exact duplicate
-	rec.Ingest(mk(0, 30)) // same instant, different tag: kept
+	ingestOne(rec, mk(0, 10))
+	ingestOne(rec, mk(1, 30))
+	ingestOne(rec, mk(0, 20)) // late
+	ingestOne(rec, mk(1, 30)) // exact duplicate
+	ingestOne(rec, mk(0, 30)) // same instant, different tag: kept
 	if rec.hist.Len() != 4 {
 		t.Fatalf("buffer holds %d readings, want 4 (duplicate dropped)", rec.hist.Len())
 	}
@@ -181,7 +181,7 @@ func TestRecognizeWindowInterpolatesDeadCell(t *testing.T) {
 		}
 	}
 	p := NewPipeline(g, cal)
-	res := p.RecognizeWindow(readings)
+	res := p.RecognizeWindow(*batchOf(readings))
 	if !res.Ok {
 		t.Fatal("degraded window did not classify")
 	}

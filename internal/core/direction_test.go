@@ -38,7 +38,7 @@ func synthSweepRSS(grid Grid, order []int, visitGap time.Duration, seed int64) [
 // runs the trough estimator over the given tags.
 func troughsOf(readings []Reading, numTags int, tags []int) []TagTrough {
 	var sc DisturbanceScratch
-	sc.split.split(sc.columns(readings), numTags)
+	sc.split.split(*batchOf(readings), numTags)
 	return sc.tagTroughs(tags)
 }
 

@@ -63,8 +63,8 @@ type DisturbanceOptions struct {
 // (Eq. 8), unwrapped (§III-A3), accumulated, and divided by the tag's
 // weight. The result has one entry per tag; tags with fewer than two
 // reads in the window score zero.
-func DisturbanceMap(readings []Reading, cal *Calibration, opts DisturbanceOptions) []float64 {
-	return new(DisturbanceScratch).Map(readings, cal, opts)
+func DisturbanceMap(w ReadingBatch, cal *Calibration, opts DisturbanceOptions) []float64 {
+	return new(DisturbanceScratch).Map(w, cal, opts)
 }
 
 // DisturbanceScratch owns every buffer one stroke window's evaluation
@@ -75,32 +75,19 @@ func DisturbanceMap(readings []Reading, cal *Calibration, opts DisturbanceOption
 // concurrent use; pipelines and calibration borrow them from one
 // package-level sync.Pool.
 type DisturbanceScratch struct {
-	// recs holds a record window as columns for the record entry
-	// points; the recognizer hands its history columns over directly.
-	recs   ReadingBatch
 	split  tagSplit
 	un     []float64
 	out    []float64
 	trough dsp.TroughScratch
 }
 
-// columns copies a record window into the scratch's columns.
-func (sc *DisturbanceScratch) columns(readings []Reading) ReadingBatch {
-	sc.recs.setReadings(readings)
-	return sc.recs
-}
-
-// Map is DisturbanceMap through this scratch's buffers. The returned
-// slice is owned by the scratch and is invalidated by the next Map
-// call — callers that retain it must copy (GridImage already does).
-func (sc *DisturbanceScratch) Map(readings []Reading, cal *Calibration, opts DisturbanceOptions) []float64 {
-	return sc.mapColumns(sc.columns(readings), cal, opts)
-}
-
-// mapColumns splits one window's columns by tag into the scratch and
-// computes the disturbance map from the split, unwrapping each tag's
-// phase run where it sits. The split stays for tagTroughs.
-func (sc *DisturbanceScratch) mapColumns(w ReadingBatch, cal *Calibration, opts DisturbanceOptions) []float64 {
+// Map is DisturbanceMap through this scratch's buffers: it splits the
+// window's columns by tag into the scratch and computes the map from
+// the split, unwrapping each tag's phase run where it sits. The split
+// stays for tagTroughs. The window is only read. The returned slice is
+// owned by the scratch and is invalidated by the next Map call —
+// callers that retain it must copy (GridImage already does).
+func (sc *DisturbanceScratch) Map(w ReadingBatch, cal *Calibration, opts DisturbanceOptions) []float64 {
 	if opts.Suppression == 0 {
 		opts.Suppression = SuppressFull
 	}

@@ -45,7 +45,7 @@ func TestDisturbanceHighlightsSweptColumn(t *testing.T) {
 	// Hand sweeps column 2 (indices 2,7,12,17,22).
 	hot := map[int]float64{2: 1.2, 7: 1.4, 12: 1.5, 17: 1.4, 22: 1.2}
 	readings := synthStroke(n, 60, centres, sigmas, hot, 4)
-	vals := DisturbanceMap(readings, cal, DisturbanceOptions{})
+	vals := DisturbanceMap(*batchOf(readings), cal, DisturbanceOptions{})
 	// Every hot tag outscores every cold tag.
 	minHot, maxCold := math.Inf(1), math.Inf(-1)
 	for i, v := range vals {
@@ -82,7 +82,7 @@ func TestSuppressionBeatsNoneUnderLocationDiversity(t *testing.T) {
 	hot := map[int]float64{2: 1.0, 7: 1.2, 12: 1.3, 17: 1.2, 22: 1.0}
 	readings := synthStroke(n, 60, centres, sigmas, hot, 6)
 
-	full := DisturbanceMap(readings, cal, DisturbanceOptions{Suppression: SuppressFull})
+	full := DisturbanceMap(*batchOf(readings), cal, DisturbanceOptions{Suppression: SuppressFull})
 	maskFull := dsp.OtsuBinarize(full)
 	if maskFull[14] {
 		t.Errorf("full suppression kept the jittery tag in the foreground")
@@ -95,7 +95,7 @@ func TestSuppressionBeatsNoneUnderLocationDiversity(t *testing.T) {
 
 	// Without weighting, the jittery tag's noise total-variation
 	// rivals the stroke tags.
-	none := DisturbanceMap(readings, cal, DisturbanceOptions{Suppression: SuppressMeanOnly})
+	none := DisturbanceMap(*batchOf(readings), cal, DisturbanceOptions{Suppression: SuppressMeanOnly})
 	var coldMax float64
 	for i, v := range none {
 		if _, isHot := hot[i]; !isHot && v > coldMax {
@@ -124,8 +124,8 @@ func TestDisturbanceAccumulatorVariants(t *testing.T) {
 	// variation — the reason Eq. 10 must be read as total variation.
 	hot := map[int]float64{1: 1.5}
 	readings := synthStroke(n, 80, centres, sigmas, hot, 8)
-	tv := DisturbanceMap(readings, cal, DisturbanceOptions{Accumulator: AccumTotalVariation})
-	net := DisturbanceMap(readings, cal, DisturbanceOptions{Accumulator: AccumNetChange})
+	tv := DisturbanceMap(*batchOf(readings), cal, DisturbanceOptions{Accumulator: AccumTotalVariation})
+	net := DisturbanceMap(*batchOf(readings), cal, DisturbanceOptions{Accumulator: AccumNetChange})
 	if tv[1] < 5*net[1] {
 		t.Errorf("oscillation: TV %v should dwarf net change %v", tv[1], net[1])
 	}
@@ -139,7 +139,7 @@ func TestDisturbanceSparseTagScoresZero(t *testing.T) {
 		{TagIndex: 1, Time: time.Millisecond, Phase: 2},
 		{TagIndex: 1, Time: 2 * time.Millisecond, Phase: 3},
 	}
-	vals := DisturbanceMap(readings, cal, DisturbanceOptions{})
+	vals := DisturbanceMap(*batchOf(readings), cal, DisturbanceOptions{})
 	if vals[0] != 0 {
 		t.Errorf("single-read tag scored %v", vals[0])
 	}
@@ -165,13 +165,13 @@ func TestDisturbanceHandlesWrapBoundary(t *testing.T) {
 	readings := synthStatic(n, 80, centres, sigmas, 10) // still static
 	// With noise-rate subtraction both static tags score ≈ 0; without
 	// it, the boundary tag's score must not be inflated by 2π jumps.
-	vals := DisturbanceMap(readings, cal, DisturbanceOptions{})
+	vals := DisturbanceMap(*batchOf(readings), cal, DisturbanceOptions{})
 	for i, v := range vals {
 		if v > 1 {
 			t.Errorf("static tag %d scored %v after suppression", i, v)
 		}
 	}
-	raw := DisturbanceMap(readings, cal, DisturbanceOptions{Suppression: SuppressMeanOnly})
+	raw := DisturbanceMap(*batchOf(readings), cal, DisturbanceOptions{Suppression: SuppressMeanOnly})
 	ratio := raw[0] / raw[1]
 	if ratio > 3 || ratio < 1.0/3 {
 		t.Errorf("boundary tag score %v vs %v (ratio %v)", raw[0], raw[1], ratio)

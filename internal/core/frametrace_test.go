@@ -153,7 +153,7 @@ func TestFrameTraceMatchesReference(t *testing.T) {
 		for o, readings := range orders {
 			order := [2]string{"sorted", "shuffled"}[o]
 			for _, start := range []time.Duration{0, 2 * time.Second, 2*time.Second + ms(37)} {
-				got := seg.frameTrace(readings, c.cal, start, c.end)
+				got := seg.frameTrace(batchOf(readings), c.cal, start, c.end)
 				want := seg.frameRMS(readings, c.cal, start, c.end)
 				if len(want) != int((c.end-start)/seg.FrameLen) || slices.Max(want) <= 0 {
 					t.Fatalf("%s/%s from %v: reference trace of %d frames, peak %v", c.name, order, start, len(want), slices.Max(want))
@@ -162,7 +162,7 @@ func TestFrameTraceMatchesReference(t *testing.T) {
 					t.Fatalf("%s/%s from %v: trace differs from the reference at frame %d of %d/%d",
 						c.name, order, start, f, len(got), len(want))
 				}
-				spans := seg.Segment(readings, c.cal, start, c.end)
+				spans := seg.Segment(batchOf(readings), c.cal, start, c.end)
 				if ref := seg.segmentRMS(want, start, nil); !slices.Equal(spans, ref) {
 					t.Fatalf("%s/%s from %v: spans %v, reference spans %v", c.name, order, start, spans, ref)
 				}
@@ -215,7 +215,7 @@ func TestFrameTraceSkipsNonFiniteCells(t *testing.T) {
 		t.Fatalf("capture has %d readings in the non-finite cell and %d in the mixed one", bad, mixed)
 	}
 
-	got := seg.frameTrace(readings, cal, 0, 3*time.Second)
+	got := seg.frameTrace(batchOf(readings), cal, 0, 3*time.Second)
 	if f := sameBits(got, seg.frameRMS(without, cal, 0, 3*time.Second)); f >= 0 {
 		t.Fatalf("trace differs at frame %d from the reference over the capture without the non-finite cell", f)
 	}
@@ -279,7 +279,7 @@ func FuzzFrameTraceMatchesReference(f *testing.F) {
 			readings = append(readings, rd)
 			data = data[5:]
 		}
-		got := seg.frameTrace(readings, cal, start, end)
+		got := seg.frameTrace(batchOf(readings), cal, start, end)
 		want := seg.frameRMS(readings, cal, start, end)
 		if f := sameBits(got, want); f >= 0 {
 			t.Fatalf("%d readings, %d tags, frames of %v from %v to %v: trace differs from the reference at frame %d (%d/%d frames)",

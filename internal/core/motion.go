@@ -72,31 +72,18 @@ func (p *Pipeline) telemetry() *pipelineTel {
 
 // RecognizeWindow runs the §III pipeline over one stroke window's
 // readings: disturbance map → grayscale image → Otsu → shape
-// classification → RSS direction estimation.
-func (p *Pipeline) RecognizeWindow(readings []Reading) MotionResult {
+// classification → RSS direction estimation. The window is split by
+// tag once, inside the disturbance stage, into a pooled scratch, and
+// the direction stage reads its RSS runs from the same split. The
+// window is only read; the recognizer hands it a range of its history.
+func (p *Pipeline) RecognizeWindow(w ReadingBatch) MotionResult {
 	sc := scratchPool.Get().(*DisturbanceScratch)
 	defer scratchPool.Put(sc)
-	return p.recognize(sc, sc.columns(readings))
-}
-
-// recognizeColumns is RecognizeWindow over a window already held as
-// columns: the recognizer hands it a range of its history, so no
-// record is built.
-func (p *Pipeline) recognizeColumns(w ReadingBatch) MotionResult {
-	sc := scratchPool.Get().(*DisturbanceScratch)
-	defer scratchPool.Put(sc)
-	return p.recognize(sc, w)
-}
-
-// recognize runs the pipeline over one window's columns. The window is
-// split by tag once, inside the disturbance stage, and the direction
-// stage reads its RSS runs from the same split.
-func (p *Pipeline) recognize(sc *DisturbanceScratch, w ReadingBatch) MotionResult {
 	tel := p.telemetry()
 	tel.windows.Inc()
 
 	t := time.Now()
-	vals := sc.mapColumns(w, p.Cal, p.Opts)
+	vals := sc.Map(w, p.Cal, p.Opts)
 	// Fill cells of dead (uncalibrated) tags from live neighbors so a
 	// stroke crossing a hole in the array stays one bright region.
 	vals = InterpolateDead(p.Grid, vals, p.Cal.Dead)

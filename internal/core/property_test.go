@@ -35,7 +35,7 @@ func TestSegmenterInvariantsProperty(t *testing.T) {
 		cal := UniformCalibration(9)
 		seg := NewSegmenter()
 		dur := 6 * time.Second
-		spans := seg.Segment(randomStream(seed, 9, dur), cal, 0, dur)
+		spans := seg.Segment(batchOf(randomStream(seed, 9, dur)), cal, 0, dur)
 		prevEnd := time.Duration(-1)
 		for _, sp := range spans {
 			if sp.Start < 0 || sp.End > dur || sp.End <= sp.Start {
@@ -59,7 +59,7 @@ func TestSegmenterInvariantsProperty(t *testing.T) {
 func TestDisturbanceMapNonNegativeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		cal := UniformCalibration(9)
-		vals := DisturbanceMap(randomStream(seed, 9, 2*time.Second), cal, DisturbanceOptions{})
+		vals := DisturbanceMap(*batchOf(randomStream(seed, 9, 2*time.Second)), cal, DisturbanceOptions{})
 		for _, v := range vals {
 			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 				return false
@@ -180,7 +180,7 @@ func TestRecognizerIngestMonotoneTime(t *testing.T) {
 	tm := time.Duration(0)
 	for i := 0; i < 500; i++ {
 		tm += time.Duration(rng.Intn(40)) * time.Millisecond
-		evs := rec.Ingest(Reading{
+		evs := ingestOne(rec, Reading{
 			TagIndex: rng.Intn(25),
 			Time:     tm,
 			Phase:    dsp.Wrap(1 + rng.NormFloat64()*0.02),

@@ -13,8 +13,11 @@ import (
 	"rfipad/internal/tagmodel"
 )
 
-// Reading is one tag report as delivered by the reader: the tuple of
-// §II-B (ID, channel parameters, timestamp).
+// Reading is one tag report as a record: the tuple of §II-B (ID,
+// channel parameters, timestamp). The pipeline takes readings as
+// ReadingBatch columns; the record serves only callers that still hold
+// records (Calibrate, ReadingBatch.AppendReading and
+// ReadingBatch.Reading).
 type Reading struct {
 	// TagIndex is the tag's row-major index in the array.
 	TagIndex int
@@ -65,7 +68,7 @@ func (g Grid) Norm(index int) (x, y float64) {
 // (reconnect replay overlap, a duplicated report frame) that would
 // otherwise distort the accumulative phase difference's sample count.
 // The duplicate that arrived first wins — the policy the streaming
-// recognizer applies when it drops a duplicate at ingest, so record
+// recognizer applies when it drops a duplicate at ingest, so capture
 // windows and history windows see the same surviving sample.
 //
 // The zero value is ready, and a split reuses its buffers, so a caller
@@ -170,31 +173,4 @@ func grow[T any](buf []T, n int) []T {
 		return buf[:n]
 	}
 	return make([]T, n)
-}
-
-// window extracts the readings with Time in [start, end), preserving
-// order. Capture streams are time-sorted in practice, and for sorted
-// input the window is a contiguous run located by two binary searches —
-// a subslice of the input, no allocation, no copying. Unsorted input
-// falls back to the filtering copy.
-func window(readings []Reading, start, end time.Duration) []Reading {
-	sorted := true
-	for i := 1; i < len(readings); i++ {
-		if readings[i].Time < readings[i-1].Time {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		lo := sort.Search(len(readings), func(i int) bool { return readings[i].Time >= start })
-		hi := lo + sort.Search(len(readings)-lo, func(i int) bool { return readings[lo+i].Time >= end })
-		return readings[lo:hi:hi]
-	}
-	var out []Reading
-	for _, r := range readings {
-		if r.Time >= start && r.Time < end {
-			out = append(out, r)
-		}
-	}
-	return out
 }

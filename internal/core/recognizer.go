@@ -48,13 +48,11 @@ type Event struct {
 // retained trace: the cache recomputes frames from its change watermark
 // on, and the segmenter keeps its window stds, the frame-RMS quiet
 // floor, and the seeded frames with their median across polls. The
-// per-reading Ingest survives as a thin wrapper over a one-element
-// batch, so both entry points share one code path and emit identical
-// events. The history columns trim in place and every segmentation
-// workspace is recognizer-owned scratch, so steady-state ingest
-// allocates nothing. Release recycles those buffers into the next
-// recognizer built, which starts at the released one's high-water
-// capacity instead of regrowing it from empty.
+// history columns trim in place and every segmentation workspace is
+// recognizer-owned scratch, so steady-state ingest allocates nothing.
+// Release recycles those buffers into the next recognizer built, which
+// starts at the released one's high-water capacity instead of
+// regrowing it from empty.
 type Recognizer struct {
 	pipeline *Pipeline
 	seg      *Segmenter
@@ -78,9 +76,6 @@ type Recognizer struct {
 	now      time.Duration
 
 	lastPollFrame int64
-
-	// scalarBatch is the reused one-element batch behind Ingest.
-	scalarBatch ReadingBatch
 
 	// emittedEnd is the end time of the last recognized span; spans
 	// starting before it are re-detections of already-emitted strokes
@@ -149,9 +144,9 @@ func NewRecognizer(p *Pipeline, seg *Segmenter) *Recognizer {
 // Release hands the recognizer's buffers to the next NewRecognizer.
 // Call it once the stream is over; the events already returned stay
 // valid, since none of them shares memory with the buffers. The
-// recognizer must not be used afterwards: Ingest, IngestBatch and
-// Flush panic rather than write into buffers another stream may own.
-// A second Release is a no-op.
+// recognizer must not be used afterwards: IngestBatch and Flush panic
+// rather than write into buffers another stream may own. A second
+// Release is a no-op.
 func (r *Recognizer) Release() {
 	if r.recBuffers == nil {
 		return
@@ -184,36 +179,26 @@ func (r *Recognizer) FrameCursor() time.Duration {
 	return r.now - r.now%r.seg.FrameLen
 }
 
-// Ingest feeds one reading and returns any events it triggered. It is
-// a thin compatibility wrapper over a one-element IngestBatch, so the
-// scalar and columnar entry points share one implementation and one
-// behavior: exact duplicates (same tag, same timestamp — replay
-// overlap or a duplicated report frame) are dropped, modestly
-// out-of-order readings are inserted at their correct position so the
-// per-tag phase series stay monotonic, and readings older than the
-// already-trimmed history are discarded.
-func (r *Recognizer) Ingest(rd Reading) []Event {
-	b := &r.scalarBatch
-	b.Reset()
-	b.AppendReading(rd)
-	return r.IngestBatch(b)
-}
-
 // IngestBatch feeds a columnar batch of readings and returns every
 // event they triggered, concatenated in emission order. The batch is
 // only read — never retained — so the caller may Reset and reuse it as
 // soon as IngestBatch returns. Readings should arrive roughly in time
 // order; the recognizer tolerates what a reconnecting transport
-// produces, with element-for-element the same accept/drop decisions,
-// poll timing, and events as feeding the batch through Ingest one
-// reading at a time.
+// produces: exact duplicates (same tag, same timestamp — replay
+// overlap or a duplicated report frame) are dropped, modestly
+// out-of-order readings are inserted at their correct position so the
+// per-tag phase series stay monotonic, and readings older than the
+// already-trimmed history are discarded. How a capture is cut into
+// batches never matters: one batch makes element-for-element the same
+// accept/drop decisions, poll timing, and events as the same readings
+// fed as one-element batches.
 //
 // The hot path is the maximal strictly-increasing run that extends the
 // history tail: it is appended with four bulk column copies and folded
 // into the frame cache in one column sweep, with the segmentation poll
-// fired at exactly the frame crossings the scalar path would fire it.
-// Out-of-order, duplicate, and late readings fall back to a per-element
-// path that mirrors the scalar logic.
+// fired at exactly the frame crossings a one-element feed would fire
+// it at. Out-of-order, duplicate, and late readings take a per-element
+// path.
 func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 	if r.recBuffers == nil {
 		panic(releasedMsg)
@@ -239,7 +224,7 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 		if inOrder {
 			// Poll gate: processing a reading whose time falls outside
 			// [gateLo, gateHi) crosses a frame boundary and polls right
-			// after that reading, exactly as the scalar path does. For
+			// after that reading, as the per-element path does. For
 			// non-negative times, t outside the gate ⇔
 			// int64(t/FrameLen) != lastPollFrame, without the division.
 			gateLo := time.Duration(r.lastPollFrame) * frameLen
@@ -274,8 +259,7 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 		}
 
 		// Per-element path: late, duplicate, equal-time, or
-		// out-of-order readings, handled exactly as the scalar
-		// recognizer always has.
+		// out-of-order readings.
 		if t > r.now {
 			r.now = t
 		}
@@ -404,7 +388,7 @@ func (r *Recognizer) poll(horizon time.Duration) []Event {
 			break // still open: more data may extend it
 		}
 		lo, hi := r.windowRange(sp.Start, sp.End)
-		res := r.pipeline.recognizeColumns(r.hist.Slice(lo, hi))
+		res := r.pipeline.RecognizeWindow(r.hist.Slice(lo, hi))
 		r.emittedEnd = sp.End
 		r.lastStroke = sp.End
 		if !res.Ok {

@@ -48,7 +48,7 @@ func TestRecognizerTrimBoundsAndReusesBuffer(t *testing.T) {
 	stream := syntheticQuiet(grid, 0, 60*time.Second, 10*time.Millisecond, rng)
 	var capAt30 int
 	for _, rd := range stream {
-		rec.Ingest(rd)
+		ingestOne(rec, rd)
 		if capAt30 == 0 && rd.Time >= 30*time.Second {
 			capAt30 = cap(rec.hist.Times)
 		}
@@ -97,7 +97,7 @@ func TestRecognizerTrimToAlignsAndCompacts(t *testing.T) {
 	}
 	rec := NewRecognizer(NewPipeline(grid, cal), nil)
 	for _, rd := range syntheticQuiet(grid, 0, 10*time.Second, 10*time.Millisecond, rng) {
-		rec.Ingest(rd)
+		ingestOne(rec, rd)
 	}
 
 	rec.trimTo(6*time.Second + 50*time.Millisecond)

@@ -16,7 +16,7 @@ func midLetterRecognizer(t *testing.T) (*Recognizer, *Calibration) {
 	cal, readings := multiLetterCapture(t)
 	r := NewRecognizer(NewPipeline(Grid{Rows: 5, Cols: 5}, cal), nil)
 	for _, rd := range readings {
-		r.Ingest(rd)
+		ingestOne(r, rd)
 		if len(r.pending) > 0 && r.head > 0 && r.cache.origin > 0 && r.scratch.incrValid {
 			return r, cal
 		}
@@ -76,8 +76,8 @@ func TestRecognizerReleaseIsFinal(t *testing.T) {
 	r.Release()
 	p := NewPipeline(Grid{Rows: 5, Cols: 5}, cal)
 	a, b := NewRecognizer(p, nil), NewRecognizer(p, nil)
-	a.Ingest(Reading{TagIndex: 0, Time: time.Second})
-	b.Ingest(Reading{TagIndex: 0, Time: time.Second})
+	ingestOne(a, Reading{TagIndex: 0, Time: time.Second})
+	ingestOne(b, Reading{TagIndex: 0, Time: time.Second})
 	if a.recBuffers == b.recBuffers || &a.hist.Times[0] == &b.hist.Times[0] ||
 		&a.cache.acc[0] == &b.cache.acc[0] {
 		t.Fatal("two recognizers built after a double release share their buffers")
@@ -87,7 +87,6 @@ func TestRecognizerReleaseIsFinal(t *testing.T) {
 		name string
 		call func()
 	}{
-		{"Ingest", func() { r.Ingest(Reading{TagIndex: 0, Time: time.Hour}) }},
 		{"IngestBatch", func() {
 			var one ReadingBatch
 			one.Append(time.Hour, 0, 0, 0)

@@ -101,15 +101,13 @@ func (c *segCache) reset(frameLen time.Duration, cal *Calibration) {
 // frames returns the number of live frames currently held.
 func (c *segCache) frames() int { return len(c.vals) - c.off }
 
-// ensure grows the cache to cover at least nFrames live frames.
-// Appends reuse capacity reclaimed by trims, so a bounded stream
-// settles into zero growth.
+// ensure grows the cache to cover at least nFrames live frames, with
+// one append per array. Appends reuse capacity reclaimed by trims, so
+// a bounded stream settles into zero growth.
 func (c *segCache) ensure(nFrames int) {
-	for len(c.vals)-c.off < nFrames {
-		c.vals = append(c.vals, 0)
-		for k := 0; k < c.n; k++ {
-			c.acc = append(c.acc, segAcc{})
-		}
+	if add := nFrames - (len(c.vals) - c.off); add > 0 {
+		c.vals = append(c.vals, make([]float64, add)...)
+		c.acc = append(c.acc, make([]segAcc, add*c.n)...)
 	}
 }
 

@@ -71,10 +71,11 @@ type Span struct {
 // Duration returns the span length.
 func (s Span) Duration() time.Duration { return s.End - s.Start }
 
-// Segment detects the stroke spans in the readings between start and
-// end. The returned spans have frame granularity.
-func (g *Segmenter) Segment(readings []Reading, cal *Calibration, start, end time.Duration) []Span {
-	return g.segmentRMS(g.frameTrace(readings, cal, start, end), start, nil)
+// Segment detects the stroke spans in the capture's readings between
+// start and end. The returned spans have frame granularity. The
+// capture is only read.
+func (g *Segmenter) Segment(capture *ReadingBatch, cal *Calibration, start, end time.Duration) []Span {
+	return g.segmentRMS(g.frameTrace(capture, cal, start, end), start, nil)
 }
 
 // frameTrace computes Eq. 11 for every complete frame in [start, end)
@@ -82,13 +83,12 @@ func (g *Segmenter) Segment(readings []Reading, cal *Calibration, start, end tim
 // the range fold into a cache anchored at start, in arrival order, and
 // the trace is read back at end. Offline and streaming segmentation
 // therefore share one frame statistic.
-func (g *Segmenter) frameTrace(readings []Reading, cal *Calibration, start, end time.Duration) []float64 {
-	var cols ReadingBatch
-	cols.setReadings(window(readings, start, end))
+func (g *Segmenter) frameTrace(capture *ReadingBatch, cal *Calibration, start, end time.Duration) []float64 {
+	w := capture.Window(start, end)
 	var c segCache
 	c.reset(g.FrameLen, cal)
 	c.origin = start
-	c.addColumns(cols.Times, cols.Phases, cols.TagIndices)
+	c.addColumns(w.Times, w.Phases, w.TagIndices)
 	return c.values(end)
 }
 

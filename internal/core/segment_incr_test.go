@@ -315,7 +315,7 @@ func TestRecognizerSegmentMultisetsStayExact(t *testing.T) {
 	}
 	flushed := false
 	for i, rd := range readings {
-		rec.Ingest(rd)
+		ingestOne(rec, rd)
 		check(i)
 		if !flushed && rd.Time >= 7500*time.Millisecond {
 			flushed = true
@@ -512,7 +512,7 @@ func FuzzSegmentRMSFromMatchesFromScratch(f *testing.F) {
 func BenchmarkSegmenterActivePoll(b *testing.B) {
 	cal, readings := multiLetterCapture(b)
 	seg := NewSegmenter()
-	rms := seg.frameTrace(readings, cal, 0, 15*time.Second)
+	rms := seg.frameTrace(batchOf(readings), cal, 0, 15*time.Second)
 	last := len(rms) - 1
 	vals := [2]float64{rms[last], 2 * slices.Max(rms)}
 	var sc segScratch

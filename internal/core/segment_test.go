@@ -59,7 +59,7 @@ func TestSegmenterFindsStrokes(t *testing.T) {
 	total := 5 * time.Second
 	readings := synthLetterStream(n, truth, total, centres, sigmas, 12)
 	seg := NewSegmenter()
-	spans := seg.Segment(readings, cal, 0, total)
+	spans := seg.Segment(batchOf(readings), cal, 0, total)
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d, want 2: %v", len(spans), spans)
 	}
@@ -88,7 +88,7 @@ func TestSegmenterQuietStreamHasNoSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	readings := synthLetterStream(n, nil, 4*time.Second, centres, sigmas, 14)
-	spans := NewSegmenter().Segment(readings, cal, 0, 4*time.Second)
+	spans := NewSegmenter().Segment(batchOf(readings), cal, 0, 4*time.Second)
 	if len(spans) != 0 {
 		t.Errorf("quiet stream produced %d spans: %v", len(spans), spans)
 	}
@@ -105,7 +105,7 @@ func TestSegmenterTraces(t *testing.T) {
 	truth := []Span{{Start: time.Second, End: 2 * time.Second}}
 	readings := synthLetterStream(n, truth, 3*time.Second, centres, sigmas, 16)
 	seg := NewSegmenter()
-	rms := seg.frameTrace(readings, cal, 0, 3*time.Second)
+	rms := seg.frameTrace(batchOf(readings), cal, 0, 3*time.Second)
 	if len(rms) != 30 {
 		t.Fatalf("frames = %d, want 30", len(rms))
 	}
@@ -140,13 +140,13 @@ func TestSegmenterTraces(t *testing.T) {
 func TestSegmenterEmptyInput(t *testing.T) {
 	cal := UniformCalibration(5)
 	seg := NewSegmenter()
-	if got := seg.Segment(nil, cal, 0, time.Second); got != nil {
+	if got := seg.Segment(batchOf(nil), cal, 0, time.Second); got != nil {
 		t.Errorf("empty stream spans = %v", got)
 	}
-	if got := seg.Segment(nil, cal, 0, 0); got != nil {
+	if got := seg.Segment(batchOf(nil), cal, 0, 0); got != nil {
 		t.Errorf("zero-length capture spans = %v", got)
 	}
-	if got := windowStds(seg.frameTrace(nil, cal, 0, 100*time.Millisecond), seg.WindowFrames); got != nil {
+	if got := windowStds(seg.frameTrace(batchOf(nil), cal, 0, 100*time.Millisecond), seg.WindowFrames); got != nil {
 		t.Errorf("short trace = %v", got)
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// splitOf splits a record window by tag the way the pipeline does.
+// splitOf splits a window fixture by tag the way the pipeline does.
 func splitOf(rs []Reading, numTags int) *tagSplit {
 	var sc DisturbanceScratch
-	sc.split.split(sc.columns(rs), numTags)
+	sc.split.split(*batchOf(rs), numTags)
 	return &sc.split
 }
 

@@ -200,7 +200,7 @@ func TestRecognizerSkipTo(t *testing.T) {
 	}
 
 	// Ingesting a reading older than the cursor must not rewind it.
-	rec.Ingest(Reading{TagIndex: 0, Time: want - 2*frame, Phase: 1, RSS: -60})
+	ingestOne(rec, Reading{TagIndex: 0, Time: want - 2*frame, Phase: 1, RSS: -60})
 	if got := rec.FrameCursor(); got < want {
 		t.Fatalf("late reading rewound cursor to %v", got)
 	}
@@ -208,7 +208,7 @@ func TestRecognizerSkipTo(t *testing.T) {
 	// SkipTo after ingest started is a no-op: it only positions a fresh
 	// recognizer (the restore path), never discards live state.
 	rec2 := NewRecognizer(NewPipeline(grid, cal), nil)
-	rec2.Ingest(Reading{TagIndex: 0, Time: frame, Phase: 1, RSS: -60})
+	ingestOne(rec2, Reading{TagIndex: 0, Time: frame, Phase: 1, RSS: -60})
 	cursorBefore := rec2.FrameCursor()
 	rec2.SkipTo(time.Minute)
 	if got := rec2.FrameCursor(); got != cursorBefore {

@@ -43,8 +43,8 @@ func newPipelineTel(r *obs.Registry) *pipelineTel {
 }
 
 // recognizerTel caches the streaming recognizer's ingest counters and
-// stage histograms; Ingest runs once per tag report, so these must be
-// straight atomic operations.
+// stage histograms; IngestBatch runs once per report batch, so these
+// must be straight atomic operations.
 type recognizerTel struct {
 	readings  *obs.Counter
 	dupes     *obs.Counter

@@ -151,14 +151,15 @@ func (c *WholeLetterClassifier) Ranking(img []float64) []rune {
 	return out
 }
 
-// CompositeImage sums the disturbance maps of the given spans — the
-// whole-letter image §VI proposes to classify. Spans typically come
-// from the segmenter; readings outside them (adjustment intervals) are
-// excluded so the raised-hand transits do not smear the letter.
-func (p *Pipeline) CompositeImage(readings []Reading, spans []Span) []float64 {
+// CompositeImage sums the disturbance maps of the given spans of a
+// capture — the whole-letter image §VI proposes to classify. Spans
+// typically come from the segmenter; readings outside them (adjustment
+// intervals) are excluded so the raised-hand transits do not smear the
+// letter.
+func (p *Pipeline) CompositeImage(capture *ReadingBatch, spans []Span) []float64 {
 	img := make([]float64, p.Grid.NumTags())
 	for _, sp := range spans {
-		vals := DisturbanceMap(window(readings, sp.Start, sp.End), p.Cal, p.Opts)
+		vals := DisturbanceMap(capture.Window(sp.Start, sp.End), p.Cal, p.Opts)
 		for i, v := range vals {
 			img[i] += v
 		}
@@ -168,15 +169,15 @@ func (p *Pipeline) CompositeImage(readings []Reading, spans []Span) []float64 {
 
 // RecognizeWholeLetter runs the §VI alternative end to end: segment
 // the capture, build the composite image, and template-match it.
-func (p *Pipeline) RecognizeWholeLetter(c *WholeLetterClassifier, readings []Reading, seg *Segmenter, start, end time.Duration) (rune, bool) {
+func (p *Pipeline) RecognizeWholeLetter(c *WholeLetterClassifier, capture *ReadingBatch, seg *Segmenter, start, end time.Duration) (rune, bool) {
 	if seg == nil {
 		seg = NewSegmenter()
 	}
-	spans := seg.Segment(readings, p.Cal, start, end)
+	spans := seg.Segment(capture, p.Cal, start, end)
 	if len(spans) == 0 {
 		return 0, false
 	}
-	img := p.CompositeImage(readings, spans)
+	img := p.CompositeImage(capture, spans)
 	ch, _, ok := c.Match(img)
 	return ch, ok
 }

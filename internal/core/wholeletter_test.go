@@ -67,7 +67,7 @@ func TestCompositeImageSumsSpans(t *testing.T) {
 		{TagIndex: 1, Time: 1000e6, Phase: 0.2},
 	}
 	spans := []Span{{Start: 0, End: 200e6}, {Start: 850e6, End: 1100e6}}
-	img := p.CompositeImage(readings, spans)
+	img := p.CompositeImage(batchOf(readings), spans)
 	if img[0] <= 0 || img[1] <= 0 {
 		t.Errorf("composite missing span contributions: %v", img)
 	}

@@ -166,7 +166,7 @@ func RunAblationWholeLetter(cfg Config) AblationResult {
 			}
 			synth := system.Synthesizer(users[k%len(users)], rand.New(rand.NewSource(cfg.Seed+int64(l.Char)*577+int64(k)*41)))
 			script := synth.Write(specs)
-			readings := system.RunScript(script)
+			readings := capture(system, script)
 			end := script.Duration() + time.Second
 			total++
 

@@ -9,6 +9,7 @@ import (
 	"rfipad/internal/core"
 	"rfipad/internal/dsp"
 	"rfipad/internal/hand"
+	"rfipad/internal/llrp"
 	"rfipad/internal/scene"
 	"rfipad/internal/sim"
 	"rfipad/internal/stroke"
@@ -87,14 +88,17 @@ func RunFig02(cfg Config) Fig02Result {
 	script := synth.Write([]hand.Spec{spec, spec, spec, spec})
 	moving := system.RunScript(script)
 
-	collect := func(rs []core.Reading) (phase, rss, dop []float64) {
+	// The pipeline's columns drop Doppler, so this figure reads the
+	// reports themselves.
+	centre := system.Dep.Array.Tags[tagIdx].EPC
+	collect := func(rs []llrp.TagReport) (phase, rss, dop []float64) {
 		for _, r := range rs {
-			if r.TagIndex != tagIdx {
+			if r.EPC != centre {
 				continue
 			}
-			phase = append(phase, r.Phase)
-			rss = append(rss, r.RSS)
-			dop = append(dop, r.Doppler)
+			phase = append(phase, r.PhaseRad)
+			rss = append(rss, r.RSSdBm)
+			dop = append(dop, r.DopplerHz)
 		}
 		return
 	}
@@ -219,12 +223,12 @@ func RunFig06(cfg Config) Fig06Result {
 	}
 	synth := system.Synthesizer(hand.DefaultUser(), rand.New(rand.NewSource(cfg.Seed+6)))
 	script := synth.DrawOne(stroke.M(stroke.Vertical, stroke.Forward))
-	readings := system.RunScript(script)
+	readings := capture(system, script)
 
 	var phases []float64
-	for _, r := range readings {
-		if r.TagIndex == 12 {
-			phases = append(phases, r.Phase)
+	for i, tag := range readings.TagIndices {
+		if tag == 12 {
+			phases = append(phases, readings.Phases[i])
 		}
 	}
 	count := func(x []float64) int {
@@ -282,14 +286,9 @@ func RunFig07(cfg Config) Fig07Result {
 		Motion: stroke.M(stroke.Vertical, stroke.Forward),
 		Box:    stroke.R(0.4, 0, 0.6, 1),
 	}})
-	readings := system.RunScript(script)
+	readings := capture(system, script)
 	seg := script.Segments[0]
-	var windowReadings []core.Reading
-	for _, r := range readings {
-		if r.Time >= seg.Start && r.Time < seg.End {
-			windowReadings = append(windowReadings, r)
-		}
-	}
+	windowReadings := readings.Window(seg.Start, seg.End)
 
 	without := core.DisturbanceMap(windowReadings, cal, core.DisturbanceOptions{Suppression: core.SuppressMeanOnly})
 	with := core.DisturbanceMap(windowReadings, cal, core.DisturbanceOptions{Suppression: core.SuppressFull})
@@ -353,14 +352,9 @@ func RunFig08(cfg Config) Fig08Result {
 	}
 	synth := system.Synthesizer(hand.DefaultUser(), rand.New(rand.NewSource(cfg.Seed+8)))
 	script := synth.DrawOne(stroke.M(stroke.Horizontal, stroke.Forward)) // across row 2
-	readings := system.RunScript(script)
+	readings := capture(system, script)
 	seg := script.Segments[0]
-	var win []core.Reading
-	for _, r := range readings {
-		if r.Time >= seg.Start && r.Time < seg.End {
-			win = append(win, r)
-		}
-	}
+	win := readings.Window(seg.Start, seg.End)
 	net := core.DisturbanceMap(win, cal, core.DisturbanceOptions{
 		Suppression: core.SuppressMeanOnly, Accumulator: core.AccumNetChange})
 	tv := core.DisturbanceMap(win, cal, core.DisturbanceOptions{

@@ -15,6 +15,7 @@ import (
 	"rfipad/internal/core"
 	"rfipad/internal/epc"
 	"rfipad/internal/hand"
+	"rfipad/internal/live"
 	"rfipad/internal/metrics"
 	"rfipad/internal/scene"
 	"rfipad/internal/sim"
@@ -97,6 +98,14 @@ type condition struct {
 	mac *epc.Config
 }
 
+// capture runs script on system and decodes the reports as
+// rfipad-live decodes the wire.
+func capture(system *sim.System, script *hand.Script) *core.ReadingBatch {
+	b := new(core.ReadingBatch)
+	live.AppendReports(b, system.RunScript(script))
+	return b
+}
+
 // runGroup executes Trials repetitions of every motion on one fresh
 // deployment and folds them into one Aggregate.
 func runGroup(cfg Config, cond condition, group int) *Aggregate {
@@ -144,7 +153,7 @@ func runGroup(cfg Config, cond condition, group int) *Aggregate {
 			trialSeed := seed + int64(mi)*7919 + int64(k)*104_729 + 13
 			synth := system.Synthesizer(user, rand.New(rand.NewSource(trialSeed)))
 			script := synth.DrawOne(m)
-			readings := system.RunScript(script)
+			readings := capture(system, script)
 			results := pipeline.RecognizeStream(readings, cond.segmenter, 0, script.Duration()+time.Second)
 
 			trial := Trial{Motion: m}

@@ -38,7 +38,7 @@ func runLetterTrial(system *sim.System, pipeline *core.Pipeline, ch rune, user h
 	}
 	synth := system.Synthesizer(user, rand.New(rand.NewSource(seed)))
 	script := synth.Write(specs)
-	readings := system.RunScript(script)
+	readings := capture(system, script)
 	results := pipeline.RecognizeStream(readings, nil, 0, script.Duration()+time.Second)
 
 	out.StrokesTotal = len(script.Segments)
@@ -297,7 +297,7 @@ func RunFig25(cfg Config) Fig25Result {
 	}
 	synth := system.Synthesizer(hand.DefaultUser(), rand.New(rand.NewSource(cfg.Seed+25)))
 	script := synth.Write(specs)
-	readings := system.RunScript(script)
+	readings := capture(system, script)
 
 	kinect := hand.DefaultKinect()
 	track := kinect.Track(script.Path, rand.New(rand.NewSource(cfg.Seed+26)))

@@ -381,7 +381,7 @@ func RunFig24(cfg Config) Fig24Result {
 		for k := 0; k < cfg.Trials*cfg.Groups; k++ {
 			synth := system.Synthesizer(hand.DefaultUser(), rand.New(rand.NewSource(cfg.Seed+int64(s)*101+int64(k))))
 			script := synth.DrawOne(m)
-			readings := system.RunScript(script)
+			readings := capture(system, script)
 			start := time.Now()
 			pipeline.RecognizeStream(readings, seg, 0, script.Duration()+time.Second)
 			lat := time.Since(start)

@@ -39,9 +39,10 @@ var digestCaptures = []struct {
 // TestRecognitionGoldenDigest hashes every event recognized from a few
 // seeded captures through the production stream path (calibrate from
 // the prelude, then recognize), in two framings: 256-report batches
-// and one report at a time. It also hashes the offline record path —
-// calibration from the prelude as records and RecognizeStream over the
-// writing part — so the record entry points stay pinned too.
+// and one report at a time. It also hashes the offline path on the
+// same decoded columns — calibration from the prelude with
+// CalibrateBatch and RecognizeStream over the writing part — so the
+// offline entry points stay pinned too.
 func TestRecognitionGoldenDigest(t *testing.T) {
 	h := sha256.New()
 	events := 0
@@ -92,26 +93,25 @@ func streamEvents(t *testing.T, reps []llrp.TagReport, batch int) []core.Event {
 	return append(out, st.Flush()...)
 }
 
-// offlineResults calibrates from the capture's prelude records and runs
-// the offline segment-then-recognize path over the rest.
+// offlineResults decodes the capture, calibrates from its prelude and
+// runs the offline segment-then-recognize path over the rest.
 func offlineResults(t *testing.T, reps []llrp.TagReport) []core.BatchResult {
 	t.Helper()
 	grid := core.Grid{Rows: 5, Cols: 5}
-	var static, writing []core.Reading
+	var static, writing core.ReadingBatch
 	for _, rep := range reps {
-		rd := live.ReadingFromReport(rep)
-		if rd.Time <= 3*time.Second {
-			static = append(static, rd)
-		} else {
-			writing = append(writing, rd)
+		dst := &writing
+		if rep.Timestamp <= 3*time.Second {
+			dst = &static
 		}
+		live.AppendReports(dst, []llrp.TagReport{rep})
 	}
-	cal, err := core.Calibrate(static, grid.NumTags())
+	cal, err := core.CalibrateBatch(&static, grid.NumTags())
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := writing[len(writing)-1].Time + time.Second
-	return core.NewPipeline(grid, cal).RecognizeStream(writing, nil, 3*time.Second, end)
+	end := writing.Times[writing.Len()-1] + time.Second
+	return core.NewPipeline(grid, cal).RecognizeStream(&writing, nil, 3*time.Second, end)
 }
 
 func writeInts(h hash.Hash, vs ...int64) {

@@ -24,13 +24,15 @@ type Stream struct {
 	cal      *core.Calibration
 	rec      *core.Recognizer
 	lastTime time.Duration
-	// calEnd is the reading that completed the prelude. The prelude
-	// owns it and every reading stamped before it, so when a resumed
-	// transport redelivers them after calibration they are dropped
-	// rather than recognized. A restored stream has no prelude (its
-	// TagIndex is -1); its recognizer drops what predates the cursor.
-	calEnd core.Reading
-	// calCursor is the frame calEnd falls in: the earliest frame cursor
+	// calEndTime and calEndTag identify the reading that completed the
+	// prelude. The prelude owns it and every reading stamped before it,
+	// so when a resumed transport redelivers them after calibration
+	// they are dropped rather than recognized. A restored stream has no
+	// prelude (its tag is -1); its recognizer drops what predates the
+	// cursor.
+	calEndTime time.Duration
+	calEndTag  int32
+	// calCursor is the frame calEndTime falls in: the earliest frame cursor
 	// a checkpoint may carry, even before anything was recognized.
 	calCursor time.Duration
 	released  bool
@@ -42,9 +44,9 @@ func NewStream(cfg Config) *Stream {
 	return &Stream{cfg: cfg.withDefaults()}
 }
 
-// ReadingFromReport converts one wire-format tag report into the
-// pipeline's reading record, resolving the EPC to its row-major tag
-// index.
+// ReadingFromReport converts one wire-format tag report into a reading
+// record, resolving the EPC to its row-major tag index as AppendReports
+// does, for callers that still hold records.
 func ReadingFromReport(rep llrp.TagReport) core.Reading {
 	return core.Reading{
 		TagIndex: tagmodel.SerialOf(rep.EPC) - 1,
@@ -56,11 +58,12 @@ func ReadingFromReport(rep llrp.TagReport) core.Reading {
 	}
 }
 
-// AppendReports decodes wire-format tag reports straight into a
-// columnar batch — the batch counterpart of calling ReadingFromReport
-// per report, without materializing intermediate Reading records. EPC
-// and Doppler are resolved and dropped here (the batch columns do not
-// carry them; the tag index is all downstream stages key on).
+// AppendReports decodes wire-format tag reports into a columnar batch:
+// the one decode from what a reader reports to what the pipeline
+// takes, run on live streams and simulated captures alike. The EPC is
+// resolved to its row-major tag index (tagmodel.SerialOf − 1) and
+// Doppler is dropped here (the batch columns do not carry them; the
+// tag index is all downstream stages key on).
 func AppendReports(dst *core.ReadingBatch, reports []llrp.TagReport) {
 	for i := range reports {
 		rep := &reports[i]
@@ -112,7 +115,7 @@ func (s *Stream) IngestBatch(b *core.ReadingBatch) ([]core.Event, error) {
 		pipe.Obs = s.cfg.Obs
 		seg := core.NewSegmenter()
 		s.rec = core.NewRecognizer(pipe, seg)
-		s.calEnd = b.Reading(i - 1)
+		s.calEndTime, s.calEndTag = t, b.TagIndices[i-1]
 		s.calCursor = t - t%seg.FrameLen
 	}
 	rest := b.Slice(i, n)
@@ -147,7 +150,7 @@ func (s *Stream) recognize(events []core.Event, run core.ReadingBatch) []core.Ev
 // belongs to the prelude: stamped before the boundary reading, or the
 // boundary reading itself.
 func (s *Stream) preludeOwns(t time.Duration, tag int32) bool {
-	return t < s.calEnd.Time || t == s.calEnd.Time && int(tag) == s.calEnd.TagIndex
+	return t < s.calEndTime || t == s.calEndTime && tag == s.calEndTag
 }
 
 // Flush declares the stream over, forcing any pending stroke and
@@ -217,7 +220,7 @@ func RestoreStream(cfg Config, cp supervise.Checkpoint) (*Stream, error) {
 	rec := core.NewRecognizer(pipe, nil)
 	rec.SkipTo(cp.FrameCursor)
 	return &Stream{cfg: cfg, cal: cal, rec: rec, lastTime: cp.StreamTime,
-		calEnd: core.Reading{TagIndex: -1}}, nil
+		calEndTag: -1}, nil
 }
 
 // DeadTags returns how many tags calibration flagged dead (0 before

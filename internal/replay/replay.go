@@ -160,21 +160,12 @@ func SynthesizeUser(seed int64, word string, prelude time.Duration, writer rfipa
 		prelude = 3 * time.Second
 	}
 	var reports []llrp.TagReport
-	add := func(rs []rfipad.Reading, offset time.Duration) time.Duration {
+	add := func(rs []llrp.TagReport, offset time.Duration) time.Duration {
 		end := offset
 		for _, r := range rs {
-			ts := offset + r.Time
-			reports = append(reports, llrp.TagReport{
-				EPC:       r.EPC,
-				AntennaID: 1,
-				PhaseRad:  r.Phase,
-				RSSdBm:    r.RSS,
-				DopplerHz: r.Doppler,
-				Timestamp: ts,
-			})
-			if ts > end {
-				end = ts
-			}
+			r.Timestamp += offset
+			reports = append(reports, r)
+			end = max(end, r.Timestamp)
 		}
 		return end
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"rfipad/internal/core"
 	"rfipad/internal/grammar"
 	"rfipad/internal/hand"
 )
@@ -21,21 +20,4 @@ func LetterSpecs(ch rune) ([]hand.Spec, error) {
 		specs[i] = hand.Spec{Motion: p.Motion, Box: p.Box}
 	}
 	return specs, nil
-}
-
-// RecognizeLetter runs the full offline pipeline over a capture of one
-// written letter: segmentation, per-stroke recognition, and grammar
-// composition. It returns the deduced letter, the per-stroke results,
-// and ok=false when composition failed.
-func RecognizeLetter(p *core.Pipeline, readings []core.Reading, seg *core.Segmenter, span core.Span) (rune, []core.BatchResult, bool) {
-	results := p.RecognizeStream(readings, seg, span.Start, span.End)
-	var obs []core.StrokeObservation
-	for _, r := range results {
-		if !r.Result.Ok {
-			continue
-		}
-		obs = append(obs, core.StrokeObservation{Motion: r.Result.Motion, Box: r.Result.Box, CenterX: r.Result.CenterX, CenterY: r.Result.CenterY})
-	}
-	ch, ok := core.ComposeLetter(obs)
-	return ch, results, ok
 }

@@ -41,9 +41,14 @@ func TestEndToEndLetters(t *testing.T) {
 			}
 			synth := s.Synthesizer(hand.DefaultUser(), rand.New(rand.NewSource(int64(300+i))))
 			script := synth.Write(specs)
-			readings := s.RunScript(script)
-			got, results, ok := RecognizeLetter(p, readings, nil,
-				core.Span{Start: 0, End: script.Duration() + time.Second})
+			results := p.RecognizeStream(decode(s.RunScript(script)), nil, 0, script.Duration()+time.Second)
+			var obs []core.StrokeObservation
+			for _, r := range results {
+				if r.Result.Ok {
+					obs = append(obs, core.StrokeObservation{Motion: r.Result.Motion, Box: r.Result.Box, CenterX: r.Result.CenterX, CenterY: r.Result.CenterY})
+				}
+			}
+			got, ok := core.ComposeLetter(obs)
 			if len(results) != len(specs) {
 				for _, r := range results {
 					t.Logf("span %v-%v: %v ok=%v", r.Span.Start, r.Span.End, r.Result.Motion, r.Result.Ok)
@@ -76,20 +81,18 @@ func TestStreamingRecognizerOnLetter(t *testing.T) {
 	}
 	synth := s.Synthesizer(hand.DefaultUser(), rand.New(rand.NewSource(55)))
 	script := synth.Write(specs)
-	readings := s.RunScript(script)
+	readings := decode(s.RunScript(script))
 
 	rec := core.NewRecognizer(p, nil)
 	var strokes, letters int
 	var letter rune
-	for _, r := range readings {
-		for _, ev := range rec.Ingest(r) {
-			switch ev.Kind {
-			case core.StrokeDetected:
-				strokes++
-			case core.LetterDeduced:
-				letters++
-				letter = ev.Letter
-			}
+	for _, ev := range ingestEach(rec, readings) {
+		switch ev.Kind {
+		case core.StrokeDetected:
+			strokes++
+		case core.LetterDeduced:
+			letters++
+			letter = ev.Letter
 		}
 	}
 	for _, ev := range rec.Flush(script.Duration() + 2*time.Second) {

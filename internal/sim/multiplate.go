@@ -6,7 +6,7 @@ import (
 	"rfipad/internal/core"
 	"rfipad/internal/epc"
 	"rfipad/internal/hand"
-	"rfipad/internal/rf"
+	"rfipad/internal/llrp"
 	"rfipad/internal/scene"
 )
 
@@ -34,92 +34,28 @@ func NewMultiPlate(plates []*System, dwell time.Duration) *MultiPlate {
 	return &MultiPlate{Plates: plates, SwitchDwell: dwell}
 }
 
-// plateScript pairs a plate with the hand script performed above it
-// (nil for an idle plate).
-type plateScript struct {
-	script *hand.Script
-	end    time.Duration
-}
-
 // Run simulates the shared reader from t=0 until every script has
-// finished plus a trailing quiet second, returning one reading stream
+// finished plus a trailing quiet second, returning one report stream
 // per plate. Plates without a script stay idle but keep consuming
 // their antenna dwells — exactly the cost a deployment pays for
 // parking an RFIPad on a busy reader.
-func (m *MultiPlate) Run(scripts []*hand.Script) [][]core.Reading {
-	out := make([][]core.Reading, len(m.Plates))
-	ps := make([]plateScript, len(m.Plates))
+func (m *MultiPlate) Run(scripts []*hand.Script) [][]llrp.TagReport {
 	var end time.Duration
 	for i := range m.Plates {
-		var s *hand.Script
-		if i < len(scripts) {
-			s = scripts[i]
-		}
-		ps[i] = plateScript{script: s}
-		if s != nil {
-			ps[i].end = s.Duration()
-			if ps[i].end > end {
-				end = ps[i].end
-			}
+		if i < len(scripts) && scripts[i] != nil {
+			end = max(end, scripts[i].Duration())
 		}
 	}
-	end += time.Second
-
-	// One MAC simulator per plate (the reader re-arbitrates when it
-	// switches ports), advanced dwell by dwell in round-robin.
-	macs := make([]*epc.Simulator, len(m.Plates))
-	for i, p := range m.Plates {
-		macs[i] = epc.NewSimulator(p.macCfg, p.rng)
-	}
-
-	now := time.Duration(0)
-	for now < end {
-		for i, p := range m.Plates {
-			if now >= end {
-				break
-			}
-			plate := p
-			sp := ps[i]
-			scatter := func(t time.Duration) []rf.Scatterer {
-				if sp.script == nil || t > sp.end {
-					return nil
-				}
-				return hand.Scatterers(sp.script, plate.Dep.Body, t)
-			}
-			dwellEnd := now + m.SwitchDwell
-			if dwellEnd > end {
-				dwellEnd = end
-			}
-			tags := plate.Dep.Array.Tags
-			macs[i].Run(now, dwellEnd, len(tags),
-				func(ti int, t time.Duration) bool {
-					return plate.Dep.Channel.ObserveAt(tags[ti].RFPoint(), scatter(t), nil, t).PoweredUp
-				},
-				func(ti int, t time.Duration) {
-					obs := plate.Dep.Channel.ObserveAt(tags[ti].RFPoint(), scatter(t), plate.rng, t)
-					out[i] = append(out[i], core.Reading{
-						TagIndex: ti,
-						EPC:      tags[ti].EPC,
-						Time:     t,
-						Phase:    obs.PhaseRad,
-						RSS:      obs.RSSdBm,
-						Doppler:  obs.DopplerHz,
-					})
-				})
-			now = dwellEnd
-		}
-	}
-	return out
+	return m.run(scripts, end+time.Second)
 }
 
 // CalibrateAll runs the static capture on every plate (the reader
 // cycles antennas during calibration too, so each plate's capture is
 // proportionally thinner).
 func (m *MultiPlate) CalibrateAll(dur time.Duration) ([]*core.Calibration, error) {
-	streams := m.runStatic(dur)
 	cals := make([]*core.Calibration, len(m.Plates))
-	for i, readings := range streams {
-		cal, err := core.Calibrate(readings, m.Plates[i].Grid.NumTags())
+	for i, static := range m.run(nil, dur) {
+		cal, err := m.Plates[i].calibrate(static)
 		if err != nil {
 			return nil, err
 		}
@@ -128,36 +64,29 @@ func (m *MultiPlate) CalibrateAll(dur time.Duration) ([]*core.Calibration, error
 	return cals, nil
 }
 
-// runStatic is Run with no scripts and a fixed duration.
-func (m *MultiPlate) runStatic(dur time.Duration) [][]core.Reading {
-	out := make([][]core.Reading, len(m.Plates))
+// run cycles the reader across the plates from t=0 to end while plate
+// i's hand performs scripts[i] (none past the slice's end or for a nil
+// entry), returning one report stream per plate. Each plate has its
+// own MAC simulator (the reader re-arbitrates when it switches ports),
+// advanced dwell by dwell in round-robin.
+func (m *MultiPlate) run(scripts []*hand.Script, end time.Duration) [][]llrp.TagReport {
+	out := make([][]llrp.TagReport, len(m.Plates))
 	macs := make([]*epc.Simulator, len(m.Plates))
 	for i, p := range m.Plates {
 		macs[i] = epc.NewSimulator(p.macCfg, p.rng)
 	}
 	now := time.Duration(0)
-	for now < dur {
+	for now < end {
 		for i, p := range m.Plates {
-			if now >= dur {
+			if now >= end {
 				break
 			}
-			plate := p
-			dwellEnd := now + m.SwitchDwell
-			if dwellEnd > dur {
-				dwellEnd = dur
+			var script *hand.Script
+			if i < len(scripts) {
+				script = scripts[i]
 			}
-			tags := plate.Dep.Array.Tags
-			macs[i].Run(now, dwellEnd, len(tags),
-				func(ti int, t time.Duration) bool {
-					return plate.Dep.Channel.ObserveAt(tags[ti].RFPoint(), nil, nil, t).PoweredUp
-				},
-				func(ti int, t time.Duration) {
-					obs := plate.Dep.Channel.ObserveAt(tags[ti].RFPoint(), nil, plate.rng, t)
-					out[i] = append(out[i], core.Reading{
-						TagIndex: ti, EPC: tags[ti].EPC, Time: t,
-						Phase: obs.PhaseRad, RSS: obs.RSSdBm, Doppler: obs.DopplerHz,
-					})
-				})
+			dwellEnd := min(now+m.SwitchDwell, end)
+			out[i] = p.inventory(macs[i], now, dwellEnd, p.scatterers(script), out[i])
 			now = dwellEnd
 		}
 	}

@@ -1,8 +1,10 @@
 // Package sim orchestrates full-system simulations: it drives the EPC
 // Gen2 MAC over a deployed tag array while a synthesized hand moves
-// above it, producing the timestamped reading stream a real reader
-// would deliver. It is the glue between the substrates (scene, hand,
-// epc, rf) and the recognition pipeline (core).
+// above it, producing the timestamped tag reports a real reader would
+// deliver (llrp.TagReport). It is the glue between the substrates
+// (scene, hand, epc, rf) and the recognition pipeline (core), which
+// takes the reports decoded as rfipad-live decodes them
+// (live.AppendReports).
 package sim
 
 import (
@@ -12,6 +14,8 @@ import (
 	"rfipad/internal/core"
 	"rfipad/internal/epc"
 	"rfipad/internal/hand"
+	"rfipad/internal/live"
+	"rfipad/internal/llrp"
 	"rfipad/internal/rf"
 	"rfipad/internal/scene"
 )
@@ -48,69 +52,78 @@ func New(dep *scene.Deployment, rng *rand.Rand, opts ...Option) *System {
 	return s
 }
 
-// scattererFn yields the moving scatterers at a given instant; nil for
-// a static scene.
+// scattererFn yields the moving scatterers at a given instant (none in
+// a static scene).
 type scattererFn func(t time.Duration) []rf.Scatterer
 
-// collect runs the MAC from start to end and converts each successful
-// singulation into a Reading.
-func (s *System) collect(start, end time.Duration, scs scattererFn) []core.Reading {
-	mac := epc.NewSimulator(s.macCfg, s.rng)
-	tags := s.Dep.Array.Tags
-	var out []core.Reading
+// collect runs a fresh MAC from t=0 to end while scs moves above the
+// plate.
+func (s *System) collect(end time.Duration, scs scattererFn) []llrp.TagReport {
+	return s.inventory(epc.NewSimulator(s.macCfg, s.rng), 0, end, scs, nil)
+}
 
+// inventory advances mac from start to end over this plate while scs
+// moves above it, and appends each successful singulation to out as
+// the tag report a reader delivers: the tag's EPC on antenna 1 with
+// the measured phase, RSS and Doppler.
+func (s *System) inventory(mac *epc.Simulator, start, end time.Duration, scs scattererFn, out []llrp.TagReport) []llrp.TagReport {
+	tags := s.Dep.Array.Tags
 	responds := func(i int, now time.Duration) bool {
-		var moving []rf.Scatterer
-		if scs != nil {
-			moving = scs(now)
-		}
 		// The power-up check is noiseless: it is a threshold on
 		// harvested energy, not a measurement.
-		obs := s.Dep.Channel.ObserveAt(tags[i].RFPoint(), moving, nil, now)
-		return obs.PoweredUp
+		return s.Dep.Channel.ObserveAt(tags[i].RFPoint(), scs(now), nil, now).PoweredUp
 	}
 	emit := func(i int, now time.Duration) {
-		var moving []rf.Scatterer
-		if scs != nil {
-			moving = scs(now)
-		}
-		obs := s.Dep.Channel.ObserveAt(tags[i].RFPoint(), moving, s.rng, now)
-		out = append(out, core.Reading{
-			TagIndex: i,
-			EPC:      tags[i].EPC,
-			Time:     now,
-			Phase:    obs.PhaseRad,
-			RSS:      obs.RSSdBm,
-			Doppler:  obs.DopplerHz,
+		obs := s.Dep.Channel.ObserveAt(tags[i].RFPoint(), scs(now), s.rng, now)
+		out = append(out, llrp.TagReport{
+			EPC:       tags[i].EPC,
+			AntennaID: 1,
+			PhaseRad:  obs.PhaseRad,
+			RSSdBm:    obs.RSSdBm,
+			DopplerHz: obs.DopplerHz,
+			Timestamp: now,
 		})
 	}
 	mac.Run(start, end, len(tags), responds, emit)
 	return out
 }
 
-// CollectStatic gathers readings with no hand present — the static
+// CollectStatic gathers reports with no hand present — the static
 // capture used for calibration and the Fig. 2/4/5 baselines.
-func (s *System) CollectStatic(dur time.Duration) []core.Reading {
-	return s.collect(0, dur, nil)
+func (s *System) CollectStatic(dur time.Duration) []llrp.TagReport {
+	return s.collect(dur, s.scatterers(nil))
 }
 
 // Calibrate performs the deployment-time static capture and computes
 // the diversity-suppression statistics.
 func (s *System) Calibrate(dur time.Duration) (*core.Calibration, error) {
-	return core.Calibrate(s.CollectStatic(dur), s.Grid.NumTags())
+	return s.calibrate(s.CollectStatic(dur))
+}
+
+// calibrate decodes a static capture of this plate as rfipad-live
+// decodes the wire and calibrates on it.
+func (s *System) calibrate(static []llrp.TagReport) (*core.Calibration, error) {
+	var b core.ReadingBatch
+	live.AppendReports(&b, static)
+	return core.CalibrateBatch(&b, s.Grid.NumTags())
 }
 
 // RunScript simulates the MAC while the hand performs the script,
-// returning the reading stream from t=0 to the script end plus a
+// returning the report stream from t=0 to the script end plus a
 // trailing quiet second (so segmentation can close the final stroke).
-func (s *System) RunScript(script *hand.Script) []core.Reading {
-	end := script.Duration() + time.Second
-	return s.collect(0, end, func(t time.Duration) []rf.Scatterer {
-		if t > script.Duration() {
+func (s *System) RunScript(script *hand.Script) []llrp.TagReport {
+	return s.collect(script.Duration()+time.Second, s.scatterers(script))
+}
+
+// scatterers moves the hand along script until it ends; a nil script
+// leaves the scene static.
+func (s *System) scatterers(script *hand.Script) scattererFn {
+	return func(t time.Duration) []rf.Scatterer {
+		if script == nil || t > script.Duration() {
 			return nil
 		}
 		return hand.Scatterers(script, s.Dep.Body, t)
-	})
+	}
 }
 
 // Synthesizer builds a hand synthesizer for this deployment's canvas.

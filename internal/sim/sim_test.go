@@ -8,6 +8,8 @@ import (
 	"rfipad/internal/core"
 	"rfipad/internal/dsp"
 	"rfipad/internal/hand"
+	"rfipad/internal/live"
+	"rfipad/internal/llrp"
 	"rfipad/internal/scene"
 	"rfipad/internal/stroke"
 )
@@ -19,19 +21,38 @@ func newSystem(t *testing.T, seed int64, cfg scene.Config) *System {
 	return New(dep, rng)
 }
 
+// decode turns a capture into the columns rfipad-live decodes from the
+// wire.
+func decode(reports []llrp.TagReport) *core.ReadingBatch {
+	b := new(core.ReadingBatch)
+	live.AppendReports(b, reports)
+	return b
+}
+
+// ingestEach feeds a capture to rec one reading at a time, as
+// one-element batches, and returns the events.
+func ingestEach(rec *core.Recognizer, capture *core.ReadingBatch) []core.Event {
+	var events []core.Event
+	for k := 0; k < capture.Len(); k++ {
+		one := capture.Slice(k, k+1)
+		events = append(events, rec.IngestBatch(&one)...)
+	}
+	return events
+}
+
 func TestStaticCaptureStatistics(t *testing.T) {
 	s := newSystem(t, 1, scene.Config{})
-	readings := s.CollectStatic(3 * time.Second)
-	if len(readings) < 500 {
-		t.Fatalf("static capture = %d readings", len(readings))
+	readings := decode(s.CollectStatic(3 * time.Second))
+	if readings.Len() < 500 {
+		t.Fatalf("static capture = %d readings", readings.Len())
 	}
 	// Every tag represented; phases near-constant per tag but centres
 	// scattered over [0,2π) (Fig. 4/5).
-	perTag := map[int][]float64{}
-	for _, r := range readings {
-		perTag[r.TagIndex] = append(perTag[r.TagIndex], r.Phase)
-		if r.RSS > -5 || r.RSS < -75 {
-			t.Fatalf("RSS out of range: %v", r.RSS)
+	perTag := map[int32][]float64{}
+	for i, tag := range readings.TagIndices {
+		perTag[tag] = append(perTag[tag], readings.Phases[i])
+		if rss := readings.RSS[i]; rss > -5 || rss < -75 {
+			t.Fatalf("RSS out of range: %v", rss)
 		}
 	}
 	if len(perTag) != 25 {
@@ -82,7 +103,7 @@ func TestEndToEndSingleStrokes(t *testing.T) {
 	for _, want := range tests {
 		t.Run(want.String(), func(t *testing.T) {
 			script := synth.DrawOne(want)
-			readings := s.RunScript(script)
+			readings := decode(s.RunScript(script))
 			results := p.RecognizeStream(readings, nil, 0, script.Duration()+time.Second)
 			if len(results) != 1 {
 				t.Fatalf("spans = %d, want 1", len(results))
@@ -116,7 +137,7 @@ func TestEndToEndClick(t *testing.T) {
 		Motion: stroke.M(stroke.Click, 0),
 		Box:    stroke.R(0.4, 0.4, 0.6, 0.6),
 	}})
-	readings := s.RunScript(script)
+	readings := decode(s.RunScript(script))
 	results := p.RecognizeStream(readings, nil, 0, script.Duration()+time.Second)
 	if len(results) != 1 {
 		t.Fatalf("spans = %d, want 1", len(results))
@@ -132,7 +153,7 @@ func TestEndToEndClick(t *testing.T) {
 }
 
 func TestRunScriptDeterministicBySeed(t *testing.T) {
-	run := func() []core.Reading {
+	run := func() []llrp.TagReport {
 		s := newSystem(t, 7, scene.Config{})
 		synth := s.Synthesizer(hand.DefaultUser(), rand.New(rand.NewSource(8)))
 		return s.RunScript(synth.DrawOne(stroke.M(stroke.Vertical, stroke.Forward)))
@@ -160,7 +181,7 @@ func TestClickSuppressesPressedTagReads(t *testing.T) {
 		Box:    stroke.R(0.4, 0.4, 0.6, 0.6), // over tag (2,2)=12
 	}
 	script := synth.Write([]hand.Spec{spec, spec, spec})
-	readings := s.RunScript(script)
+	readings := decode(s.RunScript(script))
 
 	// Count reads while the hand is within 3 cm of the pressed tag —
 	// there the detuning removes its power margin entirely.
@@ -170,11 +191,11 @@ func TestClickSuppressesPressedTagReads(t *testing.T) {
 		return ok && pos.Dist(pressedPos) < 0.03
 	}
 	var pressed, corner int
-	for _, r := range readings {
-		if !deep(r.Time) {
+	for i, at := range readings.Times {
+		if !deep(at) {
 			continue
 		}
-		switch r.TagIndex {
+		switch readings.TagIndices[i] {
 		case 12:
 			pressed++
 		case 0:

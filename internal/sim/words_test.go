@@ -54,7 +54,7 @@ func TestWordRecognizedOnline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readings := s.RunScript(ws.Script)
+	readings := decode(s.RunScript(ws.Script))
 
 	rec := core.NewRecognizer(p, nil)
 	got := ""
@@ -65,9 +65,7 @@ func TestWordRecognizedOnline(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range readings {
-		collect(rec.Ingest(r))
-	}
+	collect(ingestEach(rec, readings))
 	collect(rec.Flush(ws.Script.Duration() + 3*time.Second))
 	if got != "HI" {
 		t.Errorf("recognized %q, want HI", got)

@@ -12,21 +12,21 @@
 // panel + 25 tags). This package ships a physics-based simulation
 // substrate in its place (see DESIGN.md): backscatter link budgets,
 // EPC C1G2 inventory timing, tag coupling, hand-motion synthesis, and
-// the four lab environments the paper evaluates in. The recognition
-// pipeline itself is hardware-agnostic — it consumes the same
-// (EPC, phase, RSS, Doppler, timestamp) records a real reader reports,
-// and the llrp wire protocol in cmd/rfipad-readerd carries exactly
-// those records over TCP.
+// the four lab environments the paper evaluates in. The simulator
+// emits the same (EPC, phase, RSS, Doppler, timestamp) tag reports a
+// real reader does, the llrp wire protocol in cmd/rfipad-readerd
+// carries exactly those reports over TCP, and AppendReports decodes
+// them into the columns the hardware-agnostic pipeline takes.
 //
 // Quick start:
 //
 //	sim, _ := rfipad.NewSimulator(rfipad.SimulatorConfig{Seed: 1})
 //	cal, _ := sim.Calibrate(3 * time.Second)
 //	rec := sim.NewRecognizer(cal)
-//	readings, _ := sim.PerformMotion(rfipad.M(rfipad.Vertical, rfipad.Forward), 42)
-//	for _, r := range readings {
-//	    for _, ev := range rec.Ingest(r) { ... }
-//	}
+//	reports, _ := sim.PerformMotion(rfipad.M(rfipad.Vertical, rfipad.Forward), 42)
+//	var batch rfipad.ReadingBatch
+//	rfipad.AppendReports(&batch, reports)
+//	for _, ev := range rec.IngestBatch(&batch) { ... }
 package rfipad
 
 import (
@@ -38,6 +38,8 @@ import (
 	"rfipad/internal/epc"
 	"rfipad/internal/grammar"
 	"rfipad/internal/hand"
+	"rfipad/internal/live"
+	"rfipad/internal/llrp"
 	"rfipad/internal/scene"
 	"rfipad/internal/sim"
 	"rfipad/internal/stroke"
@@ -47,10 +49,11 @@ import (
 // Re-exported recognition types. These aliases are the public names of
 // the engine's types; the internal packages are implementation detail.
 type (
-	// Reading is one tag report: EPC, phase, RSS, Doppler, timestamp.
-	Reading = core.Reading
+	// TagReport is one tag report as a reader delivers it: EPC,
+	// antenna, phase, RSS, Doppler, timestamp.
+	TagReport = llrp.TagReport
 	// ReadingBatch is the columnar (struct-of-arrays) batch form of a
-	// run of readings — the ingest hot path end to end.
+	// run of readings, which every pipeline entry point takes.
 	ReadingBatch = core.ReadingBatch
 	// Calibration holds the per-tag statistics for diversity
 	// suppression, learned from a static capture.
@@ -101,6 +104,10 @@ const (
 	LetterDeduced  = core.LetterDeduced
 )
 
+// AppendReports decodes tag reports into a batch, resolving each EPC
+// to its row-major tag index — the decode rfipad-live runs on the wire.
+func AppendReports(dst *ReadingBatch, reports []TagReport) { live.AppendReports(dst, reports) }
+
 // GetBatch returns an empty ReadingBatch from the shared pool; return
 // it with PutBatch once consumed.
 func GetBatch() *ReadingBatch { return core.GetBatch() }
@@ -116,8 +123,8 @@ func AllMotions() []Motion { return stroke.All() }
 
 // Calibrate computes diversity-suppression statistics from a static
 // capture (no hand present). numTags is the array population.
-func Calibrate(static []Reading, numTags int) (*Calibration, error) {
-	return core.Calibrate(static, numTags)
+func Calibrate(static *ReadingBatch, numTags int) (*Calibration, error) {
+	return core.CalibrateBatch(static, numTags)
 }
 
 // NewPipeline builds the offline pipeline for a tag grid.
@@ -242,8 +249,8 @@ func (s *Simulator) Calibrate(d time.Duration) (*Calibration, error) {
 	return s.sys.Calibrate(d)
 }
 
-// CollectStatic gathers readings with no hand present.
-func (s *Simulator) CollectStatic(d time.Duration) []Reading {
+// CollectStatic gathers tag reports with no hand present.
+func (s *Simulator) CollectStatic(d time.Duration) []TagReport {
 	return s.sys.CollectStatic(d)
 }
 
@@ -258,17 +265,18 @@ func (s *Simulator) NewRecognizer(cal *Calibration) *Recognizer {
 }
 
 // PerformMotion synthesizes the writer performing one motion across
-// the plate and returns the reader's reading stream (ending with a
-// trailing quiet second). trialSeed varies the human execution.
-func (s *Simulator) PerformMotion(m Motion, trialSeed int64) ([]Reading, time.Duration) {
+// the plate and returns the reader's report stream (ending with a
+// trailing quiet second) plus the script duration. trialSeed varies
+// the human execution.
+func (s *Simulator) PerformMotion(m Motion, trialSeed int64) ([]TagReport, time.Duration) {
 	synth := s.sys.Synthesizer(s.writer, rand.New(rand.NewSource(trialSeed)))
 	script := synth.DrawOne(m)
 	return s.sys.RunScript(script), script.Duration()
 }
 
 // WriteLetter synthesizes the writer drawing a letter stroke by stroke
-// and returns the reading stream plus the script duration.
-func (s *Simulator) WriteLetter(ch rune, trialSeed int64) ([]Reading, time.Duration, error) {
+// and returns the report stream plus the script duration.
+func (s *Simulator) WriteLetter(ch rune, trialSeed int64) ([]TagReport, time.Duration, error) {
 	specs, err := sim.LetterSpecs(ch)
 	if err != nil {
 		return nil, 0, err
@@ -282,7 +290,7 @@ func (s *Simulator) WriteLetter(ch rune, trialSeed int64) ([]Reading, time.Durat
 // continuous session — the succession-of-letters scenario §III-C2
 // leaves as future work. The streaming Recognizer emits one
 // LetterDeduced event per letter.
-func (s *Simulator) WriteWord(word string, trialSeed int64) ([]Reading, time.Duration, error) {
+func (s *Simulator) WriteWord(word string, trialSeed int64) ([]TagReport, time.Duration, error) {
 	synth := s.sys.Synthesizer(s.writer, rand.New(rand.NewSource(trialSeed)))
 	ws, err := sim.WriteWord(synth, word, nil)
 	if err != nil {

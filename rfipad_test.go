@@ -9,6 +9,24 @@ import (
 	"time"
 )
 
+// decode holds reports as the columns the pipeline takes.
+func decode(reports []TagReport) *ReadingBatch {
+	b := new(ReadingBatch)
+	AppendReports(b, reports)
+	return b
+}
+
+// ingestEach feeds a capture to rec one reading at a time, as
+// one-element batches, and returns the events.
+func ingestEach(rec *Recognizer, capture *ReadingBatch) []Event {
+	var events []Event
+	for k := 0; k < capture.Len(); k++ {
+		one := capture.Slice(k, k+1)
+		events = append(events, rec.IngestBatch(&one)...)
+	}
+	return events
+}
+
 func TestSimulatorEndToEnd(t *testing.T) {
 	sim, err := NewSimulator(SimulatorConfig{Seed: 7})
 	if err != nil {
@@ -25,8 +43,8 @@ func TestSimulatorEndToEnd(t *testing.T) {
 	// Offline path.
 	p := sim.NewPipeline(cal)
 	want := M(Horizontal, Forward)
-	readings, dur := sim.PerformMotion(want, 42)
-	results := p.RecognizeStream(readings, nil, 0, dur+time.Second)
+	reports, dur := sim.PerformMotion(want, 42)
+	results := p.RecognizeStream(decode(reports), nil, 0, dur+time.Second)
 	if len(results) != 1 || !results[0].Result.Ok {
 		t.Fatalf("offline recognition failed: %d results", len(results))
 	}
@@ -48,9 +66,7 @@ func TestSimulatorEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range lr {
-		ingest(rec.Ingest(r))
-	}
+	ingest(ingestEach(rec, decode(lr)))
 	ingest(rec.Flush(ldur + 2*time.Second))
 	if letter != 'T' {
 		t.Errorf("letter = %q, want T", letter)
@@ -109,7 +125,7 @@ func TestTagLookups(t *testing.T) {
 }
 
 func TestSimulatorDeterminism(t *testing.T) {
-	run := func() []Reading {
+	run := func() []TagReport {
 		s, err := NewSimulator(SimulatorConfig{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +153,7 @@ func TestWriteWordStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readings, dur, err := sim.WriteWord("IT", 3)
+	reports, dur, err := sim.WriteWord("IT", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +166,7 @@ func TestWriteWordStreaming(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range readings {
-		collect(rec.Ingest(r))
-	}
+	collect(ingestEach(rec, decode(reports)))
 	collect(rec.Flush(dur + 3*time.Second))
 	if got != "IT" {
 		t.Errorf("recognized %q, want IT", got)
@@ -162,12 +176,12 @@ func TestWriteWordStreaming(t *testing.T) {
 	}
 }
 
-// dropTag filters every reading of one tag out of a stream,
-// simulating a detached or fully occluded tag.
-func dropTag(readings []Reading, tagIndex int) []Reading {
-	out := make([]Reading, 0, len(readings))
-	for _, r := range readings {
-		if r.TagIndex == tagIndex {
+// dropTag filters every report of one tag out of a stream, simulating
+// a detached or fully occluded tag.
+func dropTag(reports []TagReport, tag EPC) []TagReport {
+	out := make([]TagReport, 0, len(reports))
+	for _, r := range reports {
+		if r.EPC == tag {
 			continue
 		}
 		out = append(out, r)
@@ -185,8 +199,9 @@ func TestDegradedGridRecognizesAllShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const deadIdx = 2*5 + 2 // centre tag — the harshest hole
+	dead, _ := sim.TagEPC(2, 2)
 
-	cal, err := Calibrate(dropTag(sim.CollectStatic(3*time.Second), deadIdx), sim.Grid().NumTags())
+	cal, err := Calibrate(decode(dropTag(sim.CollectStatic(3*time.Second), dead)), sim.Grid().NumTags())
 	if err != nil {
 		t.Fatalf("degraded calibration failed: %v", err)
 	}
@@ -199,9 +214,8 @@ func TestDegradedGridRecognizesAllShapes(t *testing.T) {
 	for _, shape := range shapes {
 		want := M(shape, Forward)
 		t.Run(want.String(), func(t *testing.T) {
-			readings, dur := sim.PerformMotion(want, 42)
-			readings = dropTag(readings, deadIdx)
-			results := p.RecognizeStream(readings, nil, 0, dur+time.Second)
+			reports, dur := sim.PerformMotion(want, 42)
+			results := p.RecognizeStream(decode(dropTag(reports, dead)), nil, 0, dur+time.Second)
 			var got []Motion
 			for _, res := range results {
 				if res.Result.Ok {
@@ -230,23 +244,23 @@ func TestStreamingToleratesReplayArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readings, dur, err := sim.WriteLetter('L', 9)
+	reports, dur, err := sim.WriteLetter('L', 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Duplicate a slab of the stream (replay overlap) and swap
-	// adjacent readings here and there (frame reordering).
-	mangled := make([]Reading, 0, len(readings)*5/4)
-	for i, r := range readings {
+	// adjacent reports here and there (frame reordering).
+	mangled := make([]TagReport, 0, len(reports)*5/4)
+	for i, r := range reports {
 		mangled = append(mangled, r)
 		if i%4 == 1 && len(mangled) >= 2 {
 			n := len(mangled)
 			mangled[n-1], mangled[n-2] = mangled[n-2], mangled[n-1]
 		}
 		if i > 0 && i%10 == 0 {
-			// Replay the previous 5 readings.
-			mangled = append(mangled, readings[i-5:i]...)
+			// Replay the previous 5 reports.
+			mangled = append(mangled, reports[i-5:i]...)
 		}
 	}
 
@@ -259,9 +273,7 @@ func TestStreamingToleratesReplayArtifacts(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range mangled {
-		collect(rec.Ingest(r))
-	}
+	collect(ingestEach(rec, decode(mangled)))
 	collect(rec.Flush(dur + 2*time.Second))
 	if letter != 'L' {
 		t.Errorf("letter = %q, want L despite duplicates and reordering", letter)
@@ -284,9 +296,10 @@ func TestFastMACSimulator(t *testing.T) {
 // TestRecognizerWindowsMatchRecordPath checks that the streaming
 // recognizer, which hands the pipeline ranges of its history columns,
 // recognizes every stroke window exactly as Pipeline.RecognizeWindow
-// does from the same window as records — and as it does from a shuffled
-// copy of those records with replayed duplicates mixed in, which the
-// per-tag split must sort and deduplicate back to the same window.
+// does from the same window's reports decoded on their own — and as it
+// does from a shuffled copy of those reports with replayed duplicates
+// mixed in, which the per-tag split must sort and deduplicate back to
+// the same window.
 func TestRecognizerWindowsMatchRecordPath(t *testing.T) {
 	sim, err := NewSimulator(SimulatorConfig{Seed: 5})
 	if err != nil {
@@ -300,24 +313,22 @@ func TestRecognizerWindowsMatchRecordPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	strokes := 0
 	for i, word := range []string{"HI", "BOX", "MUSIC"} {
-		readings, dur, err := sim.WriteWord(word, int64(60+i))
+		reports, dur, err := sim.WriteWord(word, int64(60+i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The history holds readings time-sorted, first arrival of each
-		// (tag, time) kept; the record windows come from the same view.
-		slices.SortStableFunc(readings, func(a, b Reading) int { return cmp.Compare(a.Time, b.Time) })
-		readings = slices.CompactFunc(readings, func(a, b Reading) bool {
-			return a.Time == b.Time && a.TagIndex == b.TagIndex
+		// (tag, time) kept; the decoded windows come from the same view.
+		slices.SortStableFunc(reports, func(a, b TagReport) int { return cmp.Compare(a.Timestamp, b.Timestamp) })
+		reports = slices.CompactFunc(reports, func(a, b TagReport) bool {
+			return a.Timestamp == b.Timestamp && a.EPC == b.EPC
 		})
 		rec := sim.NewRecognizer(cal)
 		var events []Event
 		var b ReadingBatch
-		for k := 0; k < len(readings); k += 256 {
+		for k := 0; k < len(reports); k += 256 {
 			b.Reset()
-			for _, r := range readings[k:min(k+256, len(readings))] {
-				b.AppendReading(r)
-			}
+			AppendReports(&b, reports[k:min(k+256, len(reports))])
 			events = append(events, rec.IngestBatch(&b)...)
 		}
 		events = append(events, rec.Flush(dur+2*time.Second)...)
@@ -326,18 +337,18 @@ func TestRecognizerWindowsMatchRecordPath(t *testing.T) {
 				continue
 			}
 			strokes++
-			lo, _ := slices.BinarySearchFunc(readings, ev.Span.Start, func(r Reading, at time.Duration) int { return cmp.Compare(r.Time, at) })
-			hi, _ := slices.BinarySearchFunc(readings, ev.Span.End, func(r Reading, at time.Duration) int { return cmp.Compare(r.Time, at) })
-			win := readings[lo:hi]
-			if got := p.RecognizeWindow(win); !reflect.DeepEqual(got, ev.Stroke) {
-				t.Errorf("%s, stroke at %v: record window recognized %+v, history columns %+v", word, ev.Span, got, ev.Stroke)
+			lo, _ := slices.BinarySearchFunc(reports, ev.Span.Start, func(r TagReport, at time.Duration) int { return cmp.Compare(r.Timestamp, at) })
+			hi, _ := slices.BinarySearchFunc(reports, ev.Span.End, func(r TagReport, at time.Duration) int { return cmp.Compare(r.Timestamp, at) })
+			win := reports[lo:hi]
+			if got := p.RecognizeWindow(*decode(win)); !reflect.DeepEqual(got, ev.Stroke) {
+				t.Errorf("%s, stroke at %v: decoded window recognized %+v, history columns %+v", word, ev.Span, got, ev.Stroke)
 			}
 			messy := slices.Clone(win)
 			for d := len(win) / 10; d > 0; d-- {
 				messy = append(messy, win[rng.Intn(len(win))])
 			}
 			rng.Shuffle(len(messy), func(i, j int) { messy[i], messy[j] = messy[j], messy[i] })
-			if got := p.RecognizeWindow(messy); !reflect.DeepEqual(got, ev.Stroke) {
+			if got := p.RecognizeWindow(*decode(messy)); !reflect.DeepEqual(got, ev.Stroke) {
 				t.Errorf("%s, stroke at %v: shuffled, duplicated window recognized %+v, history columns %+v", word, ev.Span, got, ev.Stroke)
 			}
 		}
