@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -834,13 +835,18 @@ const (
 // The coordinator lock is never held while waiting. Once Close has
 // begun, the batch in hand is counted as dropped and RunStream returns
 // ErrClosed.
+//
+// As in engine.RunStream, a source error or panic ends the stream: it
+// is flushed, and a panic becomes the returned error, never a crashed
+// process.
 func (c *Cluster) RunStream(id engine.StreamID, src live.ReportSource) error {
 	for {
-		reports, err := src.NextReports()
+		reports, err := c.nextReports(id, src)
 		if errors.Is(err, llrp.ErrStreamEnded) {
 			break
 		}
 		if err != nil {
+			c.FlushStream(id)
 			return err
 		}
 		if len(reports) == 0 {
@@ -865,6 +871,22 @@ func (c *Cluster) RunStream(id engine.StreamID, src live.ReportSource) error {
 	}
 	c.FlushStream(id)
 	return nil
+}
+
+// nextReports pulls a source's next frame under a recover boundary, so
+// a panicking source becomes this stream's error. Only the source runs
+// inside it: the coordinator lock is never held there.
+func (c *Cluster) nextReports(id engine.StreamID, src live.ReportSource) (reports []llrp.TagReport, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if c.log != nil {
+				c.log.Error("stream source panicked",
+					"stream", string(id), "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+			}
+			err = fmt.Errorf("cluster: stream %s: source panicked: %v", id, r)
+		}
+	}()
+	return src.NextReports()
 }
 
 // Close stops the failure detector, waits out in-flight migrations,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -273,8 +274,6 @@ func (s *unpacedSource) NextReports() ([]llrp.TagReport, error) {
 	return s.reports[start:s.pos], nil
 }
 
-func (s *unpacedSource) Stats() llrp.SessionStats { return llrp.SessionStats{} }
-
 // TestClusterRunStreamKeepsEveryReading pushes 8 unpaced captures
 // through a one-node cluster, far faster than its single engine worker
 // drains them. RunStream must slow the sources down instead of
@@ -353,6 +352,60 @@ func TestClusterRunStreamReturnsOnClose(t *testing.T) {
 	}
 }
 
+// TestClusterSourcePanicIsolated mirrors the engine's
+// TestEngineSourcePanicIsolated on the cluster path: a source that
+// panics after delivering its word makes RunStream return an error
+// naming the panic instead of crashing the process, the stream is
+// flushed as on any source error (its last letter comes out before
+// Close), and a healthy stream run afterwards on the same cluster
+// still recognizes its word.
+func TestClusterSourcePanicIsolated(t *testing.T) {
+	tape := newLetterTape()
+	c := cluster.New(cluster.Config{EngineWorkers: 1, Obs: obs.NewRegistry(), OnEvent: tape.onEvent})
+	defer c.Close()
+	if _, err := c.AddNode("node-0"); err != nil {
+		t.Fatal(err)
+	}
+	capture := func(seed int64) *unpacedSource {
+		reports, err := replay.Synthesize(seed, "IT", 3*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &unpacedSource{reports: reports}
+	}
+
+	err := c.RunStream("bomb", panicSource{capture(96)})
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("RunStream err = %v, want source-panic error", err)
+	}
+	waitFor(t, 10*time.Second, `flushed letters "IT" on the panicked stream`, func() bool {
+		return tape.get("bomb") == "IT"
+	})
+
+	if err := c.RunStream("good", capture(97)); err != nil {
+		t.Fatalf("healthy stream after source panic: %v", err)
+	}
+	byID := map[engine.StreamID]engine.StreamResult{}
+	for _, res := range c.Close()["node-0"] {
+		byID[res.ID] = res
+	}
+	if res := byID["good"]; res.Letters != "IT" {
+		t.Errorf("healthy stream recognized %q, want %q", res.Letters, "IT")
+	}
+}
+
+// panicSource delivers its capture, then panics where it would report
+// the stream's end.
+type panicSource struct{ *unpacedSource }
+
+func (s panicSource) NextReports() ([]llrp.TagReport, error) {
+	reports, err := s.unpacedSource.NextReports()
+	if errors.Is(err, llrp.ErrStreamEnded) {
+		panic("source detonated")
+	}
+	return reports, err
+}
+
 // frameSource replays fixed report frames, one per NextReports call.
 type frameSource struct {
 	frames [][]llrp.TagReport
@@ -366,8 +419,6 @@ func (s *frameSource) NextReports() ([]llrp.TagReport, error) {
 	s.pos++
 	return s.frames[s.pos-1], nil
 }
-
-func (s *frameSource) Stats() llrp.SessionStats { return llrp.SessionStats{} }
 
 // eventLog records every event per stream, in delivery order.
 type eventLog struct {

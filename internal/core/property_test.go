@@ -30,7 +30,7 @@ func randomStream(seed int64, numTags int, dur time.Duration) []Reading {
 
 func TestSegmenterInvariantsProperty(t *testing.T) {
 	// For any stream: spans are sorted, non-overlapping, inside the
-	// capture, at least MinSpan long, and separated by > MergeGap.
+	// capture, at least minSpan long, and separated by > mergeGap.
 	f := func(seed int64) bool {
 		cal := UniformCalibration(9)
 		seg := NewSegmenter()
@@ -41,10 +41,10 @@ func TestSegmenterInvariantsProperty(t *testing.T) {
 			if sp.Start < 0 || sp.End > dur || sp.End <= sp.Start {
 				return false
 			}
-			if sp.Duration() < seg.MinSpan {
+			if sp.Duration() < minSpan {
 				return false
 			}
-			if prevEnd >= 0 && sp.Start-prevEnd <= seg.MergeGap {
+			if prevEnd >= 0 && sp.Start-prevEnd <= mergeGap {
 				return false
 			}
 			prevEnd = sp.End

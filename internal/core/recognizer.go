@@ -58,12 +58,10 @@ type Recognizer struct {
 	seg      *Segmenter
 	tel      *recognizerTel
 
-	// ConfirmGap is how long the stream must stay quiet past a span's
-	// end before the span is considered closed (one segmentation
-	// window by default).
-	ConfirmGap time.Duration
-	// LetterGap is the quiet period that finalizes a letter.
-	LetterGap time.Duration
+	// confirmGap is how long the stream must stay quiet past a span's
+	// end before the span is considered closed: one segmentation
+	// window.
+	confirmGap time.Duration
 
 	// *recBuffers holds the history columns, the segmentation cache
 	// and its scratch; nil once released. The history's indices
@@ -129,14 +127,11 @@ func NewRecognizer(p *Pipeline, seg *Segmenter) *Recognizer {
 	buf := recBufferPool.Get().(*recBuffers)
 	buf.reset(seg.FrameLen, p.Cal)
 	return &Recognizer{
-		pipeline:   p,
-		seg:        seg,
-		tel:        newRecognizerTel(p.Obs),
-		recBuffers: buf,
-		ConfirmGap: time.Duration(seg.WindowFrames) * seg.FrameLen,
-		// The letter gap must exceed the longest inter-stroke
-		// adjustment interval (~2 s for a slow writer).
-		LetterGap:     2500 * time.Millisecond,
+		pipeline:      p,
+		seg:           seg,
+		tel:           newRecognizerTel(p.Obs),
+		recBuffers:    buf,
+		confirmGap:    time.Duration(seg.WindowFrames) * seg.FrameLen,
 		lastPollFrame: -1,
 	}
 }
@@ -333,7 +328,7 @@ func (r *Recognizer) Flush(at time.Duration) []Event {
 	}
 	// Push the horizon far enough that every span closes, bypassing
 	// the frame-boundary throttle.
-	horizon := at + r.ConfirmGap + time.Millisecond
+	horizon := at + r.confirmGap + time.Millisecond
 	r.lastPollFrame = int64(horizon / r.seg.FrameLen)
 	events := r.poll(horizon)
 	if len(r.pending) > 0 {
@@ -341,6 +336,11 @@ func (r *Recognizer) Flush(at time.Duration) []Event {
 	}
 	return events
 }
+
+// letterGap is the quiet period that finalizes a letter. It must exceed
+// the longest inter-stroke adjustment interval (~2 s for a slow
+// writer).
+const letterGap = 2500 * time.Millisecond
 
 // streamWarmup is how much buffered context segmentation needs before
 // its adaptive thresholds are trustworthy; earlier polls are skipped.
@@ -383,7 +383,7 @@ func (r *Recognizer) poll(horizon time.Duration) []Event {
 		if sp.Start-r.bufStart < minPreContext {
 			continue
 		}
-		if sp.End+r.ConfirmGap > horizon {
+		if sp.End+r.confirmGap > horizon {
 			openSpan = true
 			break // still open: more data may extend it
 		}
@@ -403,7 +403,7 @@ func (r *Recognizer) poll(horizon time.Duration) []Event {
 			Span:   sp,
 		})
 	}
-	if len(r.pending) > 0 && !openSpan && horizon-r.lastStroke >= r.LetterGap {
+	if len(r.pending) > 0 && !openSpan && horizon-r.lastStroke >= letterGap {
 		events = append(events, r.finishLetter(horizon)...)
 	} else if len(r.pending) == 0 && !openSpan {
 		// Quiet-stream housekeeping: with no letter in progress the

@@ -17,22 +17,22 @@ import (
 // that would otherwise poison calibration means or segmentation
 // statistics. Rejections count into readings_rejected_total by reason.
 type Sanitizer struct {
-	// MaxRegression is how far behind the newest delivered timestamp a
-	// reading may arrive: the transport's resume overlap plus reorder
-	// tolerance (default 1 s). Older readings are clock regressions,
-	// not reordering.
-	MaxRegression time.Duration
-	// RSSMin/RSSMax bound plausible received signal strength in dBm
-	// (defaults −120 and 0: passive-tag backscatter is always well
-	// inside them).
-	RSSMin, RSSMax float64
-
 	phase *obs.Counter
 	rss   *obs.Counter
 	time  *obs.Counter
 }
 
-// NewSanitizer builds a sanitizer with default bounds, counting
+const (
+	// maxRegression is how far behind the newest delivered timestamp a
+	// reading may arrive: the transport's resume overlap plus reorder
+	// tolerance. Older readings are clock regressions, not reordering.
+	maxRegression = time.Second
+	// rssMin and rssMax bound plausible received signal strength in
+	// dBm: passive-tag backscatter is always well inside them.
+	rssMin, rssMax = -120, 0
+)
+
+// NewSanitizer builds a sanitizer, counting
 // rejections into reg (nil = obs.Default()).
 func NewSanitizer(reg *obs.Registry) *Sanitizer {
 	r := obs.Or(reg)
@@ -42,19 +42,16 @@ func NewSanitizer(reg *obs.Registry) *Sanitizer {
 			obs.L("reason", reason))
 	}
 	return &Sanitizer{
-		MaxRegression: time.Second,
-		RSSMin:        -120,
-		RSSMax:        0,
-		phase:         rejected("phase"),
-		rss:           rejected("rss"),
-		time:          rejected("time_regression"),
+		phase: rejected("phase"),
+		rss:   rejected("rss"),
+		time:  rejected("time_regression"),
 	}
 }
 
 // AdmitColumns filters a columnar batch in place, keeping only the
 // readings downstream stages can use: a reading is rejected if its
-// phase is NaN or ±Inf, if its RSS lies outside [RSSMin, RSSMax], or if
-// its timestamp is more than MaxRegression behind newest. newest is the
+// phase is NaN or ±Inf, if its RSS lies outside [rssMin, rssMax], or if
+// its timestamp is more than maxRegression behind newest. newest is the
 // stream's newest previously delivered timestamp (0 before any, when
 // nothing can regress) and advances over each admitted reading, so a
 // regressing timestamp later in the batch is judged against the
@@ -69,12 +66,12 @@ func (z *Sanitizer) AdmitColumns(b *ReadingBatch, newest time.Duration) {
 			z.phase.Inc()
 			continue
 		}
-		if rss[i] < z.RSSMin || rss[i] > z.RSSMax {
+		if rss[i] < rssMin || rss[i] > rssMax {
 			z.rss.Inc()
 			continue
 		}
 		t := times[i]
-		if newest > 0 && t < newest-z.MaxRegression {
+		if newest > 0 && t < newest-maxRegression {
 			z.time.Inc()
 			continue
 		}

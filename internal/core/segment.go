@@ -26,18 +26,21 @@ type Segmenter struct {
 	// adaptive default, which scales with the capture's own quiet
 	// noise level (adaptiveK × the median window std, floored).
 	Threshold float64
-	// MergeGap joins detected spans separated by less than this gap.
+}
+
+const (
+	// mergeGap joins detected spans separated by less than this gap.
 	// A stroke's phase rotation stalls briefly where the reflected
 	// path length is stationary (the symmetric trends of Fig. 8),
 	// which can split one stroke in two; an adjustment interval is
-	// much longer than this. Default 300 ms.
-	MergeGap time.Duration
-	// MinSpan drops detected spans shorter than this: the briefest
+	// much longer than this.
+	mergeGap = 300 * time.Millisecond
+	// minSpan drops detected spans shorter than this: the briefest
 	// real stroke lasts several frames (the paper treats a 0.5 s
 	// window as the detection unit), while interference pops last one
-	// or two. Default 400 ms.
-	MinSpan time.Duration
-}
+	// or two.
+	minSpan = 400 * time.Millisecond
+)
 
 // Adaptive-threshold tuning: the quietest quarter of a capture's
 // windows tracks the noise floor even when strokes cover most of the
@@ -58,8 +61,6 @@ func NewSegmenter() *Segmenter {
 	return &Segmenter{
 		FrameLen:     100 * time.Millisecond,
 		WindowFrames: 5,
-		MergeGap:     300 * time.Millisecond,
-		MinSpan:      400 * time.Millisecond,
 	}
 }
 
@@ -271,13 +272,10 @@ func (g *Segmenter) segmentRMSFrom(rms []float64, start time.Duration, sc *segSc
 		})
 	}
 	sc.spans = spans
-	merged := g.merge(spans)
-	if g.MinSpan <= 0 {
-		return merged
-	}
+	merged := merge(spans)
 	kept := merged[:0]
 	for _, sp := range merged {
-		if sp.Duration() >= g.MinSpan {
+		if sp.Duration() >= minSpan {
 			kept = append(kept, sp)
 		}
 	}
@@ -420,15 +418,15 @@ func (sc *segScratch) unseed(f, w int) {
 	}
 }
 
-// merge joins spans closer than MergeGap.
-func (g *Segmenter) merge(spans []Span) []Span {
-	if len(spans) < 2 || g.MergeGap <= 0 {
+// merge joins spans closer than mergeGap.
+func merge(spans []Span) []Span {
+	if len(spans) < 2 {
 		return spans
 	}
 	out := spans[:1]
 	for _, sp := range spans[1:] {
 		last := &out[len(out)-1]
-		if sp.Start-last.End <= g.MergeGap {
+		if sp.Start-last.End <= mergeGap {
 			last.End = sp.End
 		} else {
 			out = append(out, sp)

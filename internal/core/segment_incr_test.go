@@ -354,7 +354,7 @@ func TestSegCacheCleanFramesAfterMidStreamFlush(t *testing.T) {
 			flushedAt = rec.now
 		}
 		checkCleanFrames(t, rec, i/64)
-		if flushedAt >= 0 && rec.now > flushedAt && rec.now < flushedAt+rec.ConfirmGap {
+		if flushedAt >= 0 && rec.now > flushedAt && rec.now < flushedAt+rec.confirmGap {
 			refilled++
 		}
 	}

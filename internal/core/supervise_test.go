@@ -151,7 +151,7 @@ func TestSanitizerAdmit(t *testing.T) {
 	}
 
 	// A mixed batch on a fresh stream: newest starts at 0 and advances
-	// over each admitted reading, so a reading more than MaxRegression
+	// over each admitted reading, so a reading more than maxRegression
 	// behind an earlier reading of the same batch is a regression.
 	var b ReadingBatch
 	for _, rd := range []Reading{

@@ -49,9 +49,6 @@ type Config struct {
 	// Workers is the shard count — the bound on recognition
 	// parallelism (default GOMAXPROCS).
 	Workers int
-	// QueueDepth is each shard's mailbox capacity in batches
-	// (default 256).
-	QueueDepth int
 	// Stream is the per-stream recognition config (grid geometry,
 	// calibration prelude, flush horizon, recognizer registry). A nil
 	// Stream.Obs defaults to Obs, so one registry holds the engine's
@@ -111,9 +108,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 30 * time.Second
@@ -319,8 +313,11 @@ type Engine struct {
 	results []StreamResult
 }
 
+// queueDepth is each shard's mailbox capacity in batches.
+const queueDepth = 256
+
 // New starts an engine: cfg.Workers shard goroutines, each owning a
-// mailbox of cfg.QueueDepth batches.
+// mailbox of queueDepth batches.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	reg := obs.Or(cfg.Obs)
@@ -330,7 +327,7 @@ func New(cfg Config) *Engine {
 	for i := 0; i < cfg.Workers; i++ {
 		s := &shard{
 			eng:     e,
-			mail:    make(chan item, cfg.QueueDepth),
+			mail:    make(chan item, queueDepth),
 			stop:    make(chan struct{}),
 			streams: map[StreamID]*streamState{},
 		}

@@ -40,7 +40,7 @@ func TestPushBatchRefusedLeavesBatchWithCaller(t *testing.T) {
 	reg := obs.NewRegistry()
 	// Hand-built engine with one shard and NO worker goroutine, so the
 	// mailbox state is fully deterministic.
-	e := &Engine{cfg: Config{Workers: 1, QueueDepth: 1}.withDefaults(), tel: newTelemetry(reg)}
+	e := &Engine{cfg: Config{Workers: 1}.withDefaults(), tel: newTelemetry(reg)}
 	e.shards = []*shard{{eng: e, mail: make(chan item, 1), stop: make(chan struct{}), streams: map[StreamID]*streamState{}}}
 
 	batch := func() *core.ReadingBatch {

@@ -28,8 +28,6 @@ func (r *replaySource) NextReports() ([]llrp.TagReport, error) {
 	return batch, nil
 }
 
-func (r *replaySource) Stats() llrp.SessionStats { return llrp.SessionStats{} }
-
 // push offers readings to the engine as one pooled columnar batch
 // through its non-blocking intake; a refused batch goes back to the
 // pool, as a caller that gives up returns it.
@@ -245,7 +243,6 @@ func TestEngineChaosStreamDoesNotStallSiblings(t *testing.T) {
 	healthyDone := make(chan struct{}, 2)
 	run := func(id engine.StreamID, src interface {
 		NextReports() ([]llrp.TagReport, error)
-		Stats() llrp.SessionStats
 	}, healthy bool) {
 		defer wg.Done()
 		if err := eng.RunStream(id, src); err != nil {

@@ -133,5 +133,3 @@ type failingSource struct{}
 func (failingSource) NextReports() ([]llrp.TagReport, error) {
 	return nil, context.DeadlineExceeded
 }
-
-func (failingSource) Stats() llrp.SessionStats { return llrp.SessionStats{} }

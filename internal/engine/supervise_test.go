@@ -138,7 +138,6 @@ func TestEngineSourcePanicIsolated(t *testing.T) {
 type panicSource struct{}
 
 func (panicSource) NextReports() ([]llrp.TagReport, error) { panic("source detonated") }
-func (panicSource) Stats() llrp.SessionStats               { return llrp.SessionStats{} }
 
 // TestEngineCheckpointRestoreSkipsPrelude closes a checkpointing
 // engine after a full run, then feeds a second engine (same store) a

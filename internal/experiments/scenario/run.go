@@ -309,8 +309,6 @@ func (p pacedSource) NextReports() ([]llrp.TagReport, error) {
 	return batch, nil
 }
 
-func (p pacedSource) Stats() llrp.SessionStats { return llrp.SessionStats{} }
-
 // degrade applies a grid degradation to a capture: all readings of
 // DeadTags randomly chosen tags are removed, then each remaining
 // reading is dropped with DropRate. Tag choice and drops draw only

@@ -22,9 +22,6 @@ type Config struct {
 	// CalibDuration is the static prelude length used for calibration
 	// (default 3 s of stream time).
 	CalibDuration time.Duration
-	// FlushAfter pads the final flush horizon past the last reading
-	// (default 2 s).
-	FlushAfter time.Duration
 	// Obs selects the metrics registry the recognizer's rfipad_* series
 	// land in (nil = obs.Default()).
 	Obs *obs.Registry
@@ -37,15 +34,14 @@ func (c Config) withDefaults() Config {
 	if c.CalibDuration <= 0 {
 		c.CalibDuration = 3 * time.Second
 	}
-	if c.FlushAfter <= 0 {
-		c.FlushAfter = 2 * time.Second
-	}
 	return c
 }
+
+// flushAfter pads a stream's final flush horizon past its last reading.
+const flushAfter = 2 * time.Second
 
 // ReportSource is the slice of llrp.Session a stream's drain loop
 // needs (Session satisfies it; tests and replays may substitute).
 type ReportSource interface {
 	NextReports() ([]llrp.TagReport, error)
-	Stats() llrp.SessionStats
 }

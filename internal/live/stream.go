@@ -162,7 +162,7 @@ func (s *Stream) Flush() []core.Event {
 	if s.rec == nil {
 		return nil
 	}
-	return s.rec.Flush(s.lastTime + s.cfg.FlushAfter)
+	return s.rec.Flush(s.lastTime + flushAfter)
 }
 
 // Release hands the stream's buffers to the streams built after it:

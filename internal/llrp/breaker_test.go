@@ -178,3 +178,110 @@ func TestSessionBreakerDisabledByDefault(t *testing.T) {
 		t.Errorf("disabled breaker blocked %v attempts", v)
 	}
 }
+
+// TestSessionBreakerWindowRestartsStreak pins the breaker's window: a
+// failure streak whose first failure is older than BreakerWindow
+// restarts, so failures spaced wider than the window never open a
+// threshold-2 breaker, however many there are before ErrGiveUp.
+func TestSessionBreakerWindowRestartsStreak(t *testing.T) {
+	reg := obs.NewRegistry()
+	fl, err := trace.OpenFlight(flightDir(t), reg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DialSession(context.Background(), SessionConfig{
+		Dialer: func(context.Context) (net.Conn, error) {
+			return nil, errors.New("connection refused")
+		},
+		// The smallest backoff delay is 2 ms, twice the window.
+		BackoffInitial:    4 * time.Millisecond,
+		BackoffMax:        8 * time.Millisecond,
+		MaxAttempts:       6,
+		KeepaliveInterval: -1,
+		BreakerThreshold:  2,
+		BreakerWindow:     time.Millisecond,
+		BreakerCooldown:   time.Millisecond,
+		Obs:               reg,
+		Flight:            fl,
+	})
+	if !errors.Is(err, ErrGiveUp) {
+		t.Fatalf("dial err = %v, want ErrGiveUp", err)
+	}
+	snap := reg.Snapshot()
+	if v := snap.Value("llrp_session_breaker_state"); v != 0 {
+		t.Errorf("llrp_session_breaker_state = %v, want 0 (closed)", v)
+	}
+	if v := snap.Value("llrp_session_breaker_blocked_total"); v != 0 {
+		t.Errorf("llrp_session_breaker_blocked_total = %v, want 0", v)
+	}
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dumps, err := trace.ReadDumps(fl.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dumps) != 0 {
+		t.Errorf("recorded %d flight dumps (%+v), want none", len(dumps), dumps)
+	}
+}
+
+// TestSessionBreakerSuccessResetsStreak pins that a successful connect
+// ends the failure streak: with a threshold-2 breaker, one failed dial
+// before the first connect and one after a mid-stream cut never add
+// up to a trip.
+func TestSessionBreakerSuccessResetsStreak(t *testing.T) {
+	h := &seekHarness{}
+	for i := 0; i < 5; i++ {
+		h.reports = append(h.reports, TagReport{
+			EPC:       tagmodel.MakeEPC(i + 1),
+			Timestamp: time.Duration(i+1) * 10 * time.Millisecond,
+		})
+	}
+	_, addr := startServer(t, h.newSource)
+
+	reg := obs.NewRegistry()
+	var dials atomic.Int32
+	sess, err := DialSession(context.Background(), SessionConfig{
+		// Dials 1 and 3 fail; dial 2's link dies after the handshake
+		// (20 bytes) and two single-report frames (38 bytes each).
+		Dialer: func(ctx context.Context) (net.Conn, error) {
+			n := dials.Add(1)
+			if n == 1 || n == 3 {
+				return nil, errors.New("connection refused")
+			}
+			var d net.Dialer
+			conn, err := d.DialContext(ctx, "tcp", addr)
+			if err != nil || n != 2 {
+				return conn, err
+			}
+			return &limitConn{Conn: conn, remaining: 20 + 2*38}, nil
+		},
+		BackoffInitial:    time.Millisecond,
+		BackoffMax:        2 * time.Millisecond,
+		KeepaliveInterval: -1, // keep the byte budget exact
+		BreakerThreshold:  2,
+		BreakerWindow:     10 * time.Second,
+		BreakerCooldown:   20 * time.Millisecond,
+		Obs:               reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for {
+		_, err := sess.NextReports()
+		if errors.Is(err, ErrStreamEnded) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dials.Load(); n != 4 {
+		t.Errorf("dials = %d, want 4", n)
+	}
+	if v := reg.Snapshot().Value("llrp_session_breaker_blocked_total"); v != 0 {
+		t.Errorf("llrp_session_breaker_blocked_total = %v, want 0: the breaker opened across a successful connect", v)
+	}
+}

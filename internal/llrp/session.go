@@ -11,7 +11,6 @@ import (
 
 	"rfipad/internal/obs"
 	"rfipad/internal/obs/trace"
-	"rfipad/internal/supervise"
 )
 
 // SessionConfig tunes a fault-tolerant reader session.
@@ -27,8 +26,8 @@ type SessionConfig struct {
 	BackoffInitial time.Duration
 	// BackoffMax caps the exponential growth (default 5 s).
 	BackoffMax time.Duration
-	// JitterSeed seeds the deterministic backoff jitter; equal seeds
-	// reproduce the exact reconnect schedule.
+	// JitterSeed seeds the deterministic backoff and breaker cool-down
+	// jitter; equal seeds reproduce the exact reconnect schedule.
 	JitterSeed int64
 	// MaxAttempts bounds *consecutive* failed connect attempts before
 	// the session gives up (0 = retry forever). The counter resets on
@@ -36,11 +35,12 @@ type SessionConfig struct {
 	MaxAttempts int
 
 	// BreakerThreshold, when positive, arms a reconnect circuit
-	// breaker: after this many consecutive failed connects within
-	// BreakerWindow the breaker opens and the session sleeps out a
-	// jittered BreakerCooldown in one wait — then admits a single
-	// half-open probe — instead of hammering a flapping reader with
-	// per-attempt backoff. Breaker state is exported as the
+	// breaker as the retry schedule's last step: after this many
+	// consecutive failed connects within BreakerWindow the breaker
+	// opens and the next delay is one jittered BreakerCooldown instead
+	// of a per-attempt backoff; the attempt after it is a half-open
+	// probe, whose failure re-opens the breaker and whose success
+	// closes it. Breaker state is exported as the
 	// llrp_session_breaker_state gauge (0 closed, 1 open, 2
 	// half-open). Zero disables the breaker.
 	BreakerThreshold int
@@ -99,6 +99,15 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 5 * time.Second
 	}
+	if c.BreakerWindow <= 0 {
+		c.BreakerWindow = 30 * time.Second
+	}
+	if c.BreakerCooldown <= 0 {
+		c.BreakerCooldown = 5 * time.Second
+	}
+	if c.FlightStream == "" {
+		c.FlightStream = c.Addr
+	}
 	return c
 }
 
@@ -111,7 +120,8 @@ const (
 	SessionConnected SessionEventKind = iota + 1
 	// SessionDisconnected fires when a live link fails.
 	SessionDisconnected
-	// SessionRetrying fires before each backoff sleep.
+	// SessionRetrying fires before each retry delay: a backoff, or an
+	// open breaker's cool-down.
 	SessionRetrying
 	// SessionReaderInfo relays an informational reader event payload.
 	SessionReaderInfo
@@ -122,7 +132,7 @@ type SessionEvent struct {
 	Kind SessionEventKind
 	// Attempt is the consecutive failed-connect count (SessionRetrying).
 	Attempt int
-	// Wait is the backoff delay about to be slept (SessionRetrying).
+	// Wait is the delay about to be slept (SessionRetrying).
 	Wait time.Duration
 	// Err is the failure that triggered the event, when any.
 	Err error
@@ -171,8 +181,12 @@ type Session struct {
 	// scratch is the reused decode buffer behind NextReports; each call
 	// overwrites the previous batch in place.
 	scratch []TagReport
-	// breaker gates reconnect attempts when armed (nil otherwise).
-	breaker *supervise.Breaker
+	// The reconnect circuit breaker (BreakerThreshold > 0): its
+	// position, the failed connects in the current streak, and when
+	// the streak's first failure happened.
+	brkState breakerState
+	brkFails int
+	brkFirst time.Time
 
 	// mu guards everything below: the link (conn/client share a
 	// bufio.Writer with the keepalive pinger) and the counters. It is
@@ -220,30 +234,7 @@ func DialSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	}
 	obs.EnableRuntimeMetrics(obs.Or(cfg.Obs))
 	if cfg.BreakerThreshold > 0 {
-		flightStream := cfg.FlightStream
-		if flightStream == "" {
-			flightStream = cfg.Addr
-		}
-		s.breaker = supervise.NewBreaker(supervise.BreakerConfig{
-			Threshold:  cfg.BreakerThreshold,
-			Window:     cfg.BreakerWindow,
-			Cooldown:   cfg.BreakerCooldown,
-			JitterSeed: cfg.JitterSeed,
-			OnState: func(st supervise.BreakerState) {
-				s.tel.breaker.Set(float64(st))
-				if st == supervise.BreakerOpen {
-					// The breaker opening IS the anomaly — the link
-					// flapped past its failure budget. Record it even
-					// with no trace attached; the dump carries the streak.
-					cfg.Flight.Record(trace.Dump{
-						Trigger: trace.TriggerBreakerOpen,
-						Stream:  flightStream,
-						Detail: fmt.Sprintf("reconnect breaker opened after %d failures in %v",
-							cfg.BreakerThreshold, cfg.BreakerWindow),
-					})
-				}
-			},
-		})
+		s.tel.breaker.Set(float64(breakerClosed))
 	}
 	if err := s.connectWithRetry(); err != nil {
 		return nil, err
@@ -335,37 +326,30 @@ func (s *Session) readBatch(conn net.Conn, client *Client) ([]TagReport, error) 
 	}
 }
 
-// connectWithRetry dials with capped exponential backoff and seeded
-// jitter until a link is up, the context dies, or MaxAttempts
-// consecutive attempts fail. With a breaker armed, an open circuit
-// replaces the per-attempt backoff: the session sleeps out the
-// remaining cool-down in one wait, then the next admitted attempt is
-// the half-open probe.
+// connectWithRetry dials until a link is up, the context dies, or
+// MaxAttempts consecutive attempts fail. Between attempts it sleeps a
+// capped exponential backoff with seeded jitter. With a breaker armed,
+// the breaker is the schedule's last step: once it opens, the next
+// delay is its cool-down and the attempt after it the half-open probe.
 func (s *Session) connectWithRetry() error {
 	for {
-		if err := s.breakerWait(); err != nil {
-			return err
-		}
 		err := s.connectOnce()
 		if err == nil {
-			if s.breaker != nil {
-				s.breaker.Success()
-			}
+			s.brkFails = 0
+			s.setBreaker(breakerClosed)
 			return nil
 		}
 		if errors.Is(err, ErrSessionClosed) || errors.Is(err, context.Canceled) ||
 			errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
-		if s.breaker != nil {
-			s.breaker.Failure()
-		}
+		s.breakerFailure()
 		s.attempts++
 		s.tel.retries.Inc()
 		if s.cfg.MaxAttempts > 0 && s.attempts >= s.cfg.MaxAttempts {
 			return fmt.Errorf("%w after %d attempts: %v", ErrGiveUp, s.attempts, err)
 		}
-		wait := s.backoff(s.attempts)
+		wait := s.retryDelay()
 		s.emit(SessionEvent{Kind: SessionRetrying, Attempt: s.attempts, Wait: wait, Err: err})
 		t := time.NewTimer(wait)
 		select {
@@ -374,29 +358,71 @@ func (s *Session) connectWithRetry() error {
 			return s.ctx.Err()
 		case <-t.C:
 		}
+		if s.brkState == breakerOpen {
+			s.setBreaker(breakerHalfOpen)
+		}
 	}
 }
 
-// breakerWait blocks (context-aware) until the breaker admits an
-// attempt. A no-op when the breaker is disarmed or closed.
-func (s *Session) breakerWait() error {
-	if s.breaker == nil {
-		return nil
+// breakerState is the reconnect circuit breaker's position; the values
+// are the llrp_session_breaker_state gauge's.
+type breakerState int
+
+const (
+	breakerClosed breakerState = iota
+	breakerOpen
+	breakerHalfOpen
+)
+
+// breakerFailure counts a failed connect against an armed breaker. A
+// failed half-open probe re-opens it at once; otherwise the windowed
+// streak advances (restarting when its first failure is older than
+// BreakerWindow) and opens the breaker at BreakerThreshold.
+func (s *Session) breakerFailure() {
+	if s.cfg.BreakerThreshold <= 0 {
+		return
 	}
-	for {
-		wait, ok := s.breaker.Allow()
-		if ok {
-			return nil
+	if s.brkState == breakerClosed {
+		now := time.Now()
+		if s.brkFails == 0 || now.Sub(s.brkFirst) > s.cfg.BreakerWindow {
+			s.brkFails = 0
+			s.brkFirst = now
 		}
-		s.tel.brkBlocked.Inc()
-		t := time.NewTimer(wait)
-		select {
-		case <-s.ctx.Done():
-			t.Stop()
-			return s.ctx.Err()
-		case <-t.C:
+		s.brkFails++
+		if s.brkFails < s.cfg.BreakerThreshold {
+			return
 		}
 	}
+	s.brkFails = 0
+	s.setBreaker(breakerOpen)
+	// The breaker opening IS the anomaly — the link flapped past its
+	// failure budget. Record it even with no trace attached.
+	s.cfg.Flight.Record(trace.Dump{
+		Trigger: trace.TriggerBreakerOpen,
+		Stream:  s.cfg.FlightStream,
+		Detail: fmt.Sprintf("reconnect breaker opened after %d failures in %v",
+			s.cfg.BreakerThreshold, s.cfg.BreakerWindow),
+	})
+}
+
+// setBreaker moves an armed breaker and its gauge.
+func (s *Session) setBreaker(st breakerState) {
+	if s.cfg.BreakerThreshold > 0 && s.brkState != st {
+		s.brkState = st
+		s.tel.breaker.Set(float64(st))
+	}
+}
+
+// retryDelay is the schedule's next delay: the attempt's backoff, or,
+// while the breaker is open, its cool-down jittered into [Cooldown,
+// 1.5×Cooldown] so a fleet of sessions does not probe in lockstep.
+func (s *Session) retryDelay() time.Duration {
+	if s.brkState != breakerOpen {
+		return s.backoff(s.attempts)
+	}
+	s.tel.brkBlocked.Inc()
+	d := float64(s.cfg.BreakerCooldown)
+	return time.Duration(d + d/2*s.rng.Float64())
 }
 
 // backoffFactor is the per-attempt growth of the reconnect delay.

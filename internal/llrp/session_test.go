@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rfipad/internal/obs"
 	"rfipad/internal/tagmodel"
 )
 
@@ -164,7 +165,13 @@ func TestSessionReconnectsAndResumes(t *testing.T) {
 	}
 }
 
-func collectBackoff(t *testing.T, seed int64) []time.Duration {
+// backoffCooldown is collectBackoff's breaker cool-down.
+const backoffCooldown = 4 * time.Millisecond
+
+// collectBackoff dials a source that always refuses until MaxAttempts
+// (5) gives up and returns every SessionRetrying wait. A positive
+// breakerThreshold arms the breaker with a backoffCooldown cool-down.
+func collectBackoff(t *testing.T, seed int64, breakerThreshold int) []time.Duration {
 	t.Helper()
 	var waits []time.Duration
 	_, err := DialSession(context.Background(), SessionConfig{
@@ -176,6 +183,9 @@ func collectBackoff(t *testing.T, seed int64) []time.Duration {
 		JitterSeed:        seed,
 		MaxAttempts:       5,
 		KeepaliveInterval: -1,
+		BreakerThreshold:  breakerThreshold,
+		BreakerCooldown:   backoffCooldown,
+		Obs:               obs.NewRegistry(),
 		OnEvent: func(ev SessionEvent) {
 			if ev.Kind == SessionRetrying {
 				waits = append(waits, ev.Wait)
@@ -189,8 +199,8 @@ func collectBackoff(t *testing.T, seed int64) []time.Duration {
 }
 
 func TestSessionBackoffDeterministicAndCapped(t *testing.T) {
-	w1 := collectBackoff(t, 99)
-	w2 := collectBackoff(t, 99)
+	w1 := collectBackoff(t, 99, 0)
+	w2 := collectBackoff(t, 99, 0)
 	if len(w1) != 4 {
 		t.Fatalf("retry events = %d, want 4 (MaxAttempts-1)", len(w1))
 	}
@@ -206,6 +216,28 @@ func TestSessionBackoffDeterministicAndCapped(t *testing.T) {
 		}
 		if w1[i] < d/2 || w1[i] > d {
 			t.Errorf("attempt %d wait %v outside [%v, %v]", i+1, w1[i], d/2, d)
+		}
+	}
+
+	// Armed at threshold 2, the breaker is the schedule's last step:
+	// the second failure opens it, every later delay is a cool-down
+	// (each failed half-open probe re-opens the breaker), and the same
+	// seed reproduces the whole schedule from the session's one RNG.
+	a1 := collectBackoff(t, 99, 2)
+	a2 := collectBackoff(t, 99, 2)
+	if len(a1) != 4 {
+		t.Fatalf("armed retry events = %d, want 4 (MaxAttempts-1)", len(a1))
+	}
+	for i := range a1 {
+		if a1[i] != a2[i] {
+			t.Errorf("armed attempt %d: %v vs %v — same seed must reproduce the schedule", i+1, a1[i], a2[i])
+		}
+		lo, hi := time.Millisecond/2, time.Millisecond
+		if i > 0 {
+			lo, hi = backoffCooldown, backoffCooldown*3/2
+		}
+		if a1[i] < lo || a1[i] > hi {
+			t.Errorf("armed attempt %d wait %v outside [%v, %v]", i+1, a1[i], lo, hi)
 		}
 	}
 }

@@ -141,9 +141,10 @@ func (s *Source) Seek(resumeFrom time.Duration) {
 }
 
 // Synthesize builds a full RFIPad capture: a static prelude for
-// calibration followed by a writer air-writing the word, with a quiet
-// adjustment gap between letters so the online recognizer can close
-// each one. The result is sorted by timestamp.
+// calibration, then, 2 s after its last report, the word as
+// rfipad.Simulator.WriteWord writes it (seeded by seed), with a quiet
+// gap between letters so the online recognizer can close each one.
+// The result is sorted by timestamp.
 func Synthesize(seed int64, word string, prelude time.Duration) ([]llrp.TagReport, error) {
 	return SynthesizeUser(seed, word, prelude, rfipad.User{})
 }
@@ -159,23 +160,19 @@ func SynthesizeUser(seed int64, word string, prelude time.Duration, writer rfipa
 	if prelude <= 0 {
 		prelude = 3 * time.Second
 	}
-	var reports []llrp.TagReport
-	add := func(rs []llrp.TagReport, offset time.Duration) time.Duration {
-		end := offset
-		for _, r := range rs {
-			r.Timestamp += offset
-			reports = append(reports, r)
-			end = max(end, r.Timestamp)
-		}
-		return end
+	reports := sim.CollectStatic(prelude)
+	letters, _, err := sim.WriteWord(word, seed)
+	if err != nil {
+		return nil, fmt.Errorf("replay: synthesize: %w", err)
 	}
-	offset := add(sim.CollectStatic(prelude), 0)
-	for i, ch := range word {
-		rs, _, err := sim.WriteLetter(ch, seed*100+int64(i))
-		if err != nil {
-			return nil, fmt.Errorf("replay: synthesize %q: %w", ch, err)
-		}
-		offset = add(rs, offset+2*time.Second)
+	var start time.Duration
+	for _, r := range reports {
+		start = max(start, r.Timestamp)
+	}
+	start += 2 * time.Second
+	for _, r := range letters {
+		r.Timestamp += start
+		reports = append(reports, r)
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].Timestamp < reports[j].Timestamp })
 	return reports, nil

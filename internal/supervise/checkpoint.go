@@ -1,3 +1,8 @@
+// Package supervise is the live stack's durable checkpoint store: it
+// persists each stream's calibration so a restarted daemon or a
+// migrated stream skips the calibration prelude. It depends only on
+// the standard library and internal/core, so the engine, the cluster
+// and the commands can all use it without import cycles.
 package supervise
 
 import (

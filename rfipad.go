@@ -288,15 +288,29 @@ func (s *Simulator) WriteLetter(ch rune, trialSeed int64) ([]TagReport, time.Dur
 
 // WriteWord synthesizes a whole word written letter by letter in one
 // continuous session — the succession-of-letters scenario §III-C2
-// leaves as future work. The streaming Recognizer emits one
+// leaves as future work — and returns the report stream plus the time
+// its last letter's script ends. Letter i is WriteLetter(ch,
+// trialSeed·100+i), a fresh hand per letter, starting 2 s after the
+// previous letter's last report. The streaming Recognizer emits one
 // LetterDeduced event per letter.
 func (s *Simulator) WriteWord(word string, trialSeed int64) ([]TagReport, time.Duration, error) {
-	synth := s.sys.Synthesizer(s.writer, rand.New(rand.NewSource(trialSeed)))
-	ws, err := sim.WriteWord(synth, word, nil)
-	if err != nil {
-		return nil, 0, err
+	var out []TagReport
+	var start, end time.Duration
+	for i, ch := range word {
+		reports, d, err := s.WriteLetter(ch, trialSeed*100+int64(i))
+		if err != nil {
+			return nil, 0, fmt.Errorf("rfipad: word %q: %w", word, err)
+		}
+		last := start
+		for _, r := range reports {
+			r.Timestamp += start
+			out = append(out, r)
+			last = max(last, r.Timestamp)
+		}
+		end = start + d
+		start = last + 2*time.Second
 	}
-	return s.sys.RunScript(ws.Script), ws.Script.Duration(), nil
+	return out, end, nil
 }
 
 // TagEPC returns the EPC of the tag at grid position (row, col), or

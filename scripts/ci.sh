@@ -59,10 +59,12 @@ go test -race -shuffle=on ./...
 # stream but the one its final flush quarantined, and an evict whose
 # checkpoint must survive its stream's buffers going to the next stream.
 # The two end-to-end chaos tests run rfipad-live's production path (a
-# one-worker engine draining a session) over a faulted link.
+# one-worker engine draining a session) over a faulted link. A join's
+# sticky rebalance migrates live streams, and a panicking source must
+# be quarantined on the cluster path as on the engine's.
 echo '== chaos + recovery tests (-race -count=2)'
 go test -race -count=2 \
-    -run 'TestEnginePanic|TestEngineSourcePanic|TestEngineCheckpoint|TestEngineDrain|TestEngineRelease|TestEndToEndChaos|TestCheckpointRestore|TestCheckpointStale|TestSessionBreaker|TestClusterNodeKill|TestClusterHandoff|TestClusterLeave|TestClusterFlight' \
+    -run 'TestEnginePanic|TestEngineSourcePanic|TestEngineCheckpoint|TestEngineDrain|TestEngineRelease|TestEndToEndChaos|TestCheckpointRestore|TestCheckpointStale|TestSessionBreaker|TestClusterNodeKill|TestClusterHandoff|TestClusterLeave|TestClusterJoin|TestClusterFlight|TestClusterSourcePanic' \
     ./internal/engine ./internal/llrp ./internal/cluster
 
 # Split-brain containment: asymmetric partitions (heartbeats severed,
@@ -75,6 +77,15 @@ echo '== partition chaos tests (-race -count=2)'
 go test -race -count=2 \
     -run 'TestClusterZombie|TestClusterAsymmetric|TestClusterCoordinatorRestart|TestClusterHandoffOneWay|TestEngineFenced|TestDropWrites|TestDropReads' \
     ./internal/engine ./internal/cluster ./internal/faultnet
+
+# The boundaries those invariants rest on: heartbeat expiry and the
+# detector's period floor, lease clamping and the node lease table, and
+# the store's fenced save, path disambiguation, epoch round trip and
+# legacy decode.
+echo '== lease, detector and store boundary tests (-race -count=2)'
+go test -race -count=2 \
+    -run 'TestHeartbeatExpired|TestMonitorPeriod|TestLeaseConfig|TestNodeLeaseTable|TestStoreSaveFenced|TestStorePathCollision|TestStoreEpoch|TestDecodeCheckpointLegacy' \
+    ./internal/cluster ./internal/supervise
 
 # Short fuzz pass over the checkpoint decoder: corrupt files must decode
 # to typed errors, never panic a daemon at boot. New crashers land in
