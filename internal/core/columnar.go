@@ -140,6 +140,15 @@ func (b *ReadingBatch) insertAt(head, i int, t time.Duration, phase, rss float64
 	b.TagIndices[at] = tag
 }
 
+// regrow moves readings [head, Len()) to the front of new arrays of
+// capacity c, which must be at least their number.
+func (b *ReadingBatch) regrow(head, c int) {
+	b.Times = append(make([]time.Duration, 0, c), b.Times[head:]...)
+	b.Phases = append(make([]float64, 0, c), b.Phases[head:]...)
+	b.RSS = append(make([]float64, 0, c), b.RSS[head:]...)
+	b.TagIndices = append(make([]int32, 0, c), b.TagIndices[head:]...)
+}
+
 // compactTo drops the first head readings in place, reusing the backing
 // arrays.
 func (b *ReadingBatch) compactTo(head int) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -53,6 +53,14 @@ type Event struct {
 // Release recycles those buffers into the next recognizer built, which
 // starts at the released one's high-water capacity instead of
 // regrowing it from empty.
+//
+// A stream keeps only what can still change. A reading more than
+// maxRegression behind the newest one is dropped as late (the
+// sanitizer's rule, so a sanitized stream loses nothing to it), which
+// lets every poll retire the frame accumulators before that late
+// horizon and drop the history readings no span still to be
+// recognized and no dedup check can read. The frame-value trace
+// behind the adaptive thresholds still reaches back to bufStart.
 type Recognizer struct {
 	pipeline *Pipeline
 	seg      *Segmenter
@@ -65,8 +73,8 @@ type Recognizer struct {
 
 	// *recBuffers holds the history columns, the segmentation cache
 	// and its scratch; nil once released. The history's indices
-	// [head, hist.Len()) are the live window. Trims advance head and
-	// compact in place once two thirds of the backing arrays are dead,
+	// [head, hist.Len()) are the live window. Polls and trims advance
+	// head; reserve compacts the columns in place when they are full,
 	// so steady-state ingest reuses one set of allocations.
 	*recBuffers
 	head     int
@@ -84,8 +92,12 @@ type Recognizer struct {
 }
 
 // recBuffers is what a recognizer grows while it runs: the history
-// columns, the segmentation cache and the segmentation scratch, 0.5 to
-// 1 MB for a written word. Release hands them to the next
+// columns, the segmentation cache and the segmentation scratch. The
+// history holds the readings from just before the last recognized
+// stroke's end, or at least the last second, in at most twice its
+// largest window; the cache holds one value per frame since bufStart
+// and about a second of accumulators. A live stream writing a word
+// holds about 130 KB in all. Release hands them to the next
 // NewRecognizer through recBufferPool; only their capacity crosses
 // from one stream to the next.
 type recBuffers struct {
@@ -182,8 +194,10 @@ func (r *Recognizer) FrameCursor() time.Duration {
 // produces: exact duplicates (same tag, same timestamp — replay
 // overlap or a duplicated report frame) are dropped, modestly
 // out-of-order readings are inserted at their correct position so the
-// per-tag phase series stay monotonic, and readings older than the
-// already-trimmed history are discarded. How a capture is cut into
+// per-tag phase series stay monotonic, and late readings are
+// discarded: those more than maxRegression behind the newest reading
+// (the sanitizer's own rule, so a sanitized stream has none) or older
+// than the already-trimmed history. How a capture is cut into
 // batches never matters: one batch makes element-for-element the same
 // accept/drop decisions, poll timing, and events as the same readings
 // fed as one-element batches.
@@ -237,6 +251,7 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 					break
 				}
 			}
+			r.reserve(j - i)
 			r.hist.appendColumns(times[i:j], phases[i:j], rss[i:j], tags[i:j])
 			r.cache.addColumns(times[i:j], phases[i:j], tags[i:j])
 			// The run is strictly increasing and starts at or past both
@@ -258,8 +273,9 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 		if t > r.now {
 			r.now = t
 		}
-		if t < r.bufStart {
-			// Too late: this history was already recognized and trimmed.
+		if t < r.bufStart || t < r.now-maxRegression {
+			// Too late: this history was already recognized and
+			// trimmed, or its frame accumulators retired.
 			late++
 			i++
 			continue
@@ -286,6 +302,7 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 			i++
 			continue
 		}
+		r.reserve(1)
 		if idx == len(liveTimes) {
 			r.hist.Append(t, phases[i], rss[i], tag)
 		} else {
@@ -359,8 +376,9 @@ const historyKeep = 8 * time.Second
 
 // poll re-segments the cached frame trace and emits every newly closed
 // span, plus a letter when the quiet gap has elapsed and nothing is in
-// progress.
+// progress. Then, warm-up or not, it sheds what no later poll can read.
 func (r *Recognizer) poll(horizon time.Duration) []Event {
+	defer r.shed()
 	if horizon-r.bufStart < streamWarmup {
 		return nil
 	}
@@ -420,36 +438,68 @@ func (r *Recognizer) poll(horizon time.Duration) []Event {
 	return events
 }
 
+// shed drops the state no later reading or span can reach. Frames
+// before the late horizon (maxRegression behind the newest reading)
+// retire their accumulators. The history keeps the readings from the
+// earlier of two horizons: the earliest start a span still to be
+// recognized can have (past both the re-detection cut behind
+// emittedEnd and minPreContext into the buffer), and the late horizon,
+// behind which no reading lands to be deduplicated or inserted. The
+// span bound never moves back: bufStart only advances, and so does
+// emittedEnd, since an emitted span starts at most two frames before
+// the last one's end and lasts at least minSpan.
+func (r *Recognizer) shed() {
+	late := r.now - maxRegression
+	r.cache.retire(late)
+	keep := min(max(r.emittedEnd-2*r.seg.FrameLen, r.bufStart+minPreContext), late)
+	k, _ := slices.BinarySearch(r.hist.Times[r.head:], keep)
+	r.head += k
+}
+
+// reserve makes room for k more history readings without growing the
+// columns past twice the largest live window: when they are full, the
+// live window moves to the front of the arrays if it then fills at
+// most two thirds of them, and to new arrays of twice its size
+// otherwise. A move copies at most two readings per reading it frees,
+// and a new size is at least 4/3 of the last one, so a stream's
+// capacity settles after a few moves.
+func (r *Recognizer) reserve(k int) {
+	h := &r.hist
+	n := h.Len()
+	if n+k <= cap(h.Times) {
+		return
+	}
+	need := n - r.head + k
+	if 3*need <= 2*cap(h.Times) {
+		h.compactTo(r.head)
+	} else {
+		h.regrow(r.head, 2*need)
+	}
+	r.head = 0
+}
+
 // windowRange returns the history column range [lo, hi) holding the
 // readings with Time in [start, end). The history is time-sorted and
 // free of (tag, time) duplicates, so the range is located by two binary
 // searches and the pipeline splits it by tag without sorting.
 func (r *Recognizer) windowRange(start, end time.Duration) (lo, hi int) {
 	liveTimes := r.hist.Times[r.head:]
-	lo = sort.Search(len(liveTimes), func(i int) bool { return liveTimes[i] >= start })
-	hi = lo + sort.Search(len(liveTimes[lo:]), func(i int) bool { return liveTimes[lo+i] >= end })
-	return r.head + lo, r.head + hi
+	lo, _ = slices.BinarySearch(liveTimes, start)
+	hi, _ = slices.BinarySearch(liveTimes[lo:], end)
+	return r.head + lo, r.head + lo + hi
 }
 
-// trimTo discards history before cut (aligned down to a frame
-// boundary so the cache's frame grid never shifts): the history head
-// advances and the columns compact in place with copy once two thirds
-// of the backing arrays are dead, reusing the existing allocations
-// instead of re-growing fresh slices per letter.
+// trimTo discards history and frames before cut (aligned down to a
+// frame boundary so the cache's frame grid never shifts): bufStart
+// moves to cut and the history head advances past it. The freed room
+// is reused by reserve.
 func (r *Recognizer) trimTo(cut time.Duration) {
 	cut -= cut % r.seg.FrameLen
 	if cut <= r.bufStart {
 		return
 	}
-	liveTimes := r.hist.Times[r.head:]
-	r.head += sort.Search(len(liveTimes), func(i int) bool { return liveTimes[i] >= cut })
-	// Compact lazily: waiting until two thirds of the backing arrays are
-	// dead trades a little resident memory for ~⅓ fewer steady-state
-	// memmoves, which show up directly in the batch-ingest hot path.
-	if 3*r.head > 2*r.hist.Len() {
-		r.hist.compactTo(r.head)
-		r.head = 0
-	}
+	k, _ := slices.BinarySearch(r.hist.Times[r.head:], cut)
+	r.head += k
 	r.bufStart = cut
 	r.cache.trimTo(cut)
 }

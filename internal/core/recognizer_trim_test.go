@@ -1,10 +1,26 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"rfipad/internal/obs"
 )
+
+// newFreshRecognizer builds a recognizer on new buffers, so its
+// capacities are its own stream's, not those of a recognizer released
+// earlier in the process.
+func newFreshRecognizer(p *Pipeline) *Recognizer {
+	r := NewRecognizer(p, nil)
+	r.recBuffers = new(recBuffers)
+	r.reset(r.seg.FrameLen, p.Cal)
+	return r
+}
 
 // syntheticQuiet produces a quiet (no-hand) reading stream covering
 // [from, to): every tag reports each step with small phase noise around
@@ -32,7 +48,8 @@ func syntheticQuiet(grid Grid, from, to, step time.Duration, rng *rand.Rand) []R
 // TestRecognizerTrimBoundsAndReusesBuffer pins the history-trim
 // contract on a long quiet stream: the retained window stays bounded
 // near historyKeep, every trim lands on a frame boundary (the cache's
-// frame grid must never shift), and once the buffer reaches its
+// frame grid must never shift), the columns' capacity stays within
+// twice the largest live window, and once the buffer reaches its
 // high-water capacity, compaction reuses the backing array instead of
 // re-growing a fresh one.
 func TestRecognizerTrimBoundsAndReusesBuffer(t *testing.T) {
@@ -43,15 +60,19 @@ func TestRecognizerTrimBoundsAndReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecognizer(NewPipeline(grid, cal), nil)
+	rec := newFreshRecognizer(NewPipeline(grid, cal))
 
 	stream := syntheticQuiet(grid, 0, 60*time.Second, 10*time.Millisecond, rng)
-	var capAt30 int
+	var capAt30, maxLive int
 	for _, rd := range stream {
 		ingestOne(rec, rd)
+		maxLive = max(maxLive, rec.hist.Len()-rec.head)
 		if capAt30 == 0 && rd.Time >= 30*time.Second {
 			capAt30 = cap(rec.hist.Times)
 		}
+	}
+	if got := cap(rec.hist.Times); got > 2*maxLive {
+		t.Errorf("history capacity %d is more than twice the largest live window, %d readings", got, maxLive)
 	}
 
 	if rec.bufStart == 0 {
@@ -84,9 +105,13 @@ func TestRecognizerTrimBoundsAndReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestRecognizerTrimToAlignsAndCompacts drives trimTo directly: a cut
-// inside the history advances the head, compacts once more than two
-// thirds of the array is dead, and refuses to move backwards.
+// TestRecognizerTrimToAlignsAndCompacts drives trimTo and reserve
+// directly: a cut inside the history aligns down to a frame boundary
+// and advances the head to the first reading at or past it, a
+// backwards cut is a no-op, and the room a trim frees is reused. Once
+// the columns are full, the live window moves to the front of the same
+// arrays when it then fills at most two thirds of them, and to new
+// arrays of twice its size when it fills more.
 func TestRecognizerTrimToAlignsAndCompacts(t *testing.T) {
 	grid := Grid{Rows: 5, Cols: 5}
 	rng := rand.New(rand.NewSource(6))
@@ -95,7 +120,7 @@ func TestRecognizerTrimToAlignsAndCompacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecognizer(NewPipeline(grid, cal), nil)
+	rec := newFreshRecognizer(NewPipeline(grid, cal))
 	for _, rd := range syntheticQuiet(grid, 0, 10*time.Second, 10*time.Millisecond, rng) {
 		ingestOne(rec, rd)
 	}
@@ -104,17 +129,242 @@ func TestRecognizerTrimToAlignsAndCompacts(t *testing.T) {
 	if rec.bufStart != 6*time.Second {
 		t.Errorf("cut not aligned down to a frame boundary: bufStart %v, want 6s", rec.bufStart)
 	}
-	if rec.head != 0 {
-		// A cut past two thirds must have compacted.
-		if 3*rec.head <= 2*rec.hist.Len() {
-			t.Logf("head %d of %d retained without compaction", rec.head, rec.hist.Len())
-		} else {
-			t.Errorf("head %d of %d — compaction threshold missed", rec.head, rec.hist.Len())
-		}
+	if live := rec.hist.Times[rec.head:]; len(live) == 0 || live[0] < rec.bufStart ||
+		rec.head > 0 && rec.hist.Times[rec.head-1] >= rec.bufStart {
+		t.Errorf("head %d is not the first reading at or past the cut %v", rec.head, rec.bufStart)
 	}
 	before := rec.bufStart
 	rec.trimTo(2 * time.Second) // backwards: must be a no-op
 	if rec.bufStart != before {
 		t.Errorf("backwards trim moved bufStart from %v to %v", before, rec.bufStart)
 	}
+
+	// reserve on hand-built columns: 30 slots, 20 of them dead.
+	rec.hist.Reset()
+	rec.hist.regrow(0, 30)
+	for i := range 30 {
+		rec.hist.Append(time.Duration(i), float64(i), 0, int32(i))
+	}
+	rec.head = 20
+	base := &rec.hist.Times[0]
+	rec.reserve(5) // 15 of 30 slots live: compact in place
+	if &rec.hist.Times[0] != base || cap(rec.hist.Times) != 30 || rec.head != 0 || rec.hist.Len() != 10 {
+		t.Fatalf("compaction: %d of %d slots from head %d, same arrays %v; want 10 of 30 from 0 in place",
+			rec.hist.Len(), cap(rec.hist.Times), rec.head, &rec.hist.Times[0] == base)
+	}
+	for i := 10; i < 30; i++ {
+		rec.hist.Append(time.Duration(20+i), 0, 0, 0)
+	}
+	rec.head = 3
+	rec.reserve(10) // 27 + 10 of 30 slots: twice that, in new arrays
+	if &rec.hist.Times[0] == base || rec.head != 0 || rec.hist.Len() != 27 {
+		t.Fatalf("regrow: %d readings from head %d, same arrays %v; want 27 from 0 in new arrays",
+			rec.hist.Len(), rec.head, &rec.hist.Times[0] == base)
+	}
+	for _, c := range []int{cap(rec.hist.Times), cap(rec.hist.Phases), cap(rec.hist.RSS), cap(rec.hist.TagIndices)} {
+		if c != 74 {
+			t.Errorf("regrown column capacity %d, want 74", c)
+		}
+	}
+	if rec.hist.Times[0] != 23 || rec.hist.Times[26] != 49 || rec.hist.TagIndices[0] != 23 {
+		t.Errorf("regrow moved the wrong readings: times %v…%v, first tag %d",
+			rec.hist.Times[0], rec.hist.Times[26], rec.hist.TagIndices[0])
+	}
+}
+
+// TestRecognizerFootprintFollowsHorizons pins what a stream retains.
+// At every poll of a seeded multi-letter capture, no history reading
+// is older than the earliest one a poll may still read: the start of a
+// span still to be recognized (past both emittedEnd − 2 frames and
+// bufStart + minPreContext) or the late horizon (maxRegression behind
+// the newest reading), whichever is earlier, and never before bufStart.
+// After every reading, at most maxRegression/FrameLen + 2 frames hold
+// accumulators. Every 50th reading is delivered again 900 ms later,
+// inside the late horizon: each copy must still meet its original in
+// the history and be dropped as a duplicate. At the end the test pins
+// the history's capacity and the accumulator frame count, which no
+// noise can move.
+func TestRecognizerFootprintFollowsHorizons(t *testing.T) {
+	cal, readings := multiLetterCapture(t)
+	p := NewPipeline(Grid{Rows: 5, Cols: 5}, cal)
+	p.Obs = obs.NewRegistry()
+	rec := newFreshRecognizer(p)
+	frameLen := rec.seg.FrameLen
+	maxAcc := int(maxRegression/frameLen) + 2
+	polls, events := 0, 0
+	feed := func(rd Reading) {
+		pf := rec.lastPollFrame
+		events += len(ingestOne(rec, rd))
+		c := &rec.cache
+		if acc := c.frames() - c.done; acc > maxAcc {
+			t.Fatalf("at %v: %d frames hold accumulators, want at most %d", rec.now, acc, maxAcc)
+		}
+		if rec.lastPollFrame == pf {
+			return
+		}
+		polls++
+		keep := max(min(max(rec.emittedEnd-2*frameLen, rec.bufStart+minPreContext), rec.now-maxRegression), rec.bufStart)
+		if live := rec.hist.Times[rec.head:]; len(live) > 0 && live[0] < keep {
+			t.Fatalf("poll at %v retains a reading at %v, older than the horizon %v", rec.now, live[0], keep)
+		}
+	}
+	var again []Reading
+	for i, rd := range readings {
+		for len(again) > 0 && again[0].Time+900*time.Millisecond <= rd.Time {
+			feed(again[0])
+			again = again[1:]
+		}
+		feed(rd)
+		if i%50 == 0 {
+			again = append(again, rd)
+		}
+	}
+	if polls < 300 || events < 5 || rec.bufStart == 0 {
+		t.Fatalf("%d polls, %d events, bufStart %v: the capture did not exercise the recognizer", polls, events, rec.bufStart)
+	}
+	snap := p.Obs.Snapshot()
+	dupes := snap.Value("rfipad_readings_dropped_total", obs.L("reason", "duplicate"))
+	late := snap.Value("rfipad_readings_dropped_total", obs.L("reason", "late"))
+	if want := float64((len(readings)+49)/50 - len(again)); dupes != want || late != 0 {
+		t.Errorf("%v duplicates and %v late readings dropped, want %v and 0", dupes, late, want)
+	}
+	const wantCap, wantAccFrames = 9582, 11
+	if got := cap(rec.hist.Times); got != wantCap {
+		t.Errorf("history capacity %d, want %d", got, wantCap)
+	}
+	if got := rec.cache.frames() - rec.cache.done; got != wantAccFrames {
+		t.Errorf("%d frames hold accumulators, want %d", got, wantAccFrames)
+	}
+}
+
+// lateRuleCapture is the stream the late-rule fuzz perturbs: a letter
+// of two strokes after calibration, 9 s on a 5×5 grid.
+func lateRuleCapture(t testing.TB) (*Calibration, []Reading) {
+	t.Helper()
+	const n = 25
+	centres, sigmas := evenCentres(n), constSigmas(n, 0.04)
+	cal, err := Calibrate(synthStatic(n, 60, centres, sigmas, 51), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strokes := []Span{{3 * time.Second, 4 * time.Second}, {5 * time.Second, 6200 * time.Millisecond}}
+	return cal, synthLetterStream(n, strokes, 9*time.Second, centres, sigmas, 52)
+}
+
+// lateRuleRun decodes a delivery of base from data, feeds its batches
+// to one recognizer directly and to another through the sanitizer, and
+// returns both recognizers' events and the direct one's late drops.
+//
+// data's first byte seeds the batch sizes (1 to 64 readings). Each
+// following 4 bytes are one edit at a base reading (2 bytes of
+// position): it arrives up to 2.55 s late, is delivered again up to
+// 2.55 s later, gains a reading of another tag at the same instant, an
+// out-of-range tag stamped up to 1.28 s either side of it rides
+// along, or a reading stamped up to 5.1 s ahead does. Every phase is
+// finite and every RSS plausible, so the sanitizer rejects only time
+// regressions.
+func lateRuleRun(t testing.TB, cal *Calibration, base []Reading, data []byte) (direct, sanitized []Event, late float64) {
+	t.Helper()
+	n := cal.NumTags()
+	var seed byte
+	if len(data) > 0 {
+		seed, data = data[0], data[1:]
+	}
+	type delivery struct {
+		at time.Duration
+		rd Reading
+	}
+	del := make([]delivery, len(base))
+	for i, rd := range base {
+		del[i] = delivery{rd.Time, rd}
+	}
+	for ; len(data) >= 4; data = data[4:] {
+		pos := int(binary.BigEndian.Uint16(data)) % len(base)
+		arg := data[3]
+		d := time.Duration(arg) * 10 * time.Millisecond
+		rd := base[pos]
+		switch data[2] % 5 {
+		case 0:
+			del[pos].at += d
+		case 1:
+			del = append(del, delivery{rd.Time + d, rd})
+		case 2:
+			rd.TagIndex = (rd.TagIndex + 1 + int(arg)) % n
+			rd.Phase = float64(arg) / 41
+			del = append(del, delivery{rd.Time, rd})
+		case 3:
+			rd.TagIndex = []int{-1, n, n + int(arg)}[arg%3]
+			rd.Time = max(rd.Time+time.Duration(int(arg)-128)*10*time.Millisecond, 0)
+			del = append(del, delivery{base[pos].Time, rd})
+		case 4:
+			rd.Time += 2 * d
+			del = append(del, delivery{base[pos].Time, rd})
+		}
+	}
+	slices.SortStableFunc(del, func(a, b delivery) int { return cmp.Compare(a.at, b.at) })
+
+	reg := obs.NewRegistry()
+	pd := NewPipeline(Grid{Rows: 5, Cols: 5}, cal)
+	pd.Obs = reg
+	rd, rs := NewRecognizer(pd, nil), NewRecognizer(NewPipeline(Grid{Rows: 5, Cols: 5}, cal), nil)
+	san := NewSanitizer(obs.NewRegistry())
+	sizes := rand.New(rand.NewSource(int64(seed)))
+	var b, sb ReadingBatch
+	var newest time.Duration
+	for i := 0; i < len(del); {
+		j := min(i+1+sizes.Intn(64), len(del))
+		b.Reset()
+		for _, d := range del[i:j] {
+			b.AppendReading(d.rd)
+		}
+		sb.Reset()
+		sb.appendColumns(b.Times, b.Phases, b.RSS, b.TagIndices)
+		san.AdmitColumns(&sb, newest)
+		newest = max(newest, slices.Max(b.Times))
+		direct = append(direct, rd.IngestBatch(&b)...)
+		sanitized = append(sanitized, rs.IngestBatch(&sb)...)
+		i = j
+	}
+	direct = append(direct, rd.Flush(newest+time.Second)...)
+	sanitized = append(sanitized, rs.Flush(newest+time.Second)...)
+	late = reg.Snapshot().Value("rfipad_readings_dropped_total", obs.L("reason", "late"))
+	return direct, sanitized, late
+}
+
+// FuzzRecognizerLateRuleMatchesSanitizer pins the recognizer's late
+// rule to the sanitizer's time check: a post-calibration stream with
+// arbitrary regressions, duplicates, equal times, out-of-range tags and
+// clock jumps, fed to one recognizer directly and to another through
+// Sanitizer.AdmitColumns (newest is the largest timestamp delivered
+// before each batch), emits deep-equal events. So the rule drops
+// nothing from a stream the engine already sanitized.
+func FuzzRecognizerLateRuleMatchesSanitizer(f *testing.F) {
+	cal, base := lateRuleCapture(f)
+	op := func(pos uint16, kind, arg byte) []byte { return []byte{byte(pos >> 8), byte(pos), kind, arg} }
+	// Regressions of 0.3 to 1.5 s, duplicates, equal times and strays
+	// within 0.2 s through both strokes, then a 0.8 s clock jump after
+	// them.
+	seed0 := []byte{9}
+	for k := range 48 {
+		seed0 = append(seed0, op(uint16(2400+97*k), byte(k%4), byte(30+k*5%120))...)
+	}
+	seed0 = append(seed0, op(6500, 4, 40)...)
+	seeds := [][]byte{
+		seed0,
+		{1},
+		append([]byte{63}, slices.Concat(op(3000, 0, 150), op(3001, 0, 99), op(3500, 1, 101),
+			op(3500, 2, 7), op(4000, 3, 255), op(4200, 3, 0), op(6000, 4, 255))...),
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	if direct, _, late := lateRuleRun(f, cal, base, seed0); len(direct) == 0 || late == 0 {
+		f.Fatalf("the first seed emits %d events and drops %v readings as late: it exercises nothing", len(direct), late)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		direct, sanitized, _ := lateRuleRun(t, cal, base, data)
+		if !reflect.DeepEqual(direct, sanitized) {
+			t.Fatalf("direct events diverge from sanitized events\ndirect:    %+v\nsanitized: %+v", direct, sanitized)
+		}
+	})
 }

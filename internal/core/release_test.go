@@ -10,14 +10,15 @@ import (
 // midLetterRecognizer feeds the multi-letter capture until the
 // recognizer is mid-letter with all of its state live: strokes pending,
 // a trimmed history whose head has not been compacted away, a cache
-// re-anchored past origin 0, and a valid incremental segmentation.
+// re-anchored past origin 0 with retired frames, and a valid
+// incremental segmentation.
 func midLetterRecognizer(t *testing.T) (*Recognizer, *Calibration) {
 	t.Helper()
 	cal, readings := multiLetterCapture(t)
 	r := NewRecognizer(NewPipeline(Grid{Rows: 5, Cols: 5}, cal), nil)
 	for _, rd := range readings {
 		ingestOne(r, rd)
-		if len(r.pending) > 0 && r.head > 0 && r.cache.origin > 0 && r.scratch.incrValid {
+		if len(r.pending) > 0 && r.head > 0 && r.cache.origin > 0 && r.cache.done > 0 && r.scratch.incrValid {
 			return r, cal
 		}
 	}
@@ -27,10 +28,10 @@ func midLetterRecognizer(t *testing.T) (*Recognizer, *Calibration) {
 
 // TestRecBuffersResetKeepsOnlyCapacity pins what a recycled recognizer
 // starts from: the buffers a mid-letter recognizer grew come back empty,
-// with the frame grid at origin 0, no dead prefix, the change watermark
-// at frame 0 and the incremental segmentation invalid (no cover counts,
-// no seeded frames, no remembered threshold), and with their capacity
-// kept.
+// with the frame grid at origin 0, no dead prefix, no retired frame,
+// the change watermark at frame 0 and the incremental segmentation
+// invalid (no cover counts, no seeded frames, no remembered threshold),
+// and with their capacity kept.
 func TestRecBuffersResetKeepsOnlyCapacity(t *testing.T) {
 	r, cal := midLetterRecognizer(t)
 	b := r.recBuffers
@@ -44,8 +45,9 @@ func TestRecBuffersResetKeepsOnlyCapacity(t *testing.T) {
 		t.Errorf("reset kept contents: %d history readings, %d cells, %d frames, watermark %d",
 			b.hist.Len(), len(b.cache.acc), len(b.cache.vals), b.cache.clean)
 	}
-	if b.cache.origin != 0 || b.cache.off != 0 {
-		t.Errorf("reset kept the frame grid: origin %v, %d dead frames", b.cache.origin, b.cache.off)
+	if b.cache.origin != 0 || b.cache.off != 0 || b.cache.done != 0 || b.cache.accBase != 0 {
+		t.Errorf("reset kept the frame grid: origin %v, %d dead frames, %d retired from %d",
+			b.cache.origin, b.cache.off, b.cache.done, b.cache.accBase)
 	}
 	sc := &b.scratch
 	if sc.incrValid || sc.incrStart != 0 || len(sc.stds) != 0 || len(sc.rms) != 0 {

@@ -33,6 +33,13 @@ const (
 // boundaries and the incremental trace stays bit-identical to a fresh
 // cache folding the same readings. Offline segmentation builds exactly
 // such a cache (Segmenter.frameTrace), so this is the one Eq. 11.
+//
+// Accumulators are kept only for frames a reading can still reach. The
+// recognizer retires every frame before its late horizon (readings
+// older than that are dropped as late): the frame's value is computed
+// one last time and its accumulators are freed, so a live stream holds
+// about a second of accumulators however long its trace is. The
+// offline cache never retires a frame.
 type segCache struct {
 	frameLen time.Duration
 	n        int       // tags
@@ -46,20 +53,29 @@ type segCache struct {
 	adjMean []float64
 
 	origin time.Duration // stream time of frame 0; the recognizer keeps it frame-aligned
-	// off is the number of dead frames at the physical head of the
-	// arrays: trims advance it instead of copying, and the arrays only
-	// compact once the dead prefix outgrows the live span, so the
-	// steady-state per-frame trim is O(1) amortized. Logical frame f
-	// (0 = origin) lives at physical index off+f.
+	// off is the number of dead frames at the physical head of vals:
+	// trims advance it instead of copying, and the array only compacts
+	// once the dead prefix outgrows the live span, so the steady-state
+	// per-frame trim is O(1) amortized. Logical frame f (0 = origin)
+	// lives at vals[off+f].
 	off  int
-	acc  []segAcc  // [(off+frame)*n + tag] accumulators
 	vals []float64 // cached Eq. 11 value per frame
-	// clean is the change watermark: logical frames [0, clean) hold the
-	// value of their current accumulators. A reading lowers it to its
-	// frame; a poll recomputes from it and raises it to the poll's
-	// horizon. In-order ingest lands at or past the watermark, so it
-	// only moves for a late reading or after a horizon jump computed
-	// frames that were not complete yet.
+	// done is the first frame that still has accumulators: frames
+	// before it are final, their value in vals. acc holds the frames
+	// from accBase on, accBase <= done; the frames [accBase, done) are
+	// a dead prefix, compacted away once it outgrows the live frames
+	// after it, as off is for vals. accBase goes negative when a trim
+	// drops frames that were never retired.
+	done, accBase int
+	acc           []segAcc // [(frame-accBase)*n + tag] accumulators
+	// clean is the change watermark: logical frames [0, clean) hold
+	// their current value and have not changed since the last values
+	// call. A reading lowers it to its frame; a values
+	// call recomputes from it and raises it to the call's horizon.
+	// In-order ingest lands at or past the watermark, so it only moves
+	// for a late reading or after a horizon jump computed frames that
+	// were not complete yet. Retiring computes the frames it finalizes
+	// without raising it, so the next values call still reports them.
 	clean int
 }
 
@@ -102,20 +118,21 @@ func (c *segCache) reset(frameLen time.Duration, cal *Calibration) {
 func (c *segCache) frames() int { return len(c.vals) - c.off }
 
 // ensure grows the cache to cover at least nFrames live frames, with
-// one append per array. Appends reuse capacity reclaimed by trims, so
-// a bounded stream settles into zero growth.
+// one append per array. Appends reuse capacity reclaimed by trims and
+// retirements, so a bounded stream settles into zero growth.
 func (c *segCache) ensure(nFrames int) {
-	if add := nFrames - (len(c.vals) - c.off); add > 0 {
+	if add := nFrames - c.frames(); add > 0 {
 		c.vals = append(c.vals, make([]float64, add)...)
 		c.acc = append(c.acc, make([]segAcc, add*c.n)...)
 	}
 }
 
 // addColumns folds a column run of accepted readings into the frame
-// accumulators, in run order. Every Time must be >= origin: callers
-// drop older readings as late. The run may be in any time order, since
-// the frame is recomputed whenever a reading leaves the current one;
-// in-order runs pay the frame division once per frame.
+// accumulators, in run order. Every Time must fall in frame done or
+// later: callers drop older readings as late. The run may be in any
+// time order, since the frame is recomputed whenever a reading leaves
+// the current one; in-order runs pay the frame division once per
+// frame.
 func (c *segCache) addColumns(times []time.Duration, phases []float64, tags []int32) {
 	if len(times) == 0 {
 		return
@@ -163,7 +180,7 @@ func (c *segCache) addColumns(times []time.Duration, phases []float64, tags []in
 			frameLo = c.origin + time.Duration(f)*c.frameLen
 			frameHi = frameLo + c.frameLen
 			c.clean = min(c.clean, f)
-			base = (c.off + f) * c.n
+			base = (f - c.accBase) * c.n
 		}
 		a := &acc[base+int(tag)]
 		a.sumSq += d * d
@@ -182,44 +199,88 @@ func (c *segCache) skipTo(origin time.Duration) {
 
 // trimTo drops every frame before newOrigin (which must be
 // frame-aligned and >= origin). Dropped frames only advance the dead
-// prefix; the arrays compact in place once the prefix outgrows the
+// prefixes; the arrays compact in place once a prefix outgrows the
 // live span, so trimming is O(1) amortized per dropped frame.
 func (c *segCache) trimTo(newOrigin time.Duration) {
 	drop := int((newOrigin - c.origin) / c.frameLen)
 	if drop <= 0 {
 		return
 	}
-	live := len(c.vals) - c.off
+	live := c.frames()
 	c.clean = max(c.clean-drop, 0)
 	if drop >= live {
 		c.vals = c.vals[:0]
 		c.acc = c.acc[:0]
-		c.off = 0
+		c.off, c.done, c.accBase = 0, 0, 0
 	} else {
 		c.off += drop
 		if live-drop < c.off {
-			nv := copy(c.vals, c.vals[c.off:])
-			c.vals = c.vals[:nv]
-			na := copy(c.acc, c.acc[c.off*c.n:])
-			c.acc = c.acc[:na]
+			c.vals = c.vals[:copy(c.vals, c.vals[c.off:])]
 			c.off = 0
 		}
+		c.done = max(c.done-drop, 0)
+		c.accBase -= drop
+		c.shedAcc()
 	}
 	c.origin = newOrigin
+}
+
+// retire finalizes every frame before stream time late, the horizon
+// behind which the caller drops readings as late: each such frame's
+// value is computed from its accumulators, which are then freed. The
+// watermark stays where it is, so the next values call still reports
+// the frames computed here as changed.
+func (c *segCache) retire(late time.Duration) {
+	if late <= c.origin {
+		return
+	}
+	h := int((late - c.origin) / c.frameLen)
+	if h <= c.done {
+		return
+	}
+	c.ensure(h)
+	c.compute(max(c.clean, c.done), h)
+	c.done = h
+	c.shedAcc()
+}
+
+// shedAcc compacts acc once its dead prefix outgrows the live frames
+// after it, so a retired frame costs O(1) amortized.
+func (c *segCache) shedAcc() {
+	if dead := c.done - c.accBase; dead > c.frames()-c.done {
+		c.acc = c.acc[:copy(c.acc, c.acc[dead*c.n:])]
+		c.accBase = c.done
+	}
+}
+
+// compute stores the Eq. 11 value of frames [from, to), each of which
+// must still have its accumulators.
+func (c *segCache) compute(from, to int) {
+	vals, acc, factor, n := c.vals[c.off:], c.acc, c.factor, c.n
+	for f := from; f < to; f++ {
+		var sum float64
+		base := (f - c.accBase) * n
+		for i := 0; i < n; i++ {
+			if a := &acc[base+i]; a.count > 0 {
+				sum += factor[i] * math.Sqrt(a.sumSq/float64(a.count))
+			}
+		}
+		vals[f] = sum
+	}
 }
 
 // values returns the Eq. 11 trace for every complete frame before
 // horizon, recomputing only frames from the change watermark on. The
 // returned slice is owned by the cache and valid until the next
-// addColumns/trimTo/values call.
+// addColumns/trimTo/retire/values call.
 func (c *segCache) values(horizon time.Duration) []float64 {
 	trace, _ := c.valuesSince(horizon)
 	return trace
 }
 
 // valuesSince is values plus a change watermark: changedFrom is the
-// lowest frame index whose value was recomputed by this call (or
-// len(trace) when every returned frame was already clean). The
+// lowest frame index whose value changed since the previous call (or
+// len(trace) when every returned frame is as that call left it). The
 // segmenter's incremental window-std path uses it to recompute only the
 // sliding windows whose inputs moved. A frame past the watermark that
 // no reading touched recomputes to the same bits, so the watermark only
@@ -231,18 +292,8 @@ func (c *segCache) valuesSince(horizon time.Duration) (trace []float64, changedF
 	}
 	c.ensure(nFrames)
 	changedFrom = min(c.clean, nFrames)
-	off := c.off
-	acc, factor := c.acc, c.factor
-	for f := changedFrom; f < nFrames; f++ {
-		var sum float64
-		base := (off + f) * c.n
-		for i := 0; i < c.n; i++ {
-			if a := &acc[base+i]; a.count > 0 {
-				sum += factor[i] * math.Sqrt(a.sumSq/float64(a.count))
-			}
-		}
-		c.vals[off+f] = sum
-	}
+	// Retired frames hold their final value already.
+	c.compute(max(changedFrom, c.done), nFrames)
 	c.clean = max(c.clean, nFrames)
-	return c.vals[off : off+nFrames], changedFrom
+	return c.vals[c.off : c.off+nFrames], changedFrom
 }

@@ -337,23 +337,25 @@ func TestRecognizerSegmentMultisetsStayExact(t *testing.T) {
 // that then fill those frames must lower the watermark, or the next
 // polls see their stale values. After every batch, each frame below the
 // watermark must equal, bit for bit, the reference frameRMS over the
-// recognizer's live history.
+// readings the recognizer accepted.
 func TestSegCacheCleanFramesAfterMidStreamFlush(t *testing.T) {
 	cal, readings := multiLetterCapture(t)
 	rec := NewRecognizer(NewPipeline(Grid{Rows: 5, Cols: 5}, cal), nil)
 	var batch ReadingBatch
+	var ledger acceptLedger
 	flushedAt, refilled := time.Duration(-1), 0
 	for i := 0; i < len(readings); i += 64 {
 		batch.Reset()
 		for _, rd := range readings[i:min(i+64, len(readings))] {
 			batch.AppendReading(rd)
+			ledger.add(rd)
 		}
 		rec.IngestBatch(&batch)
 		if flushedAt < 0 && rec.now >= 7500*time.Millisecond {
 			rec.Flush(rec.now)
 			flushedAt = rec.now
 		}
-		checkCleanFrames(t, rec, i/64)
+		checkCleanFrames(t, rec, &ledger, i/64)
 		if flushedAt >= 0 && rec.now > flushedAt && rec.now < flushedAt+rec.confirmGap {
 			refilled++
 		}
@@ -363,17 +365,40 @@ func TestSegCacheCleanFramesAfterMidStreamFlush(t *testing.T) {
 	}
 }
 
+// acceptLedger records the readings a recognizer accepts, by its rules:
+// a reading more than maxRegression behind the newest one is late, and
+// of two readings with the same tag and time the first one wins. A
+// reading older than the recognizer's trimmed history is dropped as
+// late too; the ledger keeps it, but it lies before the frame cache's
+// origin, where no reference frame reads it.
+type acceptLedger struct {
+	now      time.Duration
+	seen     map[[2]int64]bool
+	accepted []Reading
+}
+
+func (l *acceptLedger) add(rd Reading) {
+	l.now = max(l.now, rd.Time)
+	key := [2]int64{int64(rd.TagIndex), int64(rd.Time)}
+	if rd.Time < l.now-maxRegression || l.seen[key] {
+		return
+	}
+	if l.seen == nil {
+		l.seen = make(map[[2]int64]bool)
+	}
+	l.seen[key] = true
+	l.accepted = append(l.accepted, rd)
+}
+
 // checkCleanFrames asserts that each frame below the recognizer's cache
 // watermark equals, bit for bit, the reference frameRMS over the
-// recognizer's live history.
-func checkCleanFrames(t *testing.T, rec *Recognizer, batch int) {
+// readings the ledger says it accepted. The recognizer's own history
+// does not reach back to the cache's origin: it keeps only what a poll
+// may still read.
+func checkCleanFrames(t *testing.T, rec *Recognizer, ledger *acceptLedger, batch int) {
 	t.Helper()
-	var live []Reading
-	for k := rec.head; k < rec.hist.Len(); k++ {
-		live = append(live, rec.hist.Reading(k))
-	}
 	c, seg := &rec.cache, rec.seg
-	want := seg.frameRMS(live, rec.pipeline.Cal, c.origin, c.origin+time.Duration(c.clean)*seg.FrameLen)
+	want := seg.frameRMS(ledger.accepted, rec.pipeline.Cal, c.origin, c.origin+time.Duration(c.clean)*seg.FrameLen)
 	got := c.vals[c.off : c.off+c.clean]
 	if f := sameBits(got, want); f >= 0 {
 		t.Fatalf("batch %d: frame %d of %d below the watermark holds %v, its readings give %v",
@@ -403,13 +428,15 @@ func TestRecognizerPerElementReadingsReachFrameCache(t *testing.T) {
 	rec := NewRecognizer(p, nil)
 	stream := equivStream(grid, base, 20, rand.New(rand.NewSource(100)))
 	var batch ReadingBatch
+	var ledger acceptLedger
 	for i := 0; i < len(stream); i += 64 {
 		batch.Reset()
 		for _, rd := range stream[i:min(i+64, len(stream))] {
 			batch.AppendReading(rd)
+			ledger.add(rd)
 		}
 		rec.IngestBatch(&batch)
-		checkCleanFrames(t, rec, i/64)
+		checkCleanFrames(t, rec, &ledger, i/64)
 	}
 	if n := p.Obs.Snapshot().Value("rfipad_readings_reordered_total"); n == 0 {
 		t.Fatal("no reading was inserted out of order")

@@ -345,10 +345,10 @@ func (s *Session) connectWithRetry() error {
 		}
 		s.breakerFailure()
 		s.attempts++
-		s.tel.retries.Inc()
 		if s.cfg.MaxAttempts > 0 && s.attempts >= s.cfg.MaxAttempts {
 			return fmt.Errorf("%w after %d attempts: %v", ErrGiveUp, s.attempts, err)
 		}
+		s.tel.retries.Inc()
 		wait := s.retryDelay()
 		s.emit(SessionEvent{Kind: SessionRetrying, Attempt: s.attempts, Wait: wait, Err: err})
 		t := time.NewTimer(wait)

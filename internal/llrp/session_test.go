@@ -165,6 +165,40 @@ func TestSessionReconnectsAndResumes(t *testing.T) {
 	}
 }
 
+// TestSessionRetriesCountScheduledDelays pins llrp_session_retries_total
+// to what it documents: failed connect attempts that scheduled a
+// backoff sleep. A session always refused with MaxAttempts 4 sleeps
+// after each of its first three attempts and gives up on the fourth, so
+// the counter reads 3, one per SessionRetrying event.
+func TestSessionRetriesCountScheduledDelays(t *testing.T) {
+	reg := obs.NewRegistry()
+	retrying := 0
+	_, err := DialSession(context.Background(), SessionConfig{
+		Dialer: func(context.Context) (net.Conn, error) {
+			return nil, errors.New("connection refused")
+		},
+		BackoffInitial:    time.Millisecond,
+		BackoffMax:        2 * time.Millisecond,
+		MaxAttempts:       4,
+		KeepaliveInterval: -1,
+		Obs:               reg,
+		OnEvent: func(ev SessionEvent) {
+			if ev.Kind == SessionRetrying {
+				retrying++
+			}
+		},
+	})
+	if !errors.Is(err, ErrGiveUp) {
+		t.Fatalf("dial err = %v, want ErrGiveUp", err)
+	}
+	if retrying != 3 {
+		t.Errorf("%d SessionRetrying events, want 3", retrying)
+	}
+	if v := reg.Snapshot().Value("llrp_session_retries_total"); v != 3 {
+		t.Errorf("llrp_session_retries_total = %v, want 3", v)
+	}
+}
+
 // backoffCooldown is collectBackoff's breaker cool-down.
 const backoffCooldown = 4 * time.Millisecond
 

@@ -108,6 +108,15 @@ go test -run '^$' -fuzz FuzzSegmentRMSFromMatchesFromScratch -fuzztime 10s ./int
 echo '== frame trace fuzz smoke (10s)'
 go test -run '^$' -fuzz FuzzFrameTraceMatchesReference -fuzztime 10s ./internal/core
 
+# Short fuzz pass over the recognizer's late rule: a stream with
+# regressions, duplicates, equal times, out-of-range tags and clock
+# jumps must recognize the same fed directly as through the sanitizer,
+# whose time check the rule repeats. The rule is what lets a stream
+# retire frame accumulators and history behind the late horizon. New
+# crashers land in internal/core/testdata/fuzz.
+echo '== late rule fuzz smoke (10s)'
+go test -run '^$' -fuzz FuzzRecognizerLateRuleMatchesSanitizer -fuzztime 10s ./internal/core
+
 # The exact AllocsPerRun assertions skip themselves under -race (the
 # detector allocates on instrumented paths), so run them again pure.
 # This covers the recognizer hot path, the disturbance scratch map,
