@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rfipad/internal/core"
@@ -63,13 +64,27 @@ func ReadingFromReport(rep llrp.TagReport) core.Reading {
 // takes, run on live streams and simulated captures alike. The EPC is
 // resolved to its row-major tag index (tagmodel.SerialOf − 1) and
 // Doppler is dropped here (the batch columns do not carry them; the
-// tag index is all downstream stages key on).
+// tag index is all downstream stages key on). Each column grows once
+// per call and is filled by index.
 func AppendReports(dst *core.ReadingBatch, reports []llrp.TagReport) {
+	n := len(reports)
+	times, phases := extend(&dst.Times, n), extend(&dst.Phases, n)
+	rss, tags := extend(&dst.RSS, n), extend(&dst.TagIndices, n)
 	for i := range reports {
 		rep := &reports[i]
-		dst.Append(rep.Timestamp, rep.PhaseRad, rep.RSSdBm,
-			core.NarrowTag(tagmodel.SerialOf(rep.EPC)-1))
+		times[i] = rep.Timestamp
+		phases[i] = rep.PhaseRad
+		rss[i] = rep.RSSdBm
+		tags[i] = core.NarrowTag(tagmodel.SerialOf(rep.EPC) - 1)
 	}
+}
+
+// extend lengthens *col by n elements, growing it at most once, and
+// returns the new elements.
+func extend[T any](col *[]T, n int) []T {
+	l := len(*col)
+	*col = slices.Grow(*col, n)[:l+n]
+	return (*col)[l:][:n]
 }
 
 // IngestBatch feeds a columnar batch of readings. Readings up to the

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"slices"
 	"time"
 
 	"rfipad/internal/tagmodel"
@@ -145,12 +147,7 @@ func WriteMessage(w io.Writer, m Message) error {
 	if len(m.Payload) > MaxPayload {
 		return ErrOversized
 	}
-	hdr := make([]byte, headerLen)
-	binary.BigEndian.PutUint16(hdr[0:2], Magic)
-	hdr[2] = Version
-	hdr[3] = uint8(m.Type)
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(m.Payload)))
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(appendHeader(make([]byte, 0, headerLen), m.Type, len(m.Payload))); err != nil {
 		return fmt.Errorf("llrp: write header: %w", err)
 	}
 	if len(m.Payload) > 0 {
@@ -161,27 +158,167 @@ func WriteMessage(w io.Writer, m Message) error {
 	return nil
 }
 
-// ReadMessage reads and validates one frame.
+// ReadMessage reads and validates one frame into a fresh header and
+// payload. It reads no byte past the frame, so callers can share r.
+// Client and Session read their connection's frames into one reused
+// buffer instead.
 func ReadMessage(r io.Reader) (Message, error) {
 	hdr := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Message{}, err
 	}
-	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
-		return Message{}, ErrBadMagic
+	t, n, err := parseHeader(hdr)
+	if err != nil {
+		return Message{}, err
 	}
-	if hdr[2] != Version {
-		return Message{}, ErrBadVersion
-	}
-	length := binary.BigEndian.Uint32(hdr[4:8])
-	if length > MaxPayload {
-		return Message{}, ErrOversized
-	}
-	payload := make([]byte, length)
+	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Message{}, fmt.Errorf("llrp: read payload: %w", err)
 	}
-	return Message{Type: MsgType(hdr[3]), Payload: payload}, nil
+	return Message{Type: t, Payload: payload}, nil
+}
+
+// appendHeader appends the header of a frame of type t carrying an
+// n-byte payload.
+func appendHeader(dst []byte, t MsgType, n int) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, Magic)
+	dst = append(dst, Version, uint8(t))
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
+}
+
+// parseHeader validates a frame header and returns the frame's type and
+// payload length.
+func parseHeader(hdr []byte) (MsgType, int, error) {
+	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
+		return 0, 0, ErrBadMagic
+	}
+	if hdr[2] != Version {
+		return 0, 0, ErrBadVersion
+	}
+	length := binary.BigEndian.Uint32(hdr[4:8])
+	if length > MaxPayload {
+		return 0, 0, ErrOversized
+	}
+	return MsgType(hdr[3]), int(length), nil
+}
+
+// frameBufSize is the initial size of a connection's frame buffer:
+// room for several frames of a few hundred reports, so one Read can
+// take in more than one.
+const frameBufSize = 32 << 10
+
+// frameReader reads one connection's frames into one buffer it owns.
+// A frame's payload aliases the buffer and stays valid until the next
+// read, which may overwrite or move it. A header or payload that does
+// not fit replaces the buffer with one twice its size.
+type frameReader struct {
+	rd  io.Reader
+	buf []byte
+	// r and w bound the unread bytes, buf[r:w].
+	r, w int
+	// err is a read error that arrived with data; it is returned once
+	// the buffered bytes run short, as bufio.Reader does.
+	err error
+}
+
+// next reads one frame. For the same bytes it returns the message and
+// the error ReadMessage returns.
+func (f *frameReader) next() (Message, error) {
+	if err := f.fill(headerLen); err != nil {
+		return Message{}, err
+	}
+	t, n, err := parseHeader(f.buf[f.r : f.r+headerLen])
+	if err != nil {
+		return Message{}, err
+	}
+	f.r += headerLen
+	if err := f.fill(n); err != nil {
+		return Message{}, fmt.Errorf("llrp: read payload: %w", err)
+	}
+	payload := f.buf[f.r : f.r+n : f.r+n]
+	f.r += n
+	return Message{Type: t, Payload: payload}, nil
+}
+
+// fill buffers at least n unread bytes, moving the unread bytes to the
+// front (into a larger buffer when n does not fit) when the buffer's
+// tail is too short. Like io.ReadFull, it reports io.EOF when the
+// stream ends before the first of them and io.ErrUnexpectedEOF when it
+// ends part way.
+func (f *frameReader) fill(n int) error {
+	if f.w-f.r >= n {
+		return nil
+	}
+	if f.r+n > len(f.buf) {
+		buf := f.buf
+		if n > len(buf) {
+			buf = make([]byte, 2*n)
+		}
+		f.w = copy(buf, f.buf[f.r:f.w])
+		f.r = 0
+		f.buf = buf
+	}
+	for f.w-f.r < n {
+		if err := f.err; err != nil {
+			f.err = nil
+			if err == io.EOF && f.w > f.r {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		var m int
+		m, f.err = f.rd.Read(f.buf[f.w:])
+		f.w += m
+	}
+	return nil
+}
+
+// frameWriter writes one connection's frames from one buffer it owns:
+// each frame is built there, header first, and leaves in one Write, so
+// sending a frame allocates nothing once the buffer has grown.
+type frameWriter struct {
+	conn net.Conn
+	// timeout, when positive, is set as the write deadline before each
+	// frame.
+	timeout time.Duration
+	buf     []byte
+}
+
+// send writes one frame.
+func (f *frameWriter) send(t MsgType, payload []byte) error {
+	if len(payload) > MaxPayload {
+		return ErrOversized
+	}
+	f.buf = append(appendHeader(f.buf[:0], t, len(payload)), payload...)
+	return f.flush()
+}
+
+// sendReports writes a batch as MsgROAccessReport frames: one frame,
+// or, for a batch whose payload would exceed MaxPayload, as many
+// frames of at most maxFrameReports reports as it takes, in order.
+func (f *frameWriter) sendReports(batch []TagReport) error {
+	for {
+		n := min(len(batch), maxFrameReports)
+		f.buf = appendHeader(f.buf[:0], MsgROAccessReport, reportsLen(n))
+		f.buf = appendReports(f.buf, batch[:n])
+		if err := f.flush(); err != nil {
+			return err
+		}
+		if batch = batch[n:]; len(batch) == 0 {
+			return nil
+		}
+	}
+}
+
+// flush writes the buffered frame.
+func (f *frameWriter) flush() error {
+	if f.timeout > 0 {
+		f.conn.SetWriteDeadline(time.Now().Add(f.timeout))
+	}
+	if _, err := f.conn.Write(f.buf); err != nil {
+		return fmt.Errorf("llrp: write: %w", err)
+	}
+	return nil
 }
 
 // HeaderLen is the fixed frame header size in bytes, exported for
@@ -247,31 +384,45 @@ type TagReport struct {
 	Timestamp time.Duration
 }
 
-// EncodeReports builds a MsgROAccessReport payload.
+// maxFrameReports is the most reports one MsgROAccessReport payload
+// carries within MaxPayload.
+const maxFrameReports = (MaxPayload - 2) / entryLen
+
+// reportsLen is the payload length of a batch of n reports.
+func reportsLen(n int) int { return 2 + entryLen*n }
+
+// EncodeReports builds a MsgROAccessReport payload. A batch of more
+// than (MaxPayload−2)/28 = 37 449 reports would exceed MaxPayload and is
+// rejected with ErrOversized; the reader daemon splits such a batch
+// across frames.
 func EncodeReports(reports []TagReport) ([]byte, error) {
-	if len(reports) > math.MaxUint16 {
-		return nil, fmt.Errorf("llrp: too many reports in one frame: %d", len(reports))
+	if len(reports) > maxFrameReports {
+		return nil, fmt.Errorf("%w: %d reports in one frame, at most %d fit",
+			ErrOversized, len(reports), maxFrameReports)
 	}
-	buf := make([]byte, 2+entryLen*len(reports))
-	binary.BigEndian.PutUint16(buf[0:2], uint16(len(reports)))
-	off := 2
-	for _, rep := range reports {
-		copy(buf[off:off+12], rep.EPC[:])
-		off += 12
-		binary.BigEndian.PutUint16(buf[off:], rep.AntennaID)
-		off += 2
+	return appendReports(make([]byte, 0, reportsLen(len(reports))), reports), nil
+}
+
+// appendReports appends the MsgROAccessReport payload of at most
+// maxFrameReports reports to dst, growing it once.
+func appendReports(dst []byte, reports []TagReport) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, reportsLen(len(reports)))[:off+reportsLen(len(reports))]
+	binary.BigEndian.PutUint16(dst[off:], uint16(len(reports)))
+	entries := dst[off+2:]
+	for i := range reports {
+		rep := &reports[i]
+		e := entries[i*entryLen:][:entryLen:entryLen]
+		copy(e[0:12], rep.EPC[:])
+		binary.BigEndian.PutUint16(e[12:14], rep.AntennaID)
 		phase := rep.PhaseRad / (2 * math.Pi)
 		phase -= math.Floor(phase)
-		binary.BigEndian.PutUint16(buf[off:], uint16(phase*65536))
-		off += 2
-		binary.BigEndian.PutUint16(buf[off:], uint16(int16(clampI16(rep.RSSdBm*100))))
-		off += 2
-		binary.BigEndian.PutUint16(buf[off:], uint16(int16(clampI16(rep.DopplerHz*100))))
-		off += 2
-		binary.BigEndian.PutUint64(buf[off:], uint64(rep.Timestamp/time.Microsecond))
-		off += 8
+		binary.BigEndian.PutUint16(e[14:16], uint16(phase*65536))
+		binary.BigEndian.PutUint16(e[16:18], uint16(int16(clampI16(rep.RSSdBm*100))))
+		binary.BigEndian.PutUint16(e[18:20], uint16(int16(clampI16(rep.DopplerHz*100))))
+		binary.BigEndian.PutUint64(e[20:28], uint64(rep.Timestamp/time.Microsecond))
 	}
-	return buf, nil
+	return dst
 }
 
 // DecodeReports parses a MsgROAccessReport payload.
@@ -289,7 +440,7 @@ func DecodeReportsInto(dst []TagReport, payload []byte) ([]TagReport, error) {
 		return nil, ErrShortReport
 	}
 	count := int(binary.BigEndian.Uint16(payload[0:2]))
-	if len(payload) != 2+count*entryLen {
+	if len(payload) != reportsLen(count) {
 		return nil, ErrShortReport
 	}
 	var out []TagReport
@@ -298,22 +449,16 @@ func DecodeReportsInto(dst []TagReport, payload []byte) ([]TagReport, error) {
 	} else {
 		out = make([]TagReport, count)
 	}
-	off := 2
+	entries := payload[2:]
 	for i := range out {
-		var rep TagReport
-		copy(rep.EPC[:], payload[off:off+12])
-		off += 12
-		rep.AntennaID = binary.BigEndian.Uint16(payload[off:])
-		off += 2
-		rep.PhaseRad = float64(binary.BigEndian.Uint16(payload[off:])) / 65536 * 2 * math.Pi
-		off += 2
-		rep.RSSdBm = float64(int16(binary.BigEndian.Uint16(payload[off:]))) / 100
-		off += 2
-		rep.DopplerHz = float64(int16(binary.BigEndian.Uint16(payload[off:]))) / 100
-		off += 2
-		rep.Timestamp = time.Duration(binary.BigEndian.Uint64(payload[off:])) * time.Microsecond
-		off += 8
-		out[i] = rep
+		e := entries[i*entryLen:][:entryLen:entryLen]
+		rep := &out[i]
+		rep.EPC = tagmodel.EPC(e[0:12])
+		rep.AntennaID = binary.BigEndian.Uint16(e[12:14])
+		rep.PhaseRad = float64(binary.BigEndian.Uint16(e[14:16])) / 65536 * 2 * math.Pi
+		rep.RSSdBm = float64(int16(binary.BigEndian.Uint16(e[16:18]))) / 100
+		rep.DopplerHz = float64(int16(binary.BigEndian.Uint16(e[18:20]))) / 100
+		rep.Timestamp = time.Duration(binary.BigEndian.Uint64(e[20:28])) * time.Microsecond
 	}
 	return out, nil
 }

@@ -121,7 +121,9 @@ func (s *Server) Close() error {
 
 // handle runs one connection. A single goroutine owns the reader
 // (feeding msgs) and this goroutine owns the writer, so there is no
-// shared I/O state.
+// shared I/O state. The writer builds every frame in the connection's
+// one buffer; the command reader allocates each message (ReadMessage),
+// because the message crosses to this goroutine on a channel.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -130,16 +132,10 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	// send frames with the write deadline applied: a peer that stopped
-	// draining cannot wedge the handler.
-	send := func(m Message) error {
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
-		return writeFlush(w, m)
-	}
-	if err := send(Message{Type: MsgReaderEvent, Payload: []byte(EventReady)}); err != nil {
+	// Every frame goes out under the write deadline: a peer that
+	// stopped draining cannot wedge the handler.
+	out := frameWriter{conn: conn, timeout: s.WriteTimeout}
+	if err := out.send(MsgReaderEvent, []byte(EventReady)); err != nil {
 		return
 	}
 
@@ -164,11 +160,11 @@ func (s *Server) handle(conn net.Conn) {
 	dispatch := func(msg Message) error {
 		switch msg.Type {
 		case MsgKeepalive:
-			return send(Message{Type: MsgKeepalive})
+			return out.send(MsgKeepalive, nil)
 		case MsgStartROSpec:
 			resume, ok := DecodeResume(msg.Payload)
 			if !ok {
-				return send(Message{Type: MsgError, Payload: []byte("malformed StartROSpec resume payload")})
+				return out.send(MsgError, []byte("malformed StartROSpec resume payload"))
 			}
 			if src == nil {
 				src = s.factory()
@@ -176,23 +172,21 @@ func (s *Server) handle(conn net.Conn) {
 			if resume >= 0 {
 				if seek, canSeek := src.(SeekableSource); canSeek {
 					seek.Seek(resume)
-					return send(Message{Type: MsgReaderEvent,
-						Payload: []byte(fmt.Sprintf("resuming from %v", resume))})
+					return out.send(MsgReaderEvent, []byte(fmt.Sprintf("resuming from %v", resume)))
 				}
 				// A non-seekable source replays from zero; tell the
 				// client so it can expect the full stream again.
-				return send(Message{Type: MsgReaderEvent, Payload: []byte("resume unsupported; replaying from start")})
+				return out.send(MsgReaderEvent, []byte("resume unsupported; replaying from start"))
 			}
 			return nil
 		case MsgStopROSpec:
 			if src == nil {
-				return send(Message{Type: MsgReaderEvent, Payload: []byte(EventNoROSpec)})
+				return out.send(MsgReaderEvent, []byte(EventNoROSpec))
 			}
 			src = nil
-			return send(Message{Type: MsgReaderEvent, Payload: []byte(EventStopped)})
+			return out.send(MsgReaderEvent, []byte(EventStopped))
 		default:
-			return send(Message{Type: MsgError,
-				Payload: []byte(fmt.Sprintf("unexpected %v", msg.Type))})
+			return out.send(MsgError, []byte(fmt.Sprintf("unexpected %v", msg.Type)))
 		}
 	}
 
@@ -229,33 +223,25 @@ func (s *Server) handle(conn net.Conn) {
 		batch, ok := src.Next()
 		if !ok {
 			src = nil
-			if err := send(Message{Type: MsgReaderEvent, Payload: []byte(EventComplete)}); err != nil {
+			if err := out.send(MsgReaderEvent, []byte(EventComplete)); err != nil {
 				return
 			}
 			continue
 		}
-		payload, err := EncodeReports(batch)
-		if err != nil {
-			return
-		}
-		if err := send(Message{Type: MsgROAccessReport, Payload: payload}); err != nil {
+		if err := out.sendReports(batch); err != nil {
 			return
 		}
 	}
 }
 
-func writeFlush(w *bufio.Writer, m Message) error {
-	if err := WriteMessage(w, m); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// Client is the backend side of the protocol.
+// Client is the backend side of the protocol. It reads every frame
+// into one buffer per connection and decodes every report batch into
+// one reused scratch.
 type Client struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	conn    net.Conn
+	in      frameReader
+	out     frameWriter
+	scratch []TagReport
 }
 
 // Dial connects to a reader daemon and waits for its ready event.
@@ -265,7 +251,7 @@ func Dial(addr string) (*Client, error) {
 		return nil, fmt.Errorf("llrp: dial: %w", err)
 	}
 	c := NewClient(conn)
-	msg, err := ReadMessage(c.r)
+	msg, err := c.in.next()
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("llrp: handshake: %w", err)
@@ -280,7 +266,9 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (it does not consume the
 // ready event; Dial does).
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	return &Client{conn: conn,
+		in:  frameReader{rd: conn, buf: make([]byte, frameBufSize)},
+		out: frameWriter{conn: conn}}
 }
 
 // Start begins the reader operation from the top of the stream.
@@ -290,26 +278,17 @@ func (c *Client) Start() error { return c.StartFrom(NoResume) }
 // from (shortly before) lastSeen when it is >= 0 and the reader's
 // source is seekable. Pass NoResume for a fresh stream.
 func (c *Client) StartFrom(lastSeen time.Duration) error {
-	if err := WriteMessage(c.w, Message{Type: MsgStartROSpec, Payload: EncodeResume(lastSeen)}); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	return c.out.send(MsgStartROSpec, EncodeResume(lastSeen))
 }
 
 // Keepalive sends a liveness probe; the reader echoes it.
 func (c *Client) Keepalive() error {
-	if err := WriteMessage(c.w, Message{Type: MsgKeepalive}); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	return c.out.send(MsgKeepalive, nil)
 }
 
 // Stop asks the reader to end the operation.
 func (c *Client) Stop() error {
-	if err := WriteMessage(c.w, Message{Type: MsgStopROSpec}); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	return c.out.send(MsgStopROSpec, nil)
 }
 
 // ErrStreamEnded reports a clean end of the report stream.
@@ -319,10 +298,11 @@ var ErrStreamEnded = errors.New("llrp: stream ended")
 // ErrStreamEnded when the reader signals the ROSpec is complete or
 // stopped, and the underlying error on connection problems.
 // Informational reader events (status chatter) do not end the stream —
-// only terminal events do (see ClassifyEvent).
+// only terminal events do (see ClassifyEvent). The returned slice is
+// the client's reused decode buffer: the next call overwrites it.
 func (c *Client) NextReports() ([]TagReport, error) {
 	for {
-		msg, err := ReadMessage(c.r)
+		msg, err := c.in.next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil, ErrStreamEnded
@@ -331,7 +311,7 @@ func (c *Client) NextReports() ([]TagReport, error) {
 		}
 		switch msg.Type {
 		case MsgROAccessReport:
-			return DecodeReports(msg.Payload)
+			return c.decode(msg.Payload)
 		case MsgReaderEvent:
 			if ClassifyEvent(msg.Payload) == EventStreamEnd {
 				return nil, ErrStreamEnded
@@ -345,6 +325,17 @@ func (c *Client) NextReports() ([]TagReport, error) {
 			return nil, fmt.Errorf("llrp: unexpected %v", msg.Type)
 		}
 	}
+}
+
+// decode decodes a report payload into the client's reused scratch,
+// overwriting the batch it last returned.
+func (c *Client) decode(payload []byte) ([]TagReport, error) {
+	reports, err := DecodeReportsInto(c.scratch, payload)
+	if err != nil {
+		return nil, err
+	}
+	c.scratch = reports
+	return reports, nil
 }
 
 // Close closes the connection.

@@ -137,13 +137,10 @@ func TestServerKeepalive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := WriteMessage(c.w, Message{Type: MsgKeepalive}); err != nil {
+	if err := c.out.send(MsgKeepalive, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := ReadMessage(c.r)
+	msg, err := c.in.next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +156,10 @@ func TestServerRejectsUnknownMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := WriteMessage(c.w, Message{Type: MsgType(42)}); err != nil {
+	if err := c.out.send(MsgType(42), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := ReadMessage(c.r)
+	msg, err := c.in.next()
 	if err != nil {
 		t.Fatal(err)
 	}

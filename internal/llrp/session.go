@@ -178,9 +178,6 @@ type Session struct {
 	// Consumer-goroutine-only state.
 	rng      *rand.Rand
 	attempts int
-	// scratch is the reused decode buffer behind NextReports; each call
-	// overwrites the previous batch in place.
-	scratch []TagReport
 	// The reconnect circuit breaker (BreakerThreshold > 0): its
 	// position, the failed connects in the current streak, and when
 	// the streak's first failure happened.
@@ -188,10 +185,10 @@ type Session struct {
 	brkFails int
 	brkFirst time.Time
 
-	// mu guards everything below: the link (conn/client share a
-	// bufio.Writer with the keepalive pinger) and the counters. It is
-	// never held across blocking reads; writes are bounded by
-	// WriteTimeout.
+	// mu guards everything below: the link (conn/client share the
+	// client's frame writer with the keepalive pinger) and the
+	// counters. It is never held across blocking reads; writes are
+	// bounded by WriteTimeout.
 	mu         sync.Mutex
 	conn       net.Conn
 	client     *Client
@@ -292,20 +289,19 @@ func (s *Session) NextReports() ([]TagReport, error) {
 func (s *Session) readBatch(conn net.Conn, client *Client) ([]TagReport, error) {
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		msg, err := ReadMessage(client.r)
+		msg, err := client.in.next()
 		if err != nil {
 			return nil, err
 		}
 		switch msg.Type {
 		case MsgROAccessReport:
-			reports, err := DecodeReportsInto(s.scratch, msg.Payload)
+			reports, err := client.decode(msg.Payload)
 			if err != nil {
 				// Corrupt frame: resync is impossible on a byte
 				// stream, so treat it as a link failure.
 				s.tel.decodeErrs.Inc()
 				return nil, err
 			}
-			s.scratch = reports
 			return reports, nil
 		case MsgKeepalive:
 			s.noteKeepaliveEcho()
@@ -463,7 +459,7 @@ func (s *Session) connectOnce() error {
 	}
 	client := NewClient(conn)
 	conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-	msg, err := ReadMessage(client.r)
+	msg, err := client.in.next()
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("llrp: handshake: %w", err)

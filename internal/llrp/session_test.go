@@ -293,8 +293,7 @@ func TestSessionKeepaliveDetectsDeadLink(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				w := bufio.NewWriter(conn)
-				if err := writeFlush(w, Message{Type: MsgReaderEvent, Payload: []byte(EventReady)}); err != nil {
+				if err := WriteMessage(conn, Message{Type: MsgReaderEvent, Payload: []byte(EventReady)}); err != nil {
 					return
 				}
 				r := bufio.NewReader(conn)
@@ -419,5 +418,65 @@ func TestSessionCleanEndAndStop(t *testing.T) {
 	}
 	if st := sess2.Stats(); st.Reconnects != 0 {
 		t.Errorf("Stop recorded %d reconnects, want 0", st.Reconnects)
+	}
+}
+
+// TestSessionReceivesOversizedBatch streams one batch whose payload
+// would exceed MaxPayload. The encoder refuses it whole, so the reader
+// daemon splits it across frames, and the session receives every
+// report in order over its one connection, then the clean end. A
+// daemon that dropped the connection instead would put the session in
+// a reconnect loop that never counts toward MaxAttempts.
+func TestSessionReceivesOversizedBatch(t *testing.T) {
+	const n = 40000
+	batch := make([]TagReport, n)
+	for i := range batch {
+		batch[i] = TagReport{EPC: tagmodel.MakeEPC(i%25 + 1), Timestamp: time.Duration(i) * time.Microsecond}
+	}
+	if _, err := EncodeReports(batch); !errors.Is(err, ErrOversized) {
+		t.Fatalf("encoding %d reports in one payload: %v, want ErrOversized", n, err)
+	}
+	if _, err := EncodeReports(batch[:maxFrameReports]); err != nil {
+		t.Fatalf("encoding %d reports, the most one payload carries: %v", maxFrameReports, err)
+	}
+	_, addr := startServer(t, func() ReportSource { return &sliceSource{batches: [][]TagReport{batch}} })
+	var dials atomic.Int32
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sess, err := DialSession(ctx, SessionConfig{
+		Dialer: func(ctx context.Context) (net.Conn, error) {
+			dials.Add(1)
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		},
+		MaxAttempts:       3,
+		KeepaliveInterval: -1,
+		Obs:               obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	got := 0
+	for {
+		b, err := sess.NextReports()
+		if errors.Is(err, ErrStreamEnded) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d reports: %v", got, err)
+		}
+		for _, r := range b {
+			if r.Timestamp != batch[got].Timestamp || r.EPC != batch[got].EPC {
+				t.Fatalf("report %d is %v of tag %v, want %v", got, r.Timestamp, r.EPC, batch[got].Timestamp)
+			}
+			got++
+		}
+	}
+	if got != n {
+		t.Errorf("received %d reports, want %d", got, n)
+	}
+	if d := dials.Load(); d != 1 {
+		t.Errorf("%d connects, want 1", d)
 	}
 }

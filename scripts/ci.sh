@@ -117,17 +117,30 @@ go test -run '^$' -fuzz FuzzFrameTraceMatchesReference -fuzztime 10s ./internal/
 echo '== late rule fuzz smoke (10s)'
 go test -run '^$' -fuzz FuzzRecognizerLateRuleMatchesSanitizer -fuzztime 10s ./internal/core
 
+# Short fuzz passes over the LLRP wire path: the frame parser must
+# never panic, and a stream of frames read through one reused frame
+# buffer, in reads of any size, must give exactly the messages and the
+# error that fresh ReadMessage calls give; the in-place report encoder
+# and decoder must match the per-field reference loops bit for bit.
+# New crashers land in internal/llrp/testdata/fuzz.
+echo '== LLRP frame and report codec fuzz smoke (10s each)'
+go test -run '^$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/llrp
+go test -run '^$' -fuzz FuzzDecodeReports -fuzztime 10s ./internal/llrp
+
 # The exact AllocsPerRun assertions skip themselves under -race (the
 # detector allocates on instrumented paths), so run them again pure.
 # This covers the recognizer hot path, the disturbance scratch map,
 # one stroke window and one letter composition (bounded counts), the
 # cluster intake (Cluster.Push through the owner's shard), the
-# unsampled/sampled tracing paths (0 allocs per span), and
-# TestRecycledStreamAllocs: a stream built after another is released
+# unsampled/sampled tracing paths (0 allocs per span), the LLRP wire
+# path (0 allocs per 290-report frame through an in-process reader
+# daemon and session, both ends counted), live.AppendReports (one
+# allocation per column for a batch it grows, none for one with room),
+# and TestRecycledStreamAllocs: a stream built after another is released
 # allocates at most a tenth of the first one's bytes (skipped under
 # -race, where sync.Pool drops Puts at random).
 echo '== alloc regression tests (pure build)'
-go test -run 'Allocs' . ./internal/obs/trace
+go test -run 'Allocs' . ./internal/obs/trace ./internal/llrp ./internal/live
 
 # BenchmarkRecognizeWindow recognizes one stroke window per op, so the
 # log shows the per-stroke ns/op and allocs/op.
