@@ -285,12 +285,12 @@ func TestDisturbanceScratchMapAllocs(t *testing.T) {
 		t.Errorf("scratch-reused disturbance map allocates %.4f objects/window, want 0", avg)
 	}
 
-	// The allocating wrapper stays bounded by a constant: the scratch
-	// struct, the split's two offset slices and three columns, the map
-	// and the unwrap buffer, which may regrow for a longer tag run — 9
-	// objects on this window, a count that does not grow with the
-	// window's length or tag count. 16 leaves headroom and sits far
-	// below any per-tag or per-reading regression.
+	// The allocating wrapper stays bounded by a constant: the split's
+	// two offset slices and three columns and the map (the scratch
+	// struct stays on the stack) — 6 objects on this window, a count
+	// that does not grow with the window's length or tag count. 16
+	// leaves headroom and sits far below any per-tag or per-reading
+	// regression.
 	const bound = 16
 	if avg := testing.AllocsPerRun(100, func() {
 		core.DisturbanceMap(window, cal, core.DisturbanceOptions{})

@@ -91,19 +91,19 @@ func CalibrateBatch(static *ReadingBatch, numTags int) (*Calibration, error) {
 			dead++
 			continue
 		}
-		c.MeanPhase[i] = dsp.CircularMean(phases)
-		b := dsp.CircularStd(phases)
+		mean, b := dsp.CircularMeanStd(phases)
+		c.MeanPhase[i] = mean
 		if b < biasFloor {
 			b = biasFloor
 		}
 		c.Bias[i] = b
 		biasSum += b
 
-		// Noise accumulation rate: run the same (fused) suppression,
-		// unwrap, smoothing, and total variation the disturbance metric
-		// uses over this static stream.
-		sc.un = dsp.UnwrapColumn(sc.un, phases, c.MeanPhase[i])
-		c.TVRate[i] = dsp.SmoothedTotalVariation(sc.un, disturbanceSmoothWidth) / float64(len(sc.un)-1)
+		// Noise accumulation rate: run the same suppression, unwrap,
+		// smoothing, and total variation the disturbance metric uses
+		// over this static stream.
+		tv, _ := dsp.PhaseVariation(phases, mean)
+		c.TVRate[i] = tv / float64(len(phases)-1)
 	}
 	if float64(dead) > maxDeadFraction*float64(numTags) {
 		return nil, fmt.Errorf("core: calibrate: %d of %d tags have < %d reads — grid too degraded",

@@ -46,10 +46,6 @@ const (
 	AccumNetChange
 )
 
-// disturbanceSmoothWidth is the moving-average width applied to each
-// tag's unwrapped phase stream before accumulation.
-const disturbanceSmoothWidth = 3
-
 // DisturbanceOptions tunes DisturbanceMap.
 type DisturbanceOptions struct {
 	// Suppression defaults to SuppressFull.
@@ -60,30 +56,29 @@ type DisturbanceOptions struct {
 
 // DisturbanceMap computes I'_i (Eq. 10) for every tag from the readings
 // of one stroke window: per tag, the phase stream is mean-subtracted
-// (Eq. 8), unwrapped (§III-A3), accumulated, and divided by the tag's
-// weight. The result has one entry per tag; tags with fewer than two
-// reads in the window score zero.
+// (Eq. 8), unwrapped (§III-A3), smoothed by a width-3 moving average,
+// accumulated, and divided by the tag's weight. The result has one
+// entry per tag; tags with fewer than two reads in the window score
+// zero.
 func DisturbanceMap(w ReadingBatch, cal *Calibration, opts DisturbanceOptions) []float64 {
 	return new(DisturbanceScratch).Map(w, cal, opts)
 }
 
 // DisturbanceScratch owns every buffer one stroke window's evaluation
-// needs — the window's per-tag split, the unwrap workspace, the map
-// itself and the trough finder's buffers — so a hot caller evaluating
-// windows repeatedly allocates nothing once the buffers reach their
-// high-water marks. The zero value is ready. A scratch is not safe for
+// needs — the window's per-tag split, the map itself and the trough
+// finder's buffers — so a hot caller evaluating windows repeatedly
+// allocates nothing once the buffers reach their high-water marks. The zero value is ready. A scratch is not safe for
 // concurrent use; pipelines and calibration borrow them from one
 // package-level sync.Pool.
 type DisturbanceScratch struct {
 	split  tagSplit
-	un     []float64
 	out    []float64
 	trough dsp.TroughScratch
 }
 
 // Map is DisturbanceMap through this scratch's buffers: it splits the
 // window's columns by tag into the scratch and computes the map from
-// the split, unwrapping each tag's phase run where it sits. The split
+// the split, reading each tag's phase run where it sits. The split
 // stays for tagTroughs. The window is only read. The returned slice is
 // owned by the scratch and is invalidated by the next Map call —
 // callers that retain it must copy (GridImage already does).
@@ -112,29 +107,23 @@ func (sc *DisturbanceScratch) Map(w ReadingBatch, cal *Calibration, opts Disturb
 			continue
 		}
 		// θ'_ij = θ_ij − θ̃_i (Eq. 8), wrapped back onto the reporting
-		// range, then unwrapped — fused into one column pass (a NaN mean
-		// tells the kernel to skip the suppression, which is the
-		// SuppressNone ablation arm).
+		// range, unwrapped, smoothed and accumulated in one pass (a NaN
+		// mean tells the kernel to skip the suppression, which is the
+		// SuppressNone ablation arm). Smoothing comes before the
+		// accumulation: measurement noise would otherwise grow the total
+		// variation linearly with the read count, while the hand's
+		// disturbance is smooth at the MAC's sampling rate.
 		mean := math.NaN()
 		if opts.Suppression != SuppressNone {
 			mean = cal.MeanPhase[i]
 		}
-		sc.un = dsp.UnwrapColumn(sc.un, phases, mean)
-		// Smooth before accumulating: measurement noise would otherwise
-		// grow the total variation linearly with the read count, while
-		// the hand's disturbance is smooth at the MAC's sampling rate.
-		// The smoothed series is never materialized — the fused kernels
-		// accumulate directly over the moving-average windows, exactly
-		// reproducing the two-pass result.
-		var acc float64
+		acc, net := dsp.PhaseVariation(phases, mean)
 		if opts.Accumulator == AccumNetChange {
-			if v := dsp.SmoothedNetChange(sc.un, disturbanceSmoothWidth); v >= 0 {
-				acc = v
+			if net >= 0 {
+				acc = net
 			} else {
-				acc = -v
+				acc = -net
 			}
-		} else {
-			acc = dsp.SmoothedTotalVariation(sc.un, disturbanceSmoothWidth)
 		}
 		switch opts.Suppression {
 		case SuppressFull:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"rfipad/internal/geo"
 	"rfipad/internal/obs"
@@ -82,7 +81,7 @@ func (p *Pipeline) RecognizeWindow(w ReadingBatch) MotionResult {
 	tel := p.telemetry()
 	tel.windows.Inc()
 
-	t := time.Now()
+	t := obs.Mono()
 	vals := sc.Map(w, p.Cal, p.Opts)
 	// Fill cells of dead (uncalibrated) tags from live neighbors so a
 	// stroke crossing a hole in the array stays one bright region.
@@ -91,7 +90,7 @@ func (p *Pipeline) RecognizeWindow(w ReadingBatch) MotionResult {
 	if n := p.Cal.DeadCount(); n > 0 {
 		tel.interpolated.Add(uint64(n))
 	}
-	t = tel.disturbance.ObserveSince(t)
+	t = tel.disturbance.ObserveFrom(t)
 
 	// Otsu runs on the range-compressed image so a stroke's intensity
 	// gradient stays in one foreground cluster; the geometric
@@ -99,7 +98,7 @@ func (p *Pipeline) RecognizeWindow(w ReadingBatch) MotionResult {
 	// cells in the mask barely deflect the fit.
 	mask := LargestComponent(p.Grid, img.Binarize(), vals)
 	shape := ClassifyShapeDegraded(p.Grid, vals, mask, p.Cal.Dead)
-	t = tel.classify.ObserveSince(t)
+	t = tel.classify.ObserveFrom(t)
 	if !shape.Ok {
 		return MotionResult{Image: img, Mask: mask}
 	}
@@ -116,7 +115,7 @@ func (p *Pipeline) RecognizeWindow(w ReadingBatch) MotionResult {
 	if shape.Shape == stroke.Click {
 		res.Motion = stroke.M(stroke.Click, 0)
 		res.Troughs = sc.tagTroughs(shape.Cells)
-		tel.direction.ObserveSince(t)
+		tel.direction.ObserveFrom(t)
 		return res
 	}
 
@@ -129,7 +128,7 @@ func (p *Pipeline) RecognizeWindow(w ReadingBatch) MotionResult {
 			dir, dirOK = d, true
 		}
 	}
-	tel.direction.ObserveSince(t)
+	tel.direction.ObserveFrom(t)
 	res.Troughs = troughs
 	res.TravelDir = dir
 

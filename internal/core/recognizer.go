@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"rfipad/internal/obs"
 )
 
 // EventKind tags streaming recognizer outputs.
@@ -216,6 +218,8 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 	if n == 0 {
 		return nil
 	}
+	seg := r.tel.segment.Buffer()
+	defer seg.Fold()
 	var events []Event
 	var late, dupes, reordered uint64
 	frameLen := r.seg.FrameLen
@@ -262,7 +266,7 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 			}
 			if crossed {
 				r.lastPollFrame = int64(r.now / frameLen)
-				events = append(events, r.poll(r.now)...)
+				events = append(events, r.poll(r.now, &seg)...)
 			}
 			i = j
 			continue
@@ -317,7 +321,7 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 		// their old frame and are picked up at the next boundary.
 		if pf := int64(r.now / frameLen); pf != r.lastPollFrame {
 			r.lastPollFrame = pf
-			events = append(events, r.poll(r.now)...)
+			events = append(events, r.poll(r.now, &seg)...)
 		}
 		i++
 	}
@@ -340,6 +344,8 @@ func (r *Recognizer) Flush(at time.Duration) []Event {
 	if r.recBuffers == nil {
 		panic(releasedMsg)
 	}
+	seg := r.tel.segment.Buffer()
+	defer seg.Fold()
 	if at < r.now {
 		at = r.now
 	}
@@ -347,7 +353,7 @@ func (r *Recognizer) Flush(at time.Duration) []Event {
 	// the frame-boundary throttle.
 	horizon := at + r.confirmGap + time.Millisecond
 	r.lastPollFrame = int64(horizon / r.seg.FrameLen)
-	events := r.poll(horizon)
+	events := r.poll(horizon, &seg)
 	if len(r.pending) > 0 {
 		events = append(events, r.finishLetter(at)...)
 	}
@@ -377,16 +383,25 @@ const historyKeep = 8 * time.Second
 // poll re-segments the cached frame trace and emits every newly closed
 // span, plus a letter when the quiet gap has elapsed and nothing is in
 // progress. Then, warm-up or not, it sheds what no later poll can read.
-func (r *Recognizer) poll(horizon time.Duration) []Event {
+// The segmentation's time goes to seg, which the caller folds.
+func (r *Recognizer) poll(horizon time.Duration, seg *obs.HistogramBuffer) []Event {
 	defer r.shed()
 	if horizon-r.bufStart < streamWarmup {
 		return nil
 	}
 	var events []Event
-	t0 := time.Now()
+	t0 := obs.Mono()
 	rms, changed := r.cache.valuesSince(horizon)
-	spans := r.seg.segmentRMSFrom(rms, r.bufStart, &r.scratch, changed)
-	r.tel.segment.ObserveSince(t0)
+	// Every span that starts before the re-detection cut is skipped
+	// below, so the span pass may leave out the spans that end before
+	// it. Those never decide the quiet trim either: it needs emittedEnd
+	// past the cut too, and they end before emittedEnd.
+	from := 0
+	if skip := r.emittedEnd - 2*r.seg.FrameLen - r.bufStart; skip > 0 {
+		from = int(skip / r.seg.FrameLen)
+	}
+	spans := r.seg.segmentRMSFrom(rms, r.bufStart, &r.scratch, changed, from)
+	seg.ObserveFrom(t0)
 	openSpan := false
 	var lastSpanEnd time.Duration
 	for _, sp := range spans {
@@ -507,9 +522,9 @@ func (r *Recognizer) trimTo(cut time.Duration) {
 // finishLetter composes the pending strokes and resets for the next
 // letter.
 func (r *Recognizer) finishLetter(at time.Duration) []Event {
-	t0 := time.Now()
+	t0 := obs.Mono()
 	ch, ok := ComposeLetter(r.pending)
-	r.tel.grammar.ObserveSince(t0)
+	r.tel.grammar.ObserveFrom(t0)
 	r.tel.letters.Inc()
 	ev := Event{
 		Kind:     LetterDeduced,

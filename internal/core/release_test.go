@@ -5,6 +5,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"rfipad/internal/obs"
 )
 
 // midLetterRecognizer feeds the multi-letter capture until the
@@ -104,5 +106,61 @@ func TestRecognizerReleaseIsFinal(t *testing.T) {
 			}()
 			use.call()
 		}()
+	}
+}
+
+// TestRecognizerFoldsSegmentObservations pins the segment stage's
+// buffered observations: after every IngestBatch and Flush call, and
+// after Release, the stage histogram's count equals the number of polls
+// that ran segmentation. A recognizer fed one reading per call counts
+// them by the poll rule (a frame crossing at least streamWarmup past
+// bufStart). One fed 64-reading batches, which poll several times per
+// call, must match it at every batch boundary, since batching never
+// moves a poll.
+func TestRecognizerFoldsSegmentObservations(t *testing.T) {
+	cal, readings := multiLetterCapture(t)
+	newRec := func() (*Recognizer, *obs.Histogram) {
+		p := NewPipeline(Grid{Rows: 5, Cols: 5}, cal)
+		p.Obs = obs.NewRegistry()
+		return NewRecognizer(p, nil), p.Obs.Histogram(stageMetric, stageHelp, nil, obs.L("stage", StageSegment))
+	}
+	one, oneHist := newRec()
+	polls := make([]uint64, len(readings)) // segmentation polls once reading i is in
+	var n uint64
+	for i, rd := range readings {
+		frame, bufStart := one.lastPollFrame, one.bufStart
+		ingestOne(one, rd)
+		if one.lastPollFrame != frame && one.now-bufStart >= streamWarmup {
+			n++
+		}
+		if got := oneHist.Count(); got != n {
+			t.Fatalf("reading %d: %d segment observations after %d segmentation polls", i, got, n)
+		}
+		polls[i] = n
+	}
+	batched, batchedHist := newRec()
+	for i := 0; i < len(readings); i += 64 {
+		j := min(i+64, len(readings))
+		batched.IngestBatch(batchOf(readings[i:j]))
+		if got, want := batchedHist.Count(), polls[j-1]; got != want {
+			t.Fatalf("batch %d: %d segment observations after %d segmentation polls", i/64, got, want)
+		}
+	}
+	if n < 100 {
+		t.Fatalf("only %d segmentation polls", n)
+	}
+	// Flush polls once, past the warm-up.
+	for _, r := range []struct {
+		rec  *Recognizer
+		hist *obs.Histogram
+	}{{one, oneHist}, {batched, batchedHist}} {
+		r.rec.Flush(r.rec.now)
+		if got := r.hist.Count(); got != n+1 {
+			t.Fatalf("after Flush: %d segment observations, want %d", got, n+1)
+		}
+		r.rec.Release()
+		if got := r.hist.Count(); got != n+1 {
+			t.Fatalf("after Release: %d segment observations, want %d", got, n+1)
+		}
 	}
 }

@@ -166,11 +166,32 @@ func sortedRemove(s []float64, v float64) []float64 {
 }
 
 // dropFront removes the first n values of vals, and each of them from
-// vals' sorted multiset.
+// vals' sorted multiset. The dropped values are sorted in place, since
+// they are discarded next, and leave the multiset in one merge pass: a
+// binary search finds each one's first remaining occurrence, and each
+// run of kept values between two of them moves down once. A trim of
+// one frame costs one search and one move, like a single removal; a
+// letter trim of dozens no longer moves the tail once per frame.
 func dropFront(vals, sorted []float64, n int) ([]float64, []float64) {
-	for _, v := range vals[:n] {
-		sorted = sortedRemove(sorted, v)
+	drop := vals[:n]
+	slices.Sort(drop) // NaNs first; the multiset holds none
+	kept, i := 0, 0   // sorted[:kept] is final; sorted[i:] is unread
+	for _, v := range drop {
+		if math.IsNaN(v) {
+			continue
+		}
+		j := i + sort.SearchFloat64s(sorted[i:], v)
+		if j == len(sorted) || sorted[j] != v {
+			continue
+		}
+		if kept == i {
+			kept = j // nothing removed yet: the run stays in place
+		} else {
+			kept += copy(sorted[kept:], sorted[i:j])
+		}
+		i = j + 1
 	}
+	sorted = sorted[:kept+copy(sorted[kept:], sorted[i:])]
 	return vals[:copy(vals, vals[n:])], sorted
 }
 
@@ -186,12 +207,12 @@ func appendSorted(dst, x []float64) []float64 {
 }
 
 // segmentRMS runs the span-detection back half of Segment over an
-// already-computed per-frame RMS trace starting at start. With a nil
-// scratch it allocates fresh buffers (the batch path); the streaming
-// recognizer passes its own scratch and must consume the returned spans
-// before the next call, which reuses them.
+// already-computed per-frame RMS trace starting at start, and returns
+// every span. With a nil scratch it allocates fresh buffers (the batch
+// path); the streaming recognizer passes its own scratch and must
+// consume the returned spans before the next call, which reuses them.
 func (g *Segmenter) segmentRMS(rms []float64, start time.Duration, sc *segScratch) []Span {
-	return g.segmentRMSFrom(rms, start, sc, -1)
+	return g.segmentRMSFrom(rms, start, sc, -1, 0)
 }
 
 // segmentRMSFrom is segmentRMS with a change watermark: when
@@ -206,7 +227,15 @@ func (g *Segmenter) segmentRMS(rms []float64, start time.Duration, sc *segScratc
 // (or any inconsistency with the scratch's remembered geometry) falls
 // back to a full rebuild; the detected spans are bit-identical either
 // way.
-func (g *Segmenter) segmentRMSFrom(rms []float64, start time.Duration, sc *segScratch, changedFrom int) []Span {
+//
+// from > 0 resumes the span pass for a caller that needs only the spans
+// ending after frame from. The pass starts at the latest stretch, before
+// from, of floor(mergeGap/FrameLen)+1 frames that are neither seeded
+// nor above the bridge: the spans on either side of such a stretch lie
+// more than mergeGap apart and never merge. So the result is the full
+// pass's spans minus a prefix, and every span left out ends before
+// frame from. from = 0 runs the full pass.
+func (g *Segmenter) segmentRMSFrom(rms []float64, start time.Duration, sc *segScratch, changedFrom, from int) []Span {
 	if len(rms) == 0 {
 		return nil
 	}
@@ -243,10 +272,22 @@ func (g *Segmenter) segmentRMSFrom(rms []float64, start time.Duration, sc *segSc
 	// One pass finds each run of frames that are seeded or above the
 	// bridge, then trims the run's edges back to the bridge level: this
 	// sharpens boundaries that the window-level rule blurs and discards
-	// runs that were only transition ripple.
+	// runs that were only transition ripple. A resumed pass starts at
+	// the quiet stretch before from.
 	cover := sc.cover
-	spans := sc.spans[:0]
 	f := 0
+	if from > 0 {
+		need, run := int(mergeGap/g.FrameLen)+1, 0
+		for k := min(from, len(rms)) - 1; k >= 0; k-- {
+			if cover[k] > 0 || rms[k] > bridge {
+				run = 0
+			} else if run++; run == need {
+				f = k
+				break
+			}
+		}
+	}
+	spans := sc.spans[:0]
 	for f < len(rms) {
 		if cover[f] == 0 && !(rms[f] > bridge) {
 			f++

@@ -111,6 +111,25 @@ type segDrive struct {
 	// range that the threshold moved past: up out of the seeded set,
 	// down into it.
 	crossUp, crossDown int
+	// leftOut counts the spans resumed span passes left out.
+	leftOut int
+}
+
+// checkResumed asserts that the spans of a pass resumed at frame from
+// are the full pass's spans minus a prefix, every one of which ends at
+// or before frame from, and returns the prefix's length.
+func checkResumed(t *testing.T, seg *Segmenter, step int, start time.Duration, from int, resumed, full []Span) int {
+	t.Helper()
+	cut := len(full) - len(resumed)
+	if cut < 0 || !slices.Equal(resumed, full[cut:]) {
+		t.Fatalf("step %d: pass resumed at frame %d found %v, the full pass %v", step, from, resumed, full)
+	}
+	for _, sp := range full[:cut] {
+		if sp.End > start+time.Duration(from)*seg.FrameLen {
+			t.Fatalf("step %d: pass resumed at frame %d left out %v, which ends after it", step, from, sp)
+		}
+	}
+	return cut
 }
 
 // driveSegmentation drives the streaming segmentation the way the
@@ -162,7 +181,7 @@ func driveSegmentation(t *testing.T, seg *Segmenter, cal *Calibration, readings 
 			}
 		}
 		prevThre := sc.seedThre
-		got := slices.Clone(seg.segmentRMSFrom(rms, start, &sc, changed))
+		got := slices.Clone(seg.segmentRMSFrom(rms, start, &sc, changed, 0))
 		want := seg.segmentRMS(slices.Clone(rms), start, nil)
 		d.polls++
 		if !slices.Equal(got, want) {
@@ -171,6 +190,13 @@ func driveSegmentation(t *testing.T, seg *Segmenter, cal *Calibration, readings 
 		}
 		if len(rms) > 0 { // an empty trace leaves the scratch as it was
 			checkScratch(t, seg, d.polls, &sc, rms)
+		}
+		// The recognizer's resumed pass, from its re-detection cut: a
+		// repeat poll with nothing changed reruns only the span pass.
+		if skip := lastEnd - 2*frameLen - start; skip > 0 {
+			from := int(skip / frameLen)
+			resumed := seg.segmentRMSFrom(rms, start, &sc, len(rms), from)
+			d.leftOut += checkResumed(t, seg, d.polls, start, from, resumed, want)
 		}
 		for _, v := range prevStds[:untouched] {
 			if was, is := v > prevThre, v > sc.seedThre; was && !is {
@@ -284,7 +310,7 @@ func TestSegmentRMSFromMatchesFromScratch(t *testing.T) {
 		d := driveSegmentation(t, NewSegmenter(), cal, readings)
 		t.Logf("%+v", d)
 		if d.active < d.polls/4 || d.letterTrims < 2 || d.quietTrims < 10 || d.rebuilds < 2 ||
-			d.columnPolls < d.polls/4 || d.crossUp == 0 || d.crossDown == 0 {
+			d.columnPolls < d.polls/4 || d.crossUp == 0 || d.crossDown == 0 || d.leftOut == 0 {
 			t.Errorf("capture did not exercise every incremental path: %+v", d)
 		}
 	})
@@ -294,10 +320,36 @@ func TestSegmentRMSFromMatchesFromScratch(t *testing.T) {
 		seg.Threshold = 0.6
 		d := driveSegmentation(t, seg, cal, readings)
 		t.Logf("%+v", d)
-		if d.active < d.polls/4 || d.letterTrims < 2 || d.quietTrims < 10 || d.rebuilds < 2 || d.columnPolls < d.polls/4 {
+		if d.active < d.polls/4 || d.letterTrims < 2 || d.quietTrims < 10 || d.rebuilds < 2 ||
+			d.columnPolls < d.polls/4 || d.leftOut == 0 {
 			t.Errorf("capture did not exercise every incremental path: %+v", d)
 		}
 	})
+}
+
+// TestSegmentLongTrimMatchesRebuild pins the one-pass trim: a poll after
+// a trim of 80 or more frames, with no frame changed, leaves every
+// multiset (window stds, frame RMS, seeded frames) and the spans equal
+// to a rebuild's. Each trim drops stroke frames, so the seeded multiset
+// loses values too.
+func TestSegmentLongTrimMatchesRebuild(t *testing.T) {
+	cal, readings := multiLetterCapture(t)
+	seg := NewSegmenter()
+	trace := seg.frameTrace(batchOf(readings), cal, 0, 34*time.Second)
+	for _, drop := range []int{80, 87, 120, 200} {
+		var sc segScratch
+		seg.segmentRMSFrom(trace, 0, &sc, -1, 0)
+		if len(sc.sortedSeeded) == 0 {
+			t.Fatal("the capture seeds no frame")
+		}
+		rms := slices.Clone(trace[drop:])
+		start := time.Duration(drop) * seg.FrameLen
+		got := seg.segmentRMSFrom(rms, start, &sc, len(rms), 0)
+		checkScratch(t, seg, drop, &sc, rms)
+		if want := seg.segmentRMS(slices.Clone(rms), start, nil); !slices.Equal(got, want) {
+			t.Fatalf("trim of %d frames: spans %v, from scratch %v", drop, got, want)
+		}
+	}
 }
 
 // TestRecognizerSegmentMultisetsStayExact checks the same scratch
@@ -448,12 +500,15 @@ func TestRecognizerPerElementReadingsReachFrameCache(t *testing.T) {
 // a watermark on, a prefix trimmed, and a horizon jump whose next poll
 // sees a shorter trace — and after each edit compares the incremental
 // spans with a from-scratch segmentRMS and checks the scratch with
-// checkScratch. An odd first byte fixes the threshold instead of
-// adapting it.
+// checkScratch. Each poll resumes its span pass at a frame the op byte
+// picks, so its spans must be the from-scratch ones minus a prefix that
+// ends by that frame (checkResumed). An odd first byte fixes the
+// threshold instead of adapting it.
 func FuzzSegmentRMSFromMatchesFromScratch(f *testing.F) {
-	// Ops are a byte each (mod 4: append, rewrite, trim, jump) followed
-	// by a length or position byte and, for appends, rewrites and jumps,
-	// the frame values (byte/32).
+	// Ops are a byte each (mod 4: append, rewrite, trim, jump; the rest,
+	// op/4, places the poll's resume point at that many 64ths of the
+	// trace) followed by a length or position byte and, for appends,
+	// rewrites and jumps, the frame values (byte/32).
 	f.Add([]byte{0, 0, 15, 2, 3, 2, 4, 3, 2, 30, 90, 20, 100, 3, 2, 2, 3, 4, 3, 2, 2,
 		0, 9, 1, 2, 3, 2, 80, 120, 60, 3, 2, 2, 1, 3, 50, 70, 3, 4, 2, 3, 2, 2, 2, 2, 2,
 		2, 4, 3, 3, 60, 90, 40, 0, 5, 3, 2, 3, 2, 2, 2, 2})
@@ -462,6 +517,12 @@ func FuzzSegmentRMSFromMatchesFromScratch(f *testing.F) {
 		2, 3, 0, 7, 9, 9, 9, 9, 9, 9, 9, 9, 3, 5, 200, 200, 200, 200, 200, 200})
 	f.Add([]byte{2, 0, 15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 0, 0,
 		0, 15, 5, 9, 60, 2, 70, 1, 80, 0, 90, 5, 6, 5, 4, 2, 2, 2, 9, 2, 2, 1, 1, 2, 2, 200})
+	// Strokes separated by quiet stretches, polled with resume points
+	// past them.
+	f.Add([]byte{0, 0, 15, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+		128, 7, 90, 10, 120, 20, 100, 5, 80, 30, 252, 7, 2, 2, 2, 2, 2, 2, 2, 2,
+		240, 7, 60, 120, 20, 90, 10, 110, 50, 40, 200, 7, 2, 2, 2, 2, 2, 2, 2, 2,
+		249, 3, 2, 2, 2, 100, 1, 9, 180, 5, 20, 30, 100, 70, 90, 130})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -480,19 +541,19 @@ func FuzzSegmentRMSFromMatchesFromScratch(f *testing.F) {
 			trace []float64
 			start time.Duration
 		)
+		var op byte
 		poll := func(step int, rms []float64, changed int) {
-			got := slices.Clone(seg.segmentRMSFrom(rms, start, &sc, changed))
+			from := int(op/4) * (len(rms) + 1) / 64
+			got := slices.Clone(seg.segmentRMSFrom(rms, start, &sc, changed, from))
 			want := seg.segmentRMS(slices.Clone(rms), start, nil)
-			if !slices.Equal(got, want) {
-				t.Fatalf("step %d (%d frames from %v, changed %d): incremental spans %v, from scratch %v",
-					step, len(rms), start, changed, got, want)
-			}
+			checkResumed(t, seg, step, start, from, got, want)
 			if len(rms) > 0 {
 				checkScratch(t, seg, step, &sc, rms)
 			}
 		}
 		for step := 0; len(data) > 0 && step < 48; step++ {
-			switch next() % 4 {
+			op = next()
+			switch op % 4 {
 			case 0: // append frames
 				from := len(trace)
 				for n := int(next()%8) + 1; n > 0; n-- {
@@ -543,11 +604,11 @@ func BenchmarkSegmenterActivePoll(b *testing.B) {
 	last := len(rms) - 1
 	vals := [2]float64{rms[last], 2 * slices.Max(rms)}
 	var sc segScratch
-	seg.segmentRMSFrom(rms, 0, &sc, -1)
+	seg.segmentRMSFrom(rms, 0, &sc, -1, 0)
 	var thre [2]float64
 	for i, v := range vals { // warm every buffer to its high-water mark
 		rms[last] = v
-		seg.segmentRMSFrom(rms, 0, &sc, last)
+		seg.segmentRMSFrom(rms, 0, &sc, last, 0)
 		thre[i] = sc.seedThre
 	}
 	if thre[0] == thre[1] {
@@ -557,7 +618,7 @@ func BenchmarkSegmenterActivePoll(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rms[last] = vals[i&1]
-		if seg.segmentRMSFrom(rms, 0, &sc, last) == nil {
+		if seg.segmentRMSFrom(rms, 0, &sc, last, 0) == nil {
 			b.Fatal("active poll found no spans")
 		}
 	}

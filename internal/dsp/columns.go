@@ -78,108 +78,88 @@ func wrapNear(theta float64) float64 {
 	return Wrap(theta)
 }
 
-// UnwrapColumn fuses diversity suppression and phase de-periodicity
-// over one tag's phase column: dst[i] = unwrap(Wrap(phase[i] − mean)),
-// in a single pass with no intermediate buffer. It is bit-identical to
-// wrapping each sample with Wrap(p − mean) and then calling UnwrapInto
-// on the result. A NaN mean disables the suppression (samples pass to
-// the unwrapper raw), which is how callers handle the
-// no-suppression ablation arm without a second code path.
-func UnwrapColumn(dst, phase []float64, mean float64) []float64 {
-	out := growFloats(dst, len(phase))
-	if len(phase) == 0 {
-		return out
+// PhaseVariation is Eq. 8–10's per-tag accumulation in one pass with
+// no buffer. Each sample is suppressed against mean and wrapped (Wrap(p
+// − mean)), the series is unwrapped (UnwrapInto) and smoothed by the
+// centred width-3 moving average (MovingAverage), and the total
+// variation (TotalVariation) and net change (NetChange) of the smoothed
+// series are returned. It is bit-identical to that composition: each
+// step replays the operation sequence of the function it stands for,
+// and a window sample outside the series is NaN, which Mean skips just
+// as the shrunken edge window leaves it out. A NaN mean disables the
+// suppression (samples go to the unwrapper raw), which is how callers
+// run the no-suppression ablation arm without a second code path.
+func PhaseVariation(phase []float64, mean float64) (tv, net float64) {
+	n := len(phase)
+	if n == 0 {
+		return 0, 0
 	}
 	suppress := !math.IsNaN(mean)
-	wrap := func(p float64) float64 {
-		if suppress {
-			return wrapNear(p - mean)
-		}
-		return p
+	p0 := phase[0]
+	if suppress {
+		p0 = wrapNear(p0 - mean)
 	}
-	p0 := wrap(phase[0])
-	out[0] = p0
-	offset := 0.0
-	prev := p0
-	for i := 1; i < len(phase); i++ {
-		p := wrap(phase[i])
-		if math.IsNaN(p) {
-			out[i] = p
-			continue
-		}
-		if !math.IsNaN(prev) {
-			d := p - prev
-			if d > math.Pi {
-				offset -= 2 * math.Pi
-			} else if d < -math.Pi {
-				offset += 2 * math.Pi
+	// The unwrapper's offset and last non-NaN sample; the unwrapped
+	// samples a, b, c around smoothed sample i-1; and the first and
+	// last non-NaN smoothed samples.
+	offset, prev := 0.0, p0
+	a, b := math.NaN(), p0
+	first, last := math.NaN(), math.NaN()
+	for i := 1; i <= n; i++ {
+		c := math.NaN() // past the end: the edge window shrinks
+		if i < n {
+			p := phase[i]
+			if suppress {
+				p = wrapNear(p - mean)
+			}
+			c = p
+			if !math.IsNaN(p) {
+				if !math.IsNaN(prev) {
+					d := p - prev
+					if d > math.Pi {
+						offset -= 2 * math.Pi
+					} else if d < -math.Pi {
+						offset += 2 * math.Pi
+					}
+				}
+				c = p + offset
+				prev = p
 			}
 		}
-		out[i] = p + offset
-		prev = p
+		if v := mean3(a, b, c); !math.IsNaN(v) {
+			if math.IsNaN(last) {
+				first = v
+			} else {
+				tv += math.Abs(v - last)
+			}
+			last = v
+		}
+		a, b = b, c
 	}
-	return out
+	if math.IsNaN(first) {
+		return tv, 0
+	}
+	return tv, last - first
 }
 
-// SmoothedTotalVariation returns TotalVariation(MovingAverage(x, width))
-// without materializing the smoothed series: each centred-window mean is
-// computed exactly as MovingAverageInto computes it (a fresh Mean over
-// the shrunken edge window), and the |Δ| accumulation replays
-// TotalVariation's NaN-skipping loop — so the result is bit-identical
-// to the two-pass composition while touching one buffer fewer.
-func SmoothedTotalVariation(x []float64, width int) float64 {
-	var tv float64
-	prev := math.NaN()
-	n := len(x)
-	half := width / 2
-	for i := 0; i < n; i++ {
-		v := smoothedAt(x, i, half, width)
-		if math.IsNaN(v) {
-			continue
-		}
-		if !math.IsNaN(prev) {
-			tv += math.Abs(v - prev)
-		}
-		prev = v
+// mean3 is Mean over the three samples a, b, c.
+func mean3(a, b, c float64) float64 {
+	var sum float64
+	n := 0
+	if !math.IsNaN(a) {
+		sum += a
+		n++
 	}
-	return tv
-}
-
-// SmoothedNetChange is NetChange(MovingAverage(x, width)) in one pass —
-// the telescoped ablation arm's counterpart to SmoothedTotalVariation.
-func SmoothedNetChange(x []float64, width int) float64 {
-	first, last := math.NaN(), math.NaN()
-	n := len(x)
-	half := width / 2
-	for i := 0; i < n; i++ {
-		v := smoothedAt(x, i, half, width)
-		if math.IsNaN(v) {
-			continue
-		}
-		if math.IsNaN(first) {
-			first = v
-		}
-		last = v
+	if !math.IsNaN(b) {
+		sum += b
+		n++
 	}
-	if math.IsNaN(first) || math.IsNaN(last) {
-		return 0
+	if !math.IsNaN(c) {
+		sum += c
+		n++
 	}
-	return last - first
-}
-
-// smoothedAt is one output sample of MovingAverageInto: the Mean of the
-// centred (edge-shrunken) window around i, or a copy when width <= 1.
-func smoothedAt(x []float64, i, half, width int) float64 {
-	if width <= 1 {
-		return x[i]
+	if n == 0 {
+		return math.NaN()
 	}
-	lo := i - half
-	if lo < 0 {
-		lo = 0
-	}
-	hi := i + half + 1
-	if hi > len(x) {
-		hi = len(x)
-	}
-	return Mean(x[lo:hi])
+	return sum / float64(n)
 }

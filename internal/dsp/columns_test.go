@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,16 +49,57 @@ func TestWrapSignedNearMatchesWrapSigned(t *testing.T) {
 	}
 }
 
-// TestUnwrapColumnMatchesComposition pins UnwrapColumn against the
-// two-pass composition (Wrap(p−mean) per sample, then UnwrapInto) it
-// fuses, including NaN samples and the NaN-mean passthrough arm.
+// phaseVariationOracle is the composition PhaseVariation fuses:
+// Wrap(p − mean) per sample (the raw sample for a NaN mean), UnwrapInto,
+// MovingAverage of width 3, then TotalVariation and NetChange.
+func phaseVariationOracle(phase []float64, mean float64) (tv, net float64) {
+	wrapped := make([]float64, len(phase))
+	for i, p := range phase {
+		if math.IsNaN(mean) {
+			wrapped[i] = p
+		} else {
+			wrapped[i] = Wrap(p - mean)
+		}
+	}
+	sm := MovingAverage(UnwrapInto(nil, wrapped), 3)
+	return TotalVariation(sm), NetChange(sm)
+}
+
+// sameFloat reports whether a and b are the same float64 bit for bit,
+// or both NaN.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// checkPhaseVariation compares PhaseVariation with its oracle, and the
+// one-pass circular statistics with CircularMean and CircularStd.
+func checkPhaseVariation(t *testing.T, phase []float64, mean float64) {
+	t.Helper()
+	tv, net := PhaseVariation(phase, mean)
+	wantTV, wantNet := phaseVariationOracle(phase, mean)
+	if !sameFloat(tv, wantTV) || !sameFloat(net, wantNet) {
+		t.Fatalf("PhaseVariation(%v, %v) = (%v, %v), composition (%v, %v)", phase, mean, tv, net, wantTV, wantNet)
+	}
+	m, sd := CircularMeanStd(phase)
+	if wantM, wantSD := CircularMean(phase), CircularStd(phase); !sameFloat(m, wantM) || !sameFloat(sd, wantSD) {
+		t.Fatalf("CircularMeanStd(%v) = (%v, %v), CircularMean and CircularStd (%v, %v)", phase, m, sd, wantM, wantSD)
+	}
+}
+
+// TestUnwrapColumnMatchesComposition pins the column unwrap fused into
+// PhaseVariation (Wrap(p − mean) per sample, then UnwrapInto) through
+// the kernel's output, against the whole composition it fuses, on random
+// tag runs: lengths 0 to 59, NaN samples, phases that wrap and jump by
+// more than π, and the NaN-mean passthrough arm.
 func TestUnwrapColumnMatchesComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(50)
-		phases := make([]float64, n)
+	for trial := 0; trial < 2000; trial++ {
+		phases := make([]float64, rng.Intn(60))
 		for i := range phases {
 			phases[i] = rng.Float64() * 2 * math.Pi
+			if trial%3 == 0 {
+				phases[i] = (rng.Float64() - 0.25) * 6 * math.Pi
+			}
 			if rng.Intn(12) == 0 {
 				phases[i] = math.NaN()
 			}
@@ -66,58 +108,75 @@ func TestUnwrapColumnMatchesComposition(t *testing.T) {
 		if trial%5 == 0 {
 			mean = math.NaN() // suppression disabled
 		}
-
-		wrapped := make([]float64, n)
-		for i, p := range phases {
-			if math.IsNaN(mean) {
-				wrapped[i] = p
-			} else {
-				wrapped[i] = Wrap(p - mean)
-			}
-		}
-		want := UnwrapInto(nil, wrapped)
-		got := UnwrapColumn(nil, phases, mean)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: len %d want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d sample %d: got %v want %v", trial, i, got[i], want[i])
-			}
-		}
+		checkPhaseVariation(t, phases, mean)
 	}
 }
 
-// TestSmoothedKernelsMatchComposition pins the fused moving-average
-// accumulators against MovingAverage + TotalVariation/NetChange.
+// TestSmoothedKernelsMatchComposition pins the fused width-3 moving
+// average and its total-variation and net-change accumulators against
+// MovingAverage followed by TotalVariation and NetChange, with no
+// unwrapping in the reference. A NaN mean disables the suppression and
+// the samples lie in [−1.5, 1.5), so no step exceeds π and the unwrap
+// leaves them as they are. Runs cover lengths 0 to 59, NaN samples,
+// leading and trailing NaN and all-NaN runs.
 func TestSmoothedKernelsMatchComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(60)
-		x := make([]float64, n)
+	for trial := 0; trial < 2000; trial++ {
+		x := make([]float64, rng.Intn(60))
+		nanRate := 1 + rng.Intn(10)
 		for i := range x {
-			x[i] = rng.NormFloat64() * 3
-			if rng.Intn(10) == 0 {
+			x[i] = (rng.Float64() - 0.5) * 3
+			if rng.Intn(nanRate) == 0 {
 				x[i] = math.NaN()
 			}
 		}
-		for _, width := range []int{0, 1, 2, 3, 5, 8} {
-			sm := MovingAverage(x, width)
-			wantTV := TotalVariation(sm)
-			gotTV := SmoothedTotalVariation(x, width)
-			if math.Float64bits(gotTV) != math.Float64bits(wantTV) {
-				t.Fatalf("trial %d width %d: SmoothedTotalVariation = %v, want %v", trial, width, gotTV, wantTV)
-			}
-			wantNC := NetChange(sm)
-			gotNC := SmoothedNetChange(x, width)
-			if math.Float64bits(gotNC) != math.Float64bits(wantNC) {
-				t.Fatalf("trial %d width %d: SmoothedNetChange = %v, want %v", trial, width, gotNC, wantNC)
-			}
+		sm := MovingAverage(x, 3)
+		wantTV, wantNet := TotalVariation(sm), NetChange(sm)
+		tv, net := PhaseVariation(x, math.NaN())
+		if !sameFloat(tv, wantTV) || !sameFloat(net, wantNet) {
+			t.Fatalf("trial %d: PhaseVariation(%v, NaN) = (%v, %v), MovingAverage then TotalVariation and NetChange (%v, %v)",
+				trial, x, tv, net, wantTV, wantNet)
 		}
 	}
 }
 
-// TestWrapNearMatchesWrap checks the fast wrap UnwrapColumn applies to
+// FuzzPhaseVariationMatchesComposition checks PhaseVariation against its
+// oracle, and CircularMeanStd against CircularMean and CircularStd, on
+// decoded tag runs. An even first byte decodes two bytes a sample,
+// scaled onto [−π, 3π) with NaN for every multiple of 97; an odd one
+// decodes raw float64 bits, eight bytes a sample, so ±Inf, huge angles
+// and NaNs reach the kernel too. nanMean disables the suppression.
+func FuzzPhaseVariationMatchesComposition(f *testing.F) {
+	f.Add([]byte{}, 1.0, false)
+	f.Add([]byte{0, 1, 2}, 0.5, false)
+	f.Add([]byte{0, 1, 2, 0, 0}, 0.5, true)
+	f.Add([]byte{0, 10, 0, 200, 0, 0, 97}, 3.0, false)
+	f.Add([]byte{2, 0, 0, 255, 255, 128, 0, 64, 0, 1, 2, 3, 4}, 6.2, false)
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 248, 127, 24, 45, 68, 84, 251, 33, 9, 64}, math.NaN(), false)
+	f.Fuzz(func(t *testing.T, data []byte, mean float64, nanMean bool) {
+		if nanMean {
+			mean = math.NaN()
+		}
+		var phases []float64
+		if len(data) > 0 && data[0]%2 == 1 {
+			for data = data[1:]; len(data) >= 8; data = data[8:] {
+				phases = append(phases, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			}
+		} else if len(data) > 0 {
+			for data = data[1:]; len(data) >= 2; data = data[2:] {
+				k := binary.BigEndian.Uint16(data)
+				v := float64(k)/65536*4*math.Pi - math.Pi
+				if k%97 == 0 {
+					v = math.NaN()
+				}
+				phases = append(phases, v)
+			}
+		}
+		checkPhaseVariation(t, phases, mean)
+	})
+}
+
+// TestWrapNearMatchesWrap checks the fast wrap PhaseVariation applies to
 // p − mean against Wrap, bit for bit (the sign of zero included), on
 // random angles across several periods and on every boundary: ±0, ±2π
 // and their floating-point neighbours, NaN and ±Inf.

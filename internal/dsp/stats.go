@@ -111,6 +111,33 @@ func CircularStd(x []float64) float64 {
 	return math.Sqrt(-2 * math.Log(r))
 }
 
+// CircularMeanStd returns CircularMean(x) and CircularStd(x) from one
+// pass of Σsin and Σcos, bit for bit. NaN for both on empty input.
+func CircularMeanStd(x []float64) (mean, std float64) {
+	var s, c float64
+	var n int
+	for _, v := range x {
+		if math.IsNaN(v) {
+			continue
+		}
+		s += math.Sin(v)
+		c += math.Cos(v)
+		n++
+	}
+	if n == 0 {
+		return math.NaN(), math.NaN()
+	}
+	mean = Wrap(math.Atan2(s, c))
+	switch r := math.Hypot(s, c) / float64(n); {
+	case r <= 0:
+		return mean, math.Inf(1)
+	case r >= 1:
+		return mean, 0
+	default:
+		return mean, math.Sqrt(-2 * math.Log(r))
+	}
+}
+
 // growFloats returns a slice of exactly length n, reusing buf's backing
 // array when its capacity allows — the shared idiom behind the *Into
 // scratch-buffer variants.

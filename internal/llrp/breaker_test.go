@@ -226,10 +226,10 @@ func TestSessionBreakerWindowRestartsStreak(t *testing.T) {
 	}
 }
 
-// TestSessionBreakerSuccessResetsStreak pins that a successful connect
-// ends the failure streak: with a threshold-2 breaker, one failed dial
-// before the first connect and one after a mid-stream cut never add
-// up to a trip.
+// TestSessionBreakerSuccessResetsStreak pins that a link that delivers
+// a batch ends the failure streak: with a threshold-2 breaker, one
+// failed dial before the first connect and one after a mid-stream cut
+// never add up to a trip.
 func TestSessionBreakerSuccessResetsStreak(t *testing.T) {
 	h := &seekHarness{}
 	for i := 0; i < 5; i++ {

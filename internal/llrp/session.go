@@ -30,8 +30,9 @@ type SessionConfig struct {
 	// jitter; equal seeds reproduce the exact reconnect schedule.
 	JitterSeed int64
 	// MaxAttempts bounds *consecutive* failed connect attempts before
-	// the session gives up (0 = retry forever). The counter resets on
-	// every successfully delivered batch.
+	// the session gives up (0 = retry forever). A link that drops
+	// before it delivers its first batch counts as a failed attempt.
+	// The counter resets on every successfully delivered batch.
 	MaxAttempts int
 
 	// BreakerThreshold, when positive, arms a reconnect circuit
@@ -175,12 +176,16 @@ type Session struct {
 	ctx context.Context
 	tel *sessionTel
 
-	// Consumer-goroutine-only state.
-	rng      *rand.Rand
-	attempts int
+	// Consumer-goroutine-only state. delivered reports whether the
+	// current link has delivered a batch: until it has, its drop is a
+	// failed connect attempt.
+	rng       *rand.Rand
+	attempts  int
+	delivered bool
 	// The reconnect circuit breaker (BreakerThreshold > 0): its
 	// position, the failed connects in the current streak, and when
-	// the streak's first failure happened.
+	// the streak's first failure happened. A connect closes it; only a
+	// delivered batch ends the streak.
 	brkState breakerState
 	brkFails int
 	brkFirst time.Time
@@ -267,7 +272,7 @@ func (s *Session) NextReports() ([]TagReport, error) {
 		}
 		batch, err := s.readBatch(conn, client)
 		if err == nil {
-			s.attempts = 0
+			s.attempts, s.brkFails, s.delivered = 0, 0, true
 			if len(batch) == 0 {
 				continue
 			}
@@ -280,8 +285,16 @@ func (s *Session) NextReports() ([]TagReport, error) {
 			return nil, err
 		}
 		// Anything else — EOF, reset, deadline, corruption — is a link
-		// failure: drop the connection and loop into a reconnect.
+		// failure: drop the connection and loop into a reconnect. A link
+		// that never delivered a batch failed as a connect attempt, so
+		// it backs off first; reconnecting at once would spin against a
+		// reader that accepts and hangs up.
 		s.dropConn(conn, err)
+		if !s.delivered {
+			if err := s.failedAttempt(err); err != nil {
+				return nil, err
+			}
+		}
 	}
 }
 
@@ -323,15 +336,12 @@ func (s *Session) readBatch(conn net.Conn, client *Client) ([]TagReport, error) 
 }
 
 // connectWithRetry dials until a link is up, the context dies, or
-// MaxAttempts consecutive attempts fail. Between attempts it sleeps a
-// capped exponential backoff with seeded jitter. With a breaker armed,
-// the breaker is the schedule's last step: once it opens, the next
-// delay is its cool-down and the attempt after it the half-open probe.
+// MaxAttempts consecutive attempts fail.
 func (s *Session) connectWithRetry() error {
 	for {
 		err := s.connectOnce()
 		if err == nil {
-			s.brkFails = 0
+			s.delivered = false
 			s.setBreaker(breakerClosed)
 			return nil
 		}
@@ -339,25 +349,38 @@ func (s *Session) connectWithRetry() error {
 			errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
-		s.breakerFailure()
-		s.attempts++
-		if s.cfg.MaxAttempts > 0 && s.attempts >= s.cfg.MaxAttempts {
-			return fmt.Errorf("%w after %d attempts: %v", ErrGiveUp, s.attempts, err)
-		}
-		s.tel.retries.Inc()
-		wait := s.retryDelay()
-		s.emit(SessionEvent{Kind: SessionRetrying, Attempt: s.attempts, Wait: wait, Err: err})
-		t := time.NewTimer(wait)
-		select {
-		case <-s.ctx.Done():
-			t.Stop()
-			return s.ctx.Err()
-		case <-t.C:
-		}
-		if s.brkState == breakerOpen {
-			s.setBreaker(breakerHalfOpen)
+		if err := s.failedAttempt(err); err != nil {
+			return err
 		}
 	}
+}
+
+// failedAttempt counts a failed connect attempt, err, and sleeps the
+// retry schedule's next delay: a capped exponential backoff with seeded
+// jitter. With a breaker armed, the breaker is the schedule's last
+// step: once it opens, the next delay is its cool-down and the attempt
+// after it the half-open probe. It returns ErrGiveUp at MaxAttempts,
+// and the context's error if it dies during the sleep.
+func (s *Session) failedAttempt(err error) error {
+	s.breakerFailure()
+	s.attempts++
+	if s.cfg.MaxAttempts > 0 && s.attempts >= s.cfg.MaxAttempts {
+		return fmt.Errorf("%w after %d attempts: %v", ErrGiveUp, s.attempts, err)
+	}
+	s.tel.retries.Inc()
+	wait := s.retryDelay()
+	s.emit(SessionEvent{Kind: SessionRetrying, Attempt: s.attempts, Wait: wait, Err: err})
+	t := time.NewTimer(wait)
+	select {
+	case <-s.ctx.Done():
+		t.Stop()
+		return s.ctx.Err()
+	case <-t.C:
+	}
+	if s.brkState == breakerOpen {
+		s.setBreaker(breakerHalfOpen)
+	}
+	return nil
 }
 
 // breakerState is the reconnect circuit breaker's position; the values

@@ -480,3 +480,87 @@ func TestSessionReceivesOversizedBatch(t *testing.T) {
 		t.Errorf("%d connects, want 1", d)
 	}
 }
+
+// TestSessionLinkDroppedBeforeABatchIsAFailedAttempt pins that a link
+// that drops before it delivers a batch counts as a failed connect
+// attempt. Against a reader that handshakes, reads the start and hangs
+// up, a session with MaxAttempts 3 backs off twice and then returns
+// ErrGiveUp, where it used to reconnect at once, forever. A reader that
+// ends the stream cleanly before any batch still ends it with
+// ErrStreamEnded and no retry.
+func TestSessionLinkDroppedBeforeABatchIsAFailedAttempt(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		afterStart []byte // the reader's last frame's payload; nil hangs up
+		wantErr    error
+		accepts    int32
+		retrying   int
+	}{
+		{"hang up", nil, ErrGiveUp, 3, 2},
+		{"clean end", []byte(EventComplete), ErrStreamEnded, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { l.Close() })
+			var accepts atomic.Int32
+			go func() {
+				for {
+					conn, err := l.Accept()
+					if err != nil {
+						return
+					}
+					accepts.Add(1)
+					go func(conn net.Conn) {
+						defer conn.Close()
+						if err := WriteMessage(conn, Message{Type: MsgReaderEvent, Payload: []byte(EventReady)}); err != nil {
+							return
+						}
+						if _, err := ReadMessage(bufio.NewReader(conn)); err != nil { // the start
+							return
+						}
+						if tc.afterStart != nil {
+							WriteMessage(conn, Message{Type: MsgReaderEvent, Payload: tc.afterStart})
+						}
+					}(conn)
+				}
+			}()
+
+			reg := obs.NewRegistry()
+			retrying := 0
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			sess, err := DialSession(ctx, SessionConfig{
+				Addr:              l.Addr().String(),
+				BackoffInitial:    20 * time.Millisecond,
+				BackoffMax:        40 * time.Millisecond,
+				MaxAttempts:       3,
+				KeepaliveInterval: -1,
+				Obs:               reg,
+				OnEvent: func(ev SessionEvent) {
+					if ev.Kind == SessionRetrying {
+						retrying++
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			if _, err := sess.NextReports(); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("NextReports err = %v, want %v", err, tc.wantErr)
+			}
+			if retrying != tc.retrying {
+				t.Errorf("%d backoffs, want %d", retrying, tc.retrying)
+			}
+			if v := reg.Snapshot().Value("llrp_session_retries_total"); v != float64(tc.retrying) {
+				t.Errorf("llrp_session_retries_total = %v, want %d", v, tc.retrying)
+			}
+			if n := accepts.Load(); n != tc.accepts {
+				t.Errorf("the reader accepted %d connections, want %d", n, tc.accepts)
+			}
+		})
+	}
+}

@@ -63,7 +63,10 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // RTT latencies, in seconds: 5 µs up to 10 s, roughly logarithmic.
 // The recognition stages land in the µs–ms decades; network outages in
 // the upper ones.
-var LatencyBuckets = []float64{
+var LatencyBuckets = latencyBounds[:]
+
+// latencyBounds holds LatencyBuckets; its length sizes HistogramBuffer.
+var latencyBounds = [...]float64{
 	5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
@@ -258,9 +261,17 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = +Inf bucket
-	h.counts[i].Add(1)
+	h.counts[h.bucket(v)].Add(1)
 	h.total.Add(1)
+	h.addSum(v)
+}
+
+// bucket is the index of the bucket v falls in: the first bound >= v,
+// or len(bounds) for the +Inf bucket.
+func (h *Histogram) bucket(v float64) int { return sort.SearchFloat64s(h.bounds, v) }
+
+// addSum adds v to the sum.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -273,14 +284,71 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// ObserveSince records the seconds elapsed since start and returns the
-// clock reading it took. Back-to-back stages chain on that reading —
-// each boundary reads the clock once, ending one stage and starting
-// the next — so timing stays cheap enough to leave on in production.
-func (h *Histogram) ObserveSince(start time.Time) time.Time {
-	now := time.Now()
-	h.ObserveDuration(now.Sub(start))
+// monoBase anchors the stage clock. A time.Since on a reading that
+// carries the monotonic clock reads that clock alone, where time.Now
+// reads the wall clock too.
+var monoBase = time.Now()
+
+// Mono reads the stage clock: the monotonic time since the package was
+// loaded. Stage timers take their readings from it.
+func Mono() time.Duration { return time.Since(monoBase) }
+
+// ObserveFrom records the seconds from start, a Mono reading, to now
+// and returns the reading it took. Back-to-back stages chain on that
+// reading — each boundary reads the clock once, ending one stage and
+// starting the next — so timing stays cheap enough to leave on in
+// production.
+func (h *Histogram) ObserveFrom(start time.Duration) time.Duration {
+	now := Mono()
+	h.ObserveDuration(now - start)
 	return now
+}
+
+// HistogramBuffer holds one goroutine's observations of a Histogram
+// until Fold adds them to it in one step, so a caller that observes
+// many times per call pays for the histogram's shared atomics once per
+// call. Its bucket array has the LatencyBuckets layout and lives in the
+// value, so a caller can keep a buffer on its stack for one call; for a
+// histogram of another layout, ObserveFrom observes directly. It is not
+// safe for concurrent use.
+type HistogramBuffer struct {
+	h      *Histogram
+	counts [len(latencyBounds) + 1]uint64
+	n      uint64
+	sum    float64
+}
+
+// Buffer returns an empty buffer for h.
+func (h *Histogram) Buffer() HistogramBuffer { return HistogramBuffer{h: h} }
+
+// ObserveFrom is Histogram.ObserveFrom into the buffer.
+func (b *HistogramBuffer) ObserveFrom(start time.Duration) time.Duration {
+	if len(b.h.counts) != len(b.counts) {
+		return b.h.ObserveFrom(start)
+	}
+	now := Mono()
+	v := (now - start).Seconds()
+	b.counts[b.h.bucket(v)]++
+	b.n++
+	b.sum += v
+	return now
+}
+
+// Fold adds the buffered observations to the histogram and empties the
+// buffer.
+func (b *HistogramBuffer) Fold() {
+	if b.n == 0 {
+		return
+	}
+	for i, c := range b.counts {
+		if c != 0 {
+			b.h.counts[i].Add(c)
+			b.counts[i] = 0
+		}
+	}
+	b.h.total.Add(b.n)
+	b.h.addSum(b.sum)
+	b.n, b.sum = 0, 0
 }
 
 // Count returns the number of observations.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -184,19 +183,19 @@ func TestSnapshotLookup(t *testing.T) {
 	}
 }
 
-func TestHistogramObserveSince(t *testing.T) {
+func TestHistogramObserveFrom(t *testing.T) {
 	r := NewRegistry()
 	seg := r.Histogram("stage_seconds", "stage latency", nil, L("stage", "segment"))
 	gram := r.Histogram("stage_seconds", "stage latency", nil, L("stage", "grammar"))
-	t0 := time.Now()
-	t1 := seg.ObserveSince(t0)
-	t2 := gram.ObserveSince(t1)
-	if t1.Before(t0) || t2.Before(t1) {
+	t0 := Mono()
+	t1 := seg.ObserveFrom(t0)
+	t2 := gram.ObserveFrom(t1)
+	if t1 < t0 || t2 < t1 {
 		t.Fatalf("clock readings out of order: %v, %v, %v", t0, t1, t2)
 	}
 	// Chained stages share their boundary reading, so the observed
 	// sums add up to the whole interval exactly.
-	if got, want := seg.Sum()+gram.Sum(), t2.Sub(t0).Seconds(); math.Abs(got-want) > 1e-12 {
+	if got, want := seg.Sum()+gram.Sum(), (t2 - t0).Seconds(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("stage sums %v, whole interval %v", got, want)
 	}
 	snap := r.Snapshot()
@@ -204,5 +203,49 @@ func TestHistogramObserveSince(t *testing.T) {
 		if n := snap.HistCount("stage_seconds", L("stage", stage)); n != 1 {
 			t.Errorf("%s histogram count = %d, want 1", stage, n)
 		}
+	}
+}
+
+// TestHistogramBufferFolds pins that a buffer's observations reach its
+// histogram only at Fold, all of them, in their buckets, and that Fold
+// empties the buffer; a histogram of another bucket layout takes each
+// observation at once.
+func TestHistogramBufferFolds(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("stage_seconds", "stage latency", nil)
+	buf := h.Buffer()
+	h.Observe(0.5)
+	t0 := Mono()
+	for i := 0; i < 3; i++ {
+		buf.ObserveFrom(t0)
+	}
+	if n := h.Count(); n != 1 {
+		t.Fatalf("count before Fold = %d, want 1", n)
+	}
+	buf.Fold()
+	buf.Fold() // empty: adds nothing
+	if n := h.Count(); n != 4 {
+		t.Fatalf("count after Fold = %d, want 4", n)
+	}
+	var buffered uint64
+	for _, c := range h.bucketCounts()[:h.bucket(0.25)+1] {
+		buffered += c
+	}
+	if buffered != 3 {
+		t.Errorf("%d observations in the buckets up to 0.25 s, want the 3 buffered ones", buffered)
+	}
+	if s := h.Sum(); s < 0.5 || s > 1 {
+		t.Errorf("sum %v, want 0.5 plus three short intervals", s)
+	}
+
+	other := r.Histogram("other_seconds", "another layout", []float64{1, 2})
+	ob := other.Buffer()
+	ob.ObserveFrom(Mono())
+	if n := other.Count(); n != 1 {
+		t.Errorf("count of a histogram of another layout = %d, want 1 before Fold", n)
+	}
+	ob.Fold()
+	if n := other.Count(); n != 1 {
+		t.Errorf("count after Fold = %d, want 1", n)
 	}
 }

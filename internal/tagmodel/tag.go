@@ -1,6 +1,7 @@
 package tagmodel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -31,13 +32,7 @@ func MakeEPC(index int) EPC {
 // SerialOf extracts the serial an EPC was built with by MakeEPC. A
 // backend that knows the lab's numbering recovers tag array indices
 // this way.
-func SerialOf(e EPC) int {
-	v := 0
-	for i := 0; i < 4; i++ {
-		v = v<<8 | int(e[8+i])
-	}
-	return v
-}
+func SerialOf(e EPC) int { return int(binary.BigEndian.Uint32(e[8:12])) }
 
 // Tag is one deployed passive tag.
 type Tag struct {

@@ -57,6 +57,49 @@ func TestMakeEPC(t *testing.T) {
 	}
 }
 
+// serialLoop is the byte loop SerialOf replaced, kept as its reference.
+func serialLoop(e EPC) int {
+	v := 0
+	for i := 0; i < 4; i++ {
+		v = v<<8 | int(e[8+i])
+	}
+	return v
+}
+
+// TestSerialOfMatchesByteLoop pins SerialOf's one big-endian load to
+// the byte loop it replaced: on the EPCs MakeEPC builds for the first
+// 65 536 indices, for a stride through the rest of the 32-bit serial
+// range and its edges, and on random EPCs. MakeEPC keeps an index's low
+// 32 bits, so SerialOf must return those too.
+func TestSerialOfMatchesByteLoop(t *testing.T) {
+	check := func(e EPC) {
+		t.Helper()
+		if got, want := SerialOf(e), serialLoop(e); got != want {
+			t.Fatalf("SerialOf(%v) = %d, byte loop %d", e, got, want)
+		}
+	}
+	indices := []int{1<<31 - 1, 1 << 31, 1<<32 - 1, 1 << 32, -1}
+	for i := 0; i < 1<<16; i++ {
+		indices = append(indices, i)
+	}
+	for i := 1 << 16; i < 1<<32; i += 65521 {
+		indices = append(indices, i)
+	}
+	for _, i := range indices {
+		e := MakeEPC(i)
+		check(e)
+		if got := SerialOf(e); got != int(uint32(i)) {
+			t.Fatalf("SerialOf(MakeEPC(%d)) = %d, want %d", i, got, uint32(i))
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 10000; i++ {
+		var e EPC
+		rng.Read(e[:])
+		check(e)
+	}
+}
+
 func TestPairCouplingMatchesFig11(t *testing.T) {
 	// Same facing at 3 cm: significant suppression (the shadow effect
 	// that can make the target unreadable).

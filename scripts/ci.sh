@@ -108,6 +108,15 @@ go test -run '^$' -fuzz FuzzSegmentRMSFromMatchesFromScratch -fuzztime 10s ./int
 echo '== frame trace fuzz smoke (10s)'
 go test -run '^$' -fuzz FuzzFrameTraceMatchesReference -fuzztime 10s ./internal/core
 
+# Short fuzz pass over the one-pass Eq. 8–10 kernel: on any tag run
+# (NaN and infinite phases, huge angles, a NaN mean, lengths from 0)
+# it must equal Wrap → UnwrapInto → MovingAverage →
+# TotalVariation/NetChange bit for bit, and the one-pass circular
+# statistics must equal CircularMean and CircularStd. New crashers land
+# in internal/dsp/testdata/fuzz.
+echo '== disturbance kernel fuzz smoke (10s)'
+go test -run '^$' -fuzz FuzzPhaseVariationMatchesComposition -fuzztime 10s ./internal/dsp
+
 # Short fuzz pass over the recognizer's late rule: a stream with
 # regressions, duplicates, equal times, out-of-range tags and clock
 # jumps must recognize the same fed directly as through the sanitizer,
