@@ -250,79 +250,26 @@ func run() int {
 // successive connection to a rfipad-readerd -streams daemon receives a
 // distinct capture variant, so this drives n independent calibrations
 // and recognizers concurrently (n = 1 is the single-reader setup).
-// Events stream to stdout tagged with their stream ID; per-stream
-// summaries, with each session's reconnect count, print after every
-// source ends.
 func runEngineMode(log *slog.Logger, dial func() (*llrp.Session, error), addr string, n, workers int, cfg engine.Config) int {
 	cfg.Workers = workers
 	cfg.Logger = obs.Component(log, "engine")
-	cfg.OnEvent = func(id engine.StreamID, ev rfipad.Event) {
-		switch ev.Kind {
-		case rfipad.StrokeDetected:
-			fmt.Printf("[%s] stroke %-8v span %v–%v\n", id, ev.Stroke.Motion,
-				ev.Span.Start.Round(10*time.Millisecond), ev.Span.End.Round(10*time.Millisecond))
-		case rfipad.LetterDeduced:
-			fmt.Printf("[%s] letter %q\n", id, ev.Letter)
-		}
-	}
+	cfg.OnEvent = func(id engine.StreamID, ev rfipad.Event) { printEvent(string(id), ev) }
 	eng := engine.New(cfg)
-	fmt.Printf("connecting %d stream(s) to %s...\n", n, addr)
-	var (
-		wg       sync.WaitGroup
-		failed   atomic.Bool
-		sessions = make(map[engine.StreamID]*llrp.Session, n)
-	)
-	for i := 0; i < n; i++ {
-		sess, err := dial()
-		if err != nil {
-			log.Error("dial failed", "component", "session", "addr", addr, "stream", i, "err", err)
-			eng.Close()
-			return 1
+	return runStreams(log, dial, addr, n, "engine", eng.RunStream, func(report func(string, engine.StreamResult)) {
+		for _, res := range eng.Close() {
+			report(string(res.ID), res)
 		}
-		defer sess.Close()
-		id := engine.StreamID(fmt.Sprintf("stream-%02d", i))
-		sessions[id] = sess
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := eng.RunStream(id, sess)
-			if err != nil && !errors.Is(err, context.Canceled) {
-				log.Error("stream failed", "component", "engine", "stream", string(id), "err", err)
-				failed.Store(true)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, res := range eng.Close() {
-		if res.Err != nil {
-			log.Error("stream ended with error", "component", "engine", "stream", string(res.ID), "err", res.Err)
-			failed.Store(true)
-			continue
-		}
-		fmt.Printf("[%s] recognized %q (%d stroke(s), %d reconnect(s), %d dead tag(s))\n",
-			res.ID, res.Letters, res.Strokes, sessions[res.ID].Stats().Reconnects, res.DeadTags)
-	}
-	if failed.Load() {
-		return 1
-	}
-	return 0
+	})
 }
 
 // runClusterMode spreads n reader sessions across an in-process
 // multi-node cluster: the coordinator places each stream on a member
 // by consistent hashing, membership runs on heartbeats, and any
 // ownership change mid-word moves the stream's calibration by
-// checkpoint handoff. Events stream to stdout tagged with node and
-// stream; per-node summaries print after every source ends.
+// checkpoint handoff.
 func runClusterMode(log *slog.Logger, dial func() (*llrp.Session, error), addr string, n, nodes int, cfg cluster.Config) int {
 	cfg.OnEvent = func(node cluster.NodeID, id engine.StreamID, ev rfipad.Event) {
-		switch ev.Kind {
-		case rfipad.StrokeDetected:
-			fmt.Printf("[%s/%s] stroke %-8v span %v–%v\n", node, id, ev.Stroke.Motion,
-				ev.Span.Start.Round(10*time.Millisecond), ev.Span.End.Round(10*time.Millisecond))
-		case rfipad.LetterDeduced:
-			fmt.Printf("[%s/%s] letter %q\n", node, id, ev.Letter)
-		}
+		printEvent(string(node)+"/"+string(id), ev)
 	}
 	c := cluster.New(cfg)
 	for i := 0; i < nodes; i++ {
@@ -333,50 +280,75 @@ func runClusterMode(log *slog.Logger, dial func() (*llrp.Session, error), addr s
 			return 1
 		}
 	}
-	fmt.Printf("cluster up: %d node(s); connecting %d stream(s) to %s...\n", nodes, n, addr)
+	fmt.Printf("cluster up: %d node(s)\n", nodes)
+	return runStreams(log, dial, addr, n, "cluster", c.RunStream, func(report func(string, engine.StreamResult)) {
+		for node, results := range c.Close() {
+			for _, res := range results {
+				report(string(node)+"/"+string(res.ID), res)
+			}
+		}
+	})
+}
+
+// runStreams is the runner both modes share. It dials n reader
+// sessions and drains each through run, under the ID stream-NN, on its
+// own goroutine. Once every source has ended, closeAll drains the
+// service and reports each stream's result under its output tag, and
+// one summary line prints per result, with its session's reconnect
+// count. component tags the log records. The exit code is 1 when a
+// dial, a stream or a result failed.
+func runStreams(log *slog.Logger, dial func() (*llrp.Session, error), addr string, n int, component string,
+	run func(engine.StreamID, live.ReportSource) error, closeAll func(report func(string, engine.StreamResult))) int {
+	fmt.Printf("connecting %d stream(s) to %s...\n", n, addr)
 	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
+		wg       sync.WaitGroup
+		failed   atomic.Bool
+		sessions = make(map[engine.StreamID]*llrp.Session, n)
 	)
 	for i := 0; i < n; i++ {
 		sess, err := dial()
 		if err != nil {
 			log.Error("dial failed", "component", "session", "addr", addr, "stream", i, "err", err)
-			c.Close()
+			closeAll(func(string, engine.StreamResult) {})
 			return 1
 		}
 		defer sess.Close()
 		id := engine.StreamID(fmt.Sprintf("stream-%02d", i))
-		if owner, ok := c.Owner(id); ok {
-			fmt.Printf("[%s] placed on %s\n", id, owner)
-		}
+		sessions[id] = sess
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := c.RunStream(id, sess)
-			if err != nil && !errors.Is(err, context.Canceled) {
-				log.Error("stream failed", "component", "cluster", "stream", string(id), "err", err)
+			if err := run(id, sess); err != nil && !errors.Is(err, context.Canceled) {
+				log.Error("stream failed", "component", component, "stream", string(id), "err", err)
 				failed.Store(true)
 			}
 		}()
 	}
 	wg.Wait()
-	for node, results := range c.Close() {
-		for _, res := range results {
-			if res.Err != nil {
-				log.Error("stream ended with error", "component", "cluster",
-					"node", string(node), "stream", string(res.ID), "err", res.Err)
-				failed.Store(true)
-				continue
-			}
-			fmt.Printf("[%s/%s] recognized %q (%d stroke(s), %d dead tag(s))\n",
-				node, res.ID, res.Letters, res.Strokes, res.DeadTags)
+	closeAll(func(tag string, res engine.StreamResult) {
+		if res.Err != nil {
+			log.Error("stream ended with error", "component", component, "stream", tag, "err", res.Err)
+			failed.Store(true)
+			return
 		}
-	}
+		fmt.Printf("[%s] recognized %q (%d stroke(s), %d reconnect(s), %d dead tag(s))\n",
+			tag, res.Letters, res.Strokes, sessions[res.ID].Stats().Reconnects, res.DeadTags)
+	})
 	if failed.Load() {
 		return 1
 	}
 	return 0
+}
+
+// printEvent prints one recognition event on stdout under its tag.
+func printEvent(tag string, ev rfipad.Event) {
+	switch ev.Kind {
+	case rfipad.StrokeDetected:
+		fmt.Printf("[%s] stroke %-8v span %v–%v\n", tag, ev.Stroke.Motion,
+			ev.Span.Start.Round(10*time.Millisecond), ev.Span.End.Round(10*time.Millisecond))
+	case rfipad.LetterDeduced:
+		fmt.Printf("[%s] letter %q\n", tag, ev.Letter)
+	}
 }
 
 // liveHealth evaluates /healthz from the metrics registry: healthy

@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"runtime/debug"
 	"sync"
 	"time"
 
 	"rfipad/internal/core"
 	"rfipad/internal/engine"
 	"rfipad/internal/live"
-	"rfipad/internal/llrp"
 	"rfipad/internal/obs"
 	"rfipad/internal/obs/trace"
 	"rfipad/internal/supervise"
@@ -157,11 +155,13 @@ type member struct {
 
 // placement is one stream's routing entry. While a migration is in
 // flight the stream buffers (bounded) instead of routing, so readings
-// arriving mid-handoff reach the new owner in order.
+// arriving mid-handoff reach the new owner in order, and a flush that
+// arrives meanwhile is kept and applied after them.
 type placement struct {
 	node      NodeID
 	migrating bool
 	pending   []*core.ReadingBatch
+	flush     bool
 }
 
 // migration is one stream move in flight.
@@ -182,10 +182,11 @@ var ErrClosed = errors.New("cluster: closed")
 // checkpoint handoff on every ownership change. All public methods are
 // safe for concurrent use.
 type Cluster struct {
-	cfg Config
-	tel *telemetry
-	reg *obs.Registry
-	log *slog.Logger
+	cfg   Config
+	tel   *telemetry
+	reg   *obs.Registry
+	log   *slog.Logger
+	drain live.Drainer
 
 	mu         sync.Mutex
 	ring       *Ring
@@ -215,6 +216,7 @@ func New(cfg Config) *Cluster {
 		tel:        newTelemetry(reg),
 		reg:        reg,
 		log:        cfg.Logger,
+		drain:      live.Drainer{Panics: engine.PanicCounter(reg), Logger: cfg.Logger},
 		ring:       NewRing(virtualNodes),
 		members:    map[NodeID]*member{},
 		allNodes:   map[NodeID]*Node{},
@@ -614,24 +616,21 @@ func (c *Cluster) resolveOwner(id engine.StreamID) (NodeID, string, bool) {
 }
 
 // finalizeSticky aborts a rebalance migration whose stream had nothing
-// calibrated to move: it stays on its current owner, which also drains
-// any batches buffered while we looked.
+// calibrated to move: it stays on its current owner, which also takes
+// whatever was buffered while we looked.
 func (c *Cluster) finalizeSticky(m migration) {
 	c.mu.Lock()
 	p := c.placements[m.id]
 	p.migrating = false
-	pending := p.pending
-	p.pending = nil
-	node := c.memberNodeLocked(p.node)
-	c.pushPendingLocked(node, m.id, pending)
+	c.releasePendingLocked(c.memberNodeLocked(p.node), m.id, p)
 	c.mu.Unlock()
 	if m.done != nil {
 		close(m.done)
 	}
 }
 
-// finalize re-points the placement and flushes buffered batches to the
-// new owner. If the target died mid-transfer the migration restarts
+// finalize re-points the placement and hands the new owner what was
+// buffered for it. If the target died mid-transfer the migration restarts
 // failure-driven; if the ring is empty the stream is orphaned.
 func (c *Cluster) finalize(m migration, tr *trace.StreamTrace, target NodeID, haveTarget, restored, haveCP bool, start time.Time) {
 	c.mu.Lock()
@@ -653,15 +652,12 @@ func (c *Cluster) finalize(m migration, tr *trace.StreamTrace, target NodeID, ha
 		// The adopter's lease must exist before any batch reaches it:
 		// pushes are gated on a live lease.
 		c.grantLeaseLocked(target, m.id, c.epochs[m.id])
-		pending := p.pending
-		p.pending = nil
-		node := c.memberNodeLocked(target)
-		c.pushPendingLocked(node, m.id, pending)
+		c.releasePendingLocked(c.memberNodeLocked(target), m.id, p)
 	} else {
 		// No live owner anywhere: the stream is orphaned until a node
-		// joins (a fresh placement forms on its next batch), and the
-		// batches buffered for it are shed.
-		c.pushPendingLocked(nil, m.id, p.pending)
+		// joins (a fresh placement forms on its next batch), and what
+		// was buffered for it is dropped.
+		c.releasePendingLocked(nil, m.id, p)
 		delete(c.placements, m.id)
 		c.tel.placed.Set(float64(len(c.placements)))
 		c.tel.orphaned.Inc()
@@ -714,15 +710,21 @@ func (c *Cluster) memberNodeLocked(id NodeID) *Node {
 	return nil
 }
 
-// pushPendingLocked drains batches buffered during a migration into
-// the (new) owner, shedding any it refuses. Callers hold c.mu; engine
-// pushes are non-blocking.
-func (c *Cluster) pushPendingLocked(node *Node, id engine.StreamID, pending []*core.ReadingBatch) {
-	for _, b := range pending {
+// releasePendingLocked hands what a stream buffered during its
+// migration to node, its owner from now on: the batches in order,
+// shedding any it refuses, then the flush if one arrived meanwhile. A
+// nil node (the stream is orphaned) sheds the batches and drops the
+// flush. Callers hold c.mu; batch pushes are non-blocking.
+func (c *Cluster) releasePendingLocked(node *Node, id engine.StreamID, p *placement) {
+	for _, b := range p.pending {
 		if node == nil || !node.push(id, b) {
 			c.shed(b)
 		}
 	}
+	if node != nil && p.flush {
+		node.flush(id)
+	}
+	p.pending, p.flush = nil, false
 }
 
 // Push routes one batch of readings to the stream's owner. A stream
@@ -795,11 +797,18 @@ func (c *Cluster) shed(b *core.ReadingBatch) {
 }
 
 // FlushStream forces a stream's pending stroke and letter out on its
-// current owner.
+// current owner. A stream mid-migration keeps the flush with its
+// buffered batches, and whichever node ends up owning the stream
+// applies it after them.
 func (c *Cluster) FlushStream(id engine.StreamID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p, ok := c.placements[id]; ok && !p.migrating {
+	p, ok := c.placements[id]
+	switch {
+	case !ok:
+	case p.migrating:
+		p.flush = true
+	default:
 		if node := c.memberNodeLocked(p.node); node != nil {
 			node.flush(id)
 		}
@@ -824,69 +833,45 @@ const (
 )
 
 // RunStream drains a report source into the cluster until the stream
-// ends, then flushes it. Blocks; run one goroutine per source.
-//
-// Each report frame is decoded once, into a pooled columnar batch. A
-// push the cluster refuses (the owner's mailbox is full, the migration
-// buffer is at its bound, or the stream has no live owner yet) leaves
-// that batch in hand, and the same batch is retried with a short
-// doubling backoff instead of being shed, so a source that outruns its
-// engine is slowed to the engine's pace rather than losing readings.
-// The coordinator lock is never held while waiting. Once Close has
-// begun, the batch in hand is counted as dropped and RunStream returns
-// ErrClosed.
-//
-// As in engine.RunStream, a source error or panic ends the stream: it
-// is flushed, and a panic becomes the returned error, never a crashed
-// process.
+// ends, through the one drain loop (live.Drainer.Drain), as
+// engine.RunStream does: a clean end or a source error flushes the
+// stream, and a panicking source becomes this stream's error (flushed
+// and counted), never a crashed process. Blocks; run one goroutine per
+// source. A refused push is retried (pushRetry); once Close has begun,
+// RunStream returns ErrClosed.
 func (c *Cluster) RunStream(id engine.StreamID, src live.ReportSource) error {
-	for {
-		reports, err := c.nextReports(id, src)
-		if errors.Is(err, llrp.ErrStreamEnded) {
-			break
-		}
-		if err != nil {
-			c.FlushStream(id)
-			return err
-		}
-		if len(reports) == 0 {
-			continue
-		}
-		b := core.GetBatch()
-		live.AppendReports(b, reports)
-		for backoff := pushRetryMin; ; backoff = min(2*backoff, pushRetryMax) {
-			c.mu.Lock()
-			ok := c.routeLocked(id, b)
-			c.mu.Unlock()
-			if ok {
-				break
-			}
-			select {
-			case <-c.stop:
-				c.shed(b)
-				return ErrClosed
-			case <-time.After(backoff):
-			}
-		}
+	err := c.drain.Drain(string(id), src,
+		func(b *core.ReadingBatch) error { return c.pushRetry(id, b) },
+		func() { c.FlushStream(id) })
+	if err == nil || err == ErrClosed {
+		return err
 	}
-	c.FlushStream(id)
-	return nil
+	return fmt.Errorf("cluster: stream %s: %w", id, err)
 }
 
-// nextReports pulls a source's next frame under a recover boundary, so
-// a panicking source becomes this stream's error. Only the source runs
-// inside it: the coordinator lock is never held there.
-func (c *Cluster) nextReports(id engine.StreamID, src live.ReportSource) (reports []llrp.TagReport, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if c.log != nil {
-				c.log.Error("stream source panicked",
-					"stream", string(id), "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
-			}
-			err = fmt.Errorf("cluster: stream %s: source panicked: %v", id, r)
+// pushRetry routes one decoded frame. A push the cluster refuses (the
+// owner's mailbox is full, the migration buffer is at its bound, or the
+// stream has no live owner yet) leaves the batch in hand, and the same
+// batch is retried with a short doubling backoff instead of being
+// shed, so a source that outruns its engine is slowed to the engine's
+// pace rather than losing readings. The coordinator lock is never held
+// while waiting. Once Close has begun, the batch in hand is counted as
+// dropped and pushRetry returns ErrClosed.
+func (c *Cluster) pushRetry(id engine.StreamID, b *core.ReadingBatch) error {
+	for backoff := pushRetryMin; ; backoff = min(2*backoff, pushRetryMax) {
+		c.mu.Lock()
+		ok := c.routeLocked(id, b)
+		c.mu.Unlock()
+		if ok {
+			return nil
 		}
-	}()
-	return src.NextReports()
+		select {
+		case <-c.stop:
+			c.shed(b)
+			return ErrClosed
+		case <-time.After(backoff):
+		}
+	}
 }
 
 // Close stops the failure detector, waits out in-flight migrations,

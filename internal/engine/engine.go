@@ -7,8 +7,10 @@
 // source never blocks its shard siblings — it simply stops producing
 // items. Backpressure is explicit: PushBatch never blocks and refuses
 // the batch (counting the refusal) when the shard's mailbox is full,
-// leaving it with the caller, while RunStream — the source-driven path
-// — blocks, propagating the backpressure to the session it drains.
+// leaving it with the caller, while RunStream — the source-driven path,
+// which runs the one drain loop (live.Drainer) with the engine's
+// blocking push — propagates the backpressure to the session it
+// drains.
 package engine
 
 import (
@@ -25,7 +27,6 @@ import (
 
 	"rfipad/internal/core"
 	"rfipad/internal/live"
-	"rfipad/internal/llrp"
 	"rfipad/internal/obs"
 	"rfipad/internal/obs/trace"
 	"rfipad/internal/supervise"
@@ -203,8 +204,7 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 			"Recognition events emitted.", obs.L("kind", "letter")),
 		errors: reg.Counter("engine_stream_errors_total",
 			"Streams that ended with a terminal error."),
-		panics: reg.Counter("engine_stream_panics_total",
-			"Panics recovered in stream handlers (each quarantines its stream)."),
+		panics: PanicCounter(reg),
 		ckptSaved: reg.Counter("engine_checkpoints_saved_total",
 			"Stream calibration checkpoints written."),
 		ckptErrors: reg.Counter("engine_checkpoint_errors_total",
@@ -217,6 +217,16 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 			"Streams adopted from a migrated checkpoint, skipping calibration."),
 		restore: newRestoreCounters(reg),
 	}
+}
+
+// PanicCounter returns reg's engine_stream_panics_total, the one series
+// a recovered stream panic counts on: a stream handler's, which
+// quarantines its stream, or a report source's, which ends its drain
+// (live.Drainer). A cluster's drain loops count on its registry's
+// series, which its nodes' engines share.
+func PanicCounter(reg *obs.Registry) *obs.Counter {
+	return reg.Counter("engine_stream_panics_total",
+		"Panics recovered in stream handlers (each quarantines its stream) and in report sources (each ends its drain).")
 }
 
 // countCalibrated moves the calibration gauges for one stream with
@@ -302,6 +312,7 @@ type shard struct {
 type Engine struct {
 	cfg    Config
 	tel    *telemetry
+	drain  live.Drainer
 	shards []*shard
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -323,6 +334,7 @@ func New(cfg Config) *Engine {
 	reg := obs.Or(cfg.Obs)
 	obs.EnableRuntimeMetrics(reg)
 	e := &Engine{cfg: cfg, tel: newTelemetry(reg)}
+	e.drain = live.Drainer{Panics: e.tel.panics, Logger: cfg.Logger}
 	e.tel.accepting.Set(1)
 	for i := 0; i < cfg.Workers; i++ {
 		s := &shard{
@@ -437,49 +449,32 @@ func (e *Engine) AdoptStream(id StreamID, cp supervise.Checkpoint) error {
 }
 
 // RunStream drains a report source (an llrp.Session, a replay, or any
-// live.ReportSource) into the engine until the stream ends, then
-// flushes it. Blocks the calling goroutine; run one goroutine per
-// source. Batches are enqueued with backpressure — a slow shard slows
-// this source rather than dropping its readings.
-//
-// The drain runs under a recover boundary: a panicking source turns
-// into a terminal error for this stream (flushed and counted), never
-// a crashed worker pool.
-func (e *Engine) RunStream(id StreamID, src live.ReportSource) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.tel.panics.Inc()
-			if e.cfg.Logger != nil {
-				e.cfg.Logger.Error("stream source panicked",
-					"stream", string(id), "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
-			}
-			e.FlushStream(id)
-			err = fmt.Errorf("engine: stream %s: source panicked: %v", id, r)
-		}
-	}()
-	for {
-		batch, err := src.NextReports()
-		if errors.Is(err, llrp.ErrStreamEnded) {
-			e.FlushStream(id)
-			return nil
-		}
-		if err != nil {
-			e.FlushStream(id)
-			return fmt.Errorf("engine: stream %s: %w", id, err)
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		// Decode straight into a pooled columnar batch: no intermediate
-		// reading records, no per-stream allocation once the pool warms.
-		// The shard returns the batch to the pool after ingesting it.
-		cols := core.GetBatch()
-		live.AppendReports(cols, batch)
-		if !e.pushWait(item{id: id, cols: cols, enq: time.Now()}) {
-			core.PutBatch(cols)
-			return ErrClosed
-		}
+// live.ReportSource) into the engine until the stream ends, through the
+// one drain loop (live.Drainer.Drain): a clean end or a source error
+// flushes the stream, and a panicking source becomes this stream's
+// error (flushed and counted), never a crashed worker pool. Blocks the
+// calling goroutine; run one goroutine per source. Batches are enqueued
+// with backpressure — a slow shard slows this source rather than
+// dropping its readings. Once Close has begun, RunStream returns
+// ErrClosed.
+func (e *Engine) RunStream(id StreamID, src live.ReportSource) error {
+	err := e.drain.Drain(string(id), src,
+		func(b *core.ReadingBatch) error { return e.pushDrained(id, b) },
+		func() { e.FlushStream(id) })
+	if err == nil || err == ErrClosed {
+		return err
 	}
+	return fmt.Errorf("engine: stream %s: %w", id, err)
+}
+
+// pushDrained is RunStream's push: it enqueues b with backpressure.
+// Once Close has begun it returns b to the pool and reports ErrClosed.
+func (e *Engine) pushDrained(id StreamID, b *core.ReadingBatch) error {
+	if !e.pushWait(item{id: id, cols: b, enq: time.Now()}) {
+		core.PutBatch(b)
+		return ErrClosed
+	}
+	return nil
 }
 
 // Close stops intake, drains every mailbox (bounded by DrainTimeout),

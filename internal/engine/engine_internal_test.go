@@ -97,3 +97,20 @@ func TestPushEmptyBatchIsNoop(t *testing.T) {
 		t.Errorf("engine_overflow_total = %d, want 0", got)
 	}
 }
+
+// TestRunStreamPushPoolsRefusedBatch pins RunStream's push on a closed
+// engine: it refuses the batch with ErrClosed and returns it to the
+// pool, which resets it, since the drain loop hands the batch over for
+// good.
+func TestRunStreamPushPoolsRefusedBatch(t *testing.T) {
+	e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
+	e.Close()
+	b := core.GetBatch()
+	b.Append(time.Millisecond, 1, -60, 0)
+	if err := e.pushDrained("s", b); err != ErrClosed {
+		t.Fatalf("pushDrained on a closed engine = %v, want ErrClosed", err)
+	}
+	if b.Len() != 0 {
+		t.Errorf("refused batch still holds %d readings; it was not returned to the pool", b.Len())
+	}
+}

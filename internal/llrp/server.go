@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -234,45 +233,23 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// Client is the backend side of the protocol. It reads every frame
-// into one buffer per connection and decodes every report batch into
-// one reused scratch.
+// Client is one connection's backend end: the frame reader, the frame
+// writer and the decode scratch a Session reads and writes through. It
+// reads every frame into one buffer per connection and decodes every
+// report batch into one reused scratch.
 type Client struct {
-	conn    net.Conn
 	in      frameReader
 	out     frameWriter
 	scratch []TagReport
 }
 
-// Dial connects to a reader daemon and waits for its ready event.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("llrp: dial: %w", err)
-	}
-	c := NewClient(conn)
-	msg, err := c.in.next()
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("llrp: handshake: %w", err)
-	}
-	if msg.Type != MsgReaderEvent {
-		conn.Close()
-		return nil, fmt.Errorf("llrp: handshake: unexpected %v", msg.Type)
-	}
-	return c, nil
-}
-
-// NewClient wraps an established connection (it does not consume the
-// ready event; Dial does).
+// NewClient wraps an established connection. It does not consume the
+// reader's ready event; the caller reads it first.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn,
+	return &Client{
 		in:  frameReader{rd: conn, buf: make([]byte, frameBufSize)},
 		out: frameWriter{conn: conn}}
 }
-
-// Start begins the reader operation from the top of the stream.
-func (c *Client) Start() error { return c.StartFrom(NoResume) }
 
 // StartFrom begins the reader operation, asking the reader to replay
 // from (shortly before) lastSeen when it is >= 0 and the reader's
@@ -294,39 +271,6 @@ func (c *Client) Stop() error {
 // ErrStreamEnded reports a clean end of the report stream.
 var ErrStreamEnded = errors.New("llrp: stream ended")
 
-// NextReports blocks for the next report batch. It returns
-// ErrStreamEnded when the reader signals the ROSpec is complete or
-// stopped, and the underlying error on connection problems.
-// Informational reader events (status chatter) do not end the stream —
-// only terminal events do (see ClassifyEvent). The returned slice is
-// the client's reused decode buffer: the next call overwrites it.
-func (c *Client) NextReports() ([]TagReport, error) {
-	for {
-		msg, err := c.in.next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, ErrStreamEnded
-			}
-			return nil, err
-		}
-		switch msg.Type {
-		case MsgROAccessReport:
-			return c.decode(msg.Payload)
-		case MsgReaderEvent:
-			if ClassifyEvent(msg.Payload) == EventStreamEnd {
-				return nil, ErrStreamEnded
-			}
-			continue
-		case MsgKeepalive:
-			continue
-		case MsgError:
-			return nil, fmt.Errorf("llrp: reader error: %s", msg.Payload)
-		default:
-			return nil, fmt.Errorf("llrp: unexpected %v", msg.Type)
-		}
-	}
-}
-
 // decode decodes a report payload into the client's reused scratch,
 // overwriting the batch it last returned.
 func (c *Client) decode(payload []byte) ([]TagReport, error) {
@@ -337,6 +281,3 @@ func (c *Client) decode(payload []byte) ([]TagReport, error) {
 	c.scratch = reports
 	return reports, nil
 }
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }

@@ -1,12 +1,14 @@
 package llrp
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"rfipad/internal/obs"
 	"rfipad/internal/tagmodel"
 )
 
@@ -53,6 +55,33 @@ func startServer(t *testing.T, factory SourceFactory) (*Server, string) {
 	return srv, l.Addr().String()
 }
 
+// dialSession opens a session to addr that gives up at its first
+// failed connect, so a dead server surfaces as an error.
+func dialSession(t *testing.T, addr string) (*Session, error) {
+	t.Helper()
+	return DialSession(context.Background(), SessionConfig{
+		Addr:        addr,
+		MaxAttempts: 1,
+		Obs:         obs.NewRegistry(),
+	})
+}
+
+// dialRaw connects a bare client to addr and consumes the reader's
+// ready event, for tests that exchange single frames.
+func dialRaw(t *testing.T, addr string) *Client {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	c := NewClient(conn)
+	if msg, err := c.in.next(); err != nil || msg.Type != MsgReaderEvent {
+		t.Fatalf("handshake: %v %v", msg.Type, err)
+	}
+	return c
+}
+
 func TestClientStreamsAllBatches(t *testing.T) {
 	batches := [][]TagReport{
 		{{EPC: tagmodel.MakeEPC(1), PhaseRad: 1, RSSdBm: -40, Timestamp: time.Millisecond}},
@@ -63,17 +92,14 @@ func TestClientStreamsAllBatches(t *testing.T) {
 		return &sliceSource{batches: append([][]TagReport(nil), batches...)}
 	})
 
-	c, err := Dial(addr)
+	sess, err := dialSession(t, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
+	defer sess.Close()
 	var got []TagReport
 	for {
-		batch, err := c.NextReports()
+		batch, err := sess.NextReports()
 		if errors.Is(err, ErrStreamEnded) {
 			break
 		}
@@ -95,21 +121,18 @@ func TestClientStopEndsStream(t *testing.T) {
 	t.Cleanup(func() { close(src.stop) })
 	_, addr := startServer(t, func() ReportSource { return src })
 
-	c, err := Dial(addr)
+	sess, err := dialSession(t, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
+	defer sess.Close()
 	// Take a few batches, then stop.
 	for i := 0; i < 3; i++ {
-		if _, err := c.NextReports(); err != nil {
+		if _, err := sess.NextReports(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Stop(); err != nil {
+	if err := sess.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	// Eventually the stream ends (pending batches may still arrive).
@@ -120,7 +143,7 @@ func TestClientStopEndsStream(t *testing.T) {
 			t.Fatal("stream did not end after Stop")
 		default:
 		}
-		_, err := c.NextReports()
+		_, err := sess.NextReports()
 		if errors.Is(err, ErrStreamEnded) {
 			return
 		}
@@ -132,12 +155,8 @@ func TestClientStopEndsStream(t *testing.T) {
 
 func TestServerKeepalive(t *testing.T) {
 	_, addr := startServer(t, func() ReportSource { return &sliceSource{} })
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.out.send(MsgKeepalive, nil); err != nil {
+	c := dialRaw(t, addr)
+	if err := c.Keepalive(); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := c.in.next()
@@ -151,11 +170,7 @@ func TestServerKeepalive(t *testing.T) {
 
 func TestServerRejectsUnknownMessage(t *testing.T) {
 	_, addr := startServer(t, func() ReportSource { return &sliceSource{} })
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialRaw(t, addr)
 	if err := c.out.send(MsgType(42), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +183,7 @@ func TestServerRejectsUnknownMessage(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentClientChurn hammers the server with clients that
+// TestServerConcurrentClientChurn hammers the server with sessions that
 // connect, stream, and tear down — half of them abruptly, without a
 // Stop — while others are mid-stream. Run under -race this exercises
 // the conns-map and waitgroup bookkeeping.
@@ -183,26 +198,21 @@ func TestServerConcurrentClientChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				c, err := Dial(addr)
+				sess, err := dialSession(t, addr)
 				if err != nil {
 					t.Errorf("dial: %v", err)
 					return
 				}
-				if err := c.Start(); err != nil {
-					t.Errorf("start: %v", err)
-					c.Close()
-					return
-				}
 				for k := 0; k <= i%3; k++ {
-					if _, err := c.NextReports(); err != nil {
+					if _, err := sess.NextReports(); err != nil {
 						t.Errorf("next: %v", err)
 						break
 					}
 				}
 				if i%2 == 0 {
-					c.Stop() // polite teardown; odd iterations just vanish
+					sess.Stop() // polite teardown; odd iterations just vanish
 				}
-				c.Close()
+				sess.Close()
 			}
 		}()
 	}
@@ -217,21 +227,18 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	t.Cleanup(func() { close(src.stop) })
 	srv, addr := startServer(t, func() ReportSource { return src })
 
-	c, err := Dial(addr)
+	sess, err := dialSession(t, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.NextReports(); err != nil {
+	defer sess.Close()
+	if _, err := sess.NextReports(); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
 		for {
-			if _, err := c.NextReports(); err != nil {
+			if _, err := sess.NextReports(); err != nil {
 				done <- err
 				return
 			}
@@ -242,7 +249,8 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	}
 	select {
 	case <-done:
-		// Any error is fine: the connection was torn down.
+		// Any error is fine: the link was torn down and the one
+		// reconnect attempt found no server.
 	case <-time.After(5 * time.Second):
 		t.Fatal("client still blocked after server close")
 	}

@@ -155,14 +155,15 @@ var ErrGiveUp = errors.New("llrp: reconnect attempts exhausted")
 // reconnect can fix.
 var errReaderFault = errors.New("llrp: reader fault")
 
-// Session is a self-healing reader client: it dials, starts the
-// ROSpec, and streams report batches like Client, but transparently
-// reconnects with capped exponential backoff when the link fails,
-// resumes the stream from the last-seen report timestamp, pings the
-// reader so dead links are detected by deadline instead of hanging
-// forever, and only reports ErrStreamEnded on a *clean* end (the
-// reader's "rospec complete"/"rospec stopped" events) — an EOF or
-// reset mid-stream triggers a reconnect, never a silent truncation.
+// Session is the reader client: it dials, starts the ROSpec, and
+// streams report batches through readBatch, the one loop that reads
+// report frames. It reconnects with capped exponential backoff when
+// the link fails, resumes the stream from the last-seen report
+// timestamp, pings the reader so dead links are detected by deadline
+// instead of hanging forever, and only reports ErrStreamEnded on a
+// *clean* end (the reader's "rospec complete"/"rospec stopped" events)
+// — an EOF or reset mid-stream triggers a reconnect, never a silent
+// truncation.
 //
 // A resumed stream may replay a short overlap (the server seeks
 // slightly before the resume point so timestamp ties are never lost);
@@ -250,9 +251,10 @@ func DialSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 // error) when MaxAttempts consecutive reconnects fail.
 //
 // The returned slice is a reused decode buffer: it is valid only until
-// the next NextReports call, which overwrites it in place. Both engine
-// and live consumers convert reports to readings before pulling the
-// next batch; a consumer that needs to retain a batch must copy it.
+// the next NextReports call, which overwrites it in place. The drain
+// loop (live.Drainer.Drain) decodes each batch into a pooled columnar
+// batch before it pulls the next; a consumer that needs to retain a
+// batch must copy it.
 func (s *Session) NextReports() ([]TagReport, error) {
 	for {
 		if err := s.ctx.Err(); err != nil {

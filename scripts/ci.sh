@@ -61,11 +61,16 @@ go test -race -shuffle=on ./...
 # The two end-to-end chaos tests run rfipad-live's production path (a
 # one-worker engine draining a session) over a faulted link. A join's
 # sticky rebalance migrates live streams, and a panicking source must
-# be quarantined on the cluster path as on the engine's.
+# end its stream with an error on the cluster path as on the engine's.
+# The one drain loop's exit rules run through the engine, the cluster
+# and the bare loop; a flush that arrives mid-migration must survive
+# the handoff; a refused drained push must go back to the pool; and
+# rfipad-live's one runner drives both modes against an in-process
+# reader daemon.
 echo '== chaos + recovery tests (-race -count=2)'
 go test -race -count=2 \
-    -run 'TestEnginePanic|TestEngineSourcePanic|TestEngineCheckpoint|TestEngineDrain|TestEngineRelease|TestEndToEndChaos|TestCheckpointRestore|TestCheckpointStale|TestSessionBreaker|TestClusterNodeKill|TestClusterHandoff|TestClusterLeave|TestClusterJoin|TestClusterFlight|TestClusterSourcePanic' \
-    ./internal/engine ./internal/llrp ./internal/cluster
+    -run 'TestEnginePanic|TestEngineSourcePanic|TestEngineCheckpoint|TestEngineDrain|TestEngineRelease|TestEndToEndChaos|TestCheckpointRestore|TestCheckpointStale|TestSessionBreaker|TestClusterNodeKill|TestClusterHandoff|TestClusterLeave|TestClusterJoin|TestClusterFlight|TestClusterSourcePanic|TestDrainExitRules|TestClusterFlushDuringMigration|TestRunStreamPush|TestRunModes' \
+    ./internal/engine ./internal/llrp ./internal/cluster ./cmd/rfipad-live
 
 # Split-brain containment: asymmetric partitions (heartbeats severed,
 # data paths up), zombie owners whose watchdog is suspended, epoch
