@@ -622,10 +622,13 @@ func (c *Cluster) finalizeSticky(m migration) {
 	c.mu.Lock()
 	p := c.placements[m.id]
 	p.migrating = false
-	c.releasePendingLocked(c.memberNodeLocked(p.node), m.id, p)
+	flushLeft := c.releasePendingLocked(c.memberNodeLocked(p.node), m.id, p)
 	c.mu.Unlock()
 	if m.done != nil {
 		close(m.done)
+	}
+	if flushLeft {
+		c.FlushStream(m.id)
 	}
 }
 
@@ -635,6 +638,7 @@ func (c *Cluster) finalizeSticky(m migration) {
 func (c *Cluster) finalize(m migration, tr *trace.StreamTrace, target NodeID, haveTarget, restored, haveCP bool, start time.Time) {
 	c.mu.Lock()
 	p := c.placements[m.id]
+	flushLeft := false
 	if haveTarget {
 		if _, stillLive := c.members[target]; !stillLive {
 			// Target died while we were transferring. Re-resolve and go
@@ -652,7 +656,7 @@ func (c *Cluster) finalize(m migration, tr *trace.StreamTrace, target NodeID, ha
 		// The adopter's lease must exist before any batch reaches it:
 		// pushes are gated on a live lease.
 		c.grantLeaseLocked(target, m.id, c.epochs[m.id])
-		c.releasePendingLocked(c.memberNodeLocked(target), m.id, p)
+		flushLeft = c.releasePendingLocked(c.memberNodeLocked(target), m.id, p)
 	} else {
 		// No live owner anywhere: the stream is orphaned until a node
 		// joins (a fresh placement forms on its next batch), and what
@@ -699,6 +703,9 @@ func (c *Cluster) finalize(m migration, tr *trace.StreamTrace, target NodeID, ha
 	if m.done != nil {
 		close(m.done)
 	}
+	if flushLeft {
+		c.FlushStream(m.id)
+	}
 }
 
 // memberNodeLocked returns a live member's node (nil when absent).
@@ -714,17 +721,18 @@ func (c *Cluster) memberNodeLocked(id NodeID) *Node {
 // migration to node, its owner from now on: the batches in order,
 // shedding any it refuses, then the flush if one arrived meanwhile. A
 // nil node (the stream is orphaned) sheds the batches and drops the
-// flush. Callers hold c.mu; batch pushes are non-blocking.
-func (c *Cluster) releasePendingLocked(node *Node, id engine.StreamID, p *placement) {
+// flush. It reports whether node refused the flush: the caller then
+// routes it again with FlushStream once c.mu is released. Callers hold
+// c.mu; nothing here blocks.
+func (c *Cluster) releasePendingLocked(node *Node, id engine.StreamID, p *placement) (flushLeft bool) {
 	for _, b := range p.pending {
 		if node == nil || !node.push(id, b) {
 			c.shed(b)
 		}
 	}
-	if node != nil && p.flush {
-		node.flush(id)
-	}
+	flushLeft = node != nil && p.flush && !node.flush(id)
 	p.pending, p.flush = nil, false
+	return flushLeft
 }
 
 // Push routes one batch of readings to the stream's owner. A stream
@@ -797,22 +805,34 @@ func (c *Cluster) shed(b *core.ReadingBatch) {
 }
 
 // FlushStream forces a stream's pending stroke and letter out on its
-// current owner. A stream mid-migration keeps the flush with its
-// buffered batches, and whichever node ends up owning the stream
-// applies it after them.
+// current owner, after every batch routed to the stream before it. A
+// stream mid-migration keeps the flush with its buffered batches, and
+// whichever node ends up owning the stream applies it after them. The
+// flush is routed the way RunStream routes a batch: the owner's
+// mailbox is never waited on under the coordinator lock. A flush the
+// owner refuses (its mailbox is full, or it is dead and not yet
+// re-placed) is retried like a refused batch (retry), against the
+// placement as it then stands. Once Close has begun, a refused flush
+// is given up: closing flushes every stream.
 func (c *Cluster) FlushStream(id engine.StreamID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.retry(func() bool { return c.flushLocked(id) })
+}
+
+// flushLocked hands a flush to the stream's owner, or keeps it with a
+// migrating stream's buffer. It reports false when the owner refused
+// it. A stream with no placement has nothing to flush. Callers hold
+// c.mu.
+func (c *Cluster) flushLocked(id engine.StreamID) bool {
 	p, ok := c.placements[id]
 	switch {
 	case !ok:
+		return true
 	case p.migrating:
 		p.flush = true
-	default:
-		if node := c.memberNodeLocked(p.node); node != nil {
-			node.flush(id)
-		}
+		return true
 	}
+	node := c.memberNodeLocked(p.node)
+	return node != nil && node.flush(id)
 }
 
 // Owner reports the node currently hosting a stream (its placement if
@@ -826,10 +846,10 @@ func (c *Cluster) Owner(id engine.StreamID) (NodeID, bool) {
 	return c.ring.Owner(string(id))
 }
 
-// Backoff bounds for RunStream's retry of a refused push.
+// Backoff bounds for retry.
 const (
-	pushRetryMin = 100 * time.Microsecond
-	pushRetryMax = 5 * time.Millisecond
+	retryMin = 100 * time.Microsecond
+	retryMax = 5 * time.Millisecond
 )
 
 // RunStream drains a report source into the cluster until the stream
@@ -852,23 +872,32 @@ func (c *Cluster) RunStream(id engine.StreamID, src live.ReportSource) error {
 // pushRetry routes one decoded frame. A push the cluster refuses (the
 // owner's mailbox is full, the migration buffer is at its bound, or the
 // stream has no live owner yet) leaves the batch in hand, and the same
-// batch is retried with a short doubling backoff instead of being
-// shed, so a source that outruns its engine is slowed to the engine's
-// pace rather than losing readings. The coordinator lock is never held
-// while waiting. Once Close has begun, the batch in hand is counted as
-// dropped and pushRetry returns ErrClosed.
+// batch is retried instead of being shed, so a source that outruns its
+// engine is slowed to the engine's pace rather than losing readings.
+// Once Close has begun, the batch in hand is counted as dropped and
+// pushRetry returns ErrClosed.
 func (c *Cluster) pushRetry(id engine.StreamID, b *core.ReadingBatch) error {
-	for backoff := pushRetryMin; ; backoff = min(2*backoff, pushRetryMax) {
+	if !c.retry(func() bool { return c.routeLocked(id, b) }) {
+		c.shed(b)
+		return ErrClosed
+	}
+	return nil
+}
+
+// retry runs try under c.mu until it succeeds, backing off between
+// refusals with a short doubling wait, which never holds the lock. It
+// reports false once Close has begun with try still refused.
+func (c *Cluster) retry(try func() bool) bool {
+	for backoff := retryMin; ; backoff = min(2*backoff, retryMax) {
 		c.mu.Lock()
-		ok := c.routeLocked(id, b)
+		ok := try()
 		c.mu.Unlock()
 		if ok {
-			return nil
+			return true
 		}
 		select {
 		case <-c.stop:
-			c.shed(b)
-			return ErrClosed
+			return false
 		case <-time.After(backoff):
 		}
 	}

@@ -439,9 +439,10 @@ func (l *eventLog) record(id engine.StreamID, ev core.Event) {
 // the same 256-report frames, through Cluster.Push on a one-node
 // cluster and through engine.RunStream. The two intake paths must be
 // indistinguishable downstream: identical events per stream, identical
-// sanitizer rejections (one frame carries a NaN phase, a +5 dBm RSS and
-// a reading 2 s behind the stream), and every offered reading counted
-// in engine_readings_total.
+// drops (one frame carries a NaN phase and a +5 dBm RSS, which the
+// sanitizer rejects, and a reading 2 s behind the stream, which its
+// clock drops as late), and every offered reading counted in
+// engine_readings_total.
 func TestClusterPushMatchesEngineRunStream(t *testing.T) {
 	const frameLen = 256
 	words := []string{"IT", "LC", "TI"}
@@ -457,8 +458,9 @@ func TestClusterPushMatchesEngineRunStream(t *testing.T) {
 		}
 		offered += len(reports)
 	}
-	// Three readings the sanitizer must reject, appended to a frame well
-	// past the calibration prelude.
+	// Two readings the sanitizer must reject and one the stream's clock
+	// must drop as late, appended to a frame well past the calibration
+	// prelude.
 	const bad = 20
 	f := append([]llrp.TagReport(nil), frames[0][bad]...)
 	newest := f[len(f)-1].Timestamp
@@ -516,16 +518,106 @@ func TestClusterPushMatchesEngineRunStream(t *testing.T) {
 		}
 	}
 	snapE, snapC := regE.Snapshot(), regC.Snapshot()
-	for _, reason := range []string{"phase", "rss", "time_regression"} {
+	for _, reason := range []string{"phase", "rss"} {
 		e := snapE.Value("readings_rejected_total", obs.L("reason", reason))
 		cl := snapC.Value("readings_rejected_total", obs.L("reason", reason))
 		if e != 1 || cl != e {
 			t.Errorf("readings_rejected_total{reason=%s}: cluster %v, engine %v, want 1 each", reason, cl, e)
 		}
 	}
+	late := obs.L("reason", "late")
+	if e, cl := snapE.Value("rfipad_readings_dropped_total", late), snapC.Value("rfipad_readings_dropped_total", late); e != 1 || cl != e {
+		t.Errorf("rfipad_readings_dropped_total{reason=late}: cluster %v, engine %v, want 1 each", cl, e)
+	}
 	for name, snap := range map[string]obs.Snapshot{"engine": snapE, "cluster": snapC} {
 		if got := snap.Value("engine_readings_total"); got != float64(offered) {
 			t.Errorf("%s path: engine_readings_total = %v, want every offered reading (%d)", name, got, offered)
 		}
 	}
+}
+
+// TestClusterFlushNeverBlocksCoordinator pins that a flush is routed
+// like a batch: it never waits on an owner's mailbox under the
+// coordinator lock. The one-worker node's shard is held in OnEvent at
+// the stream's first event and its mailbox filled, and FlushStream
+// runs meanwhile. Routing reads (Owner) must answer at once, and
+// heartbeats must keep flowing, so the failure detector and the leases
+// stay fed. Once the shard is released, the flush lands after every
+// batch of the stream, and its letters come out before Close.
+func TestClusterFlushNeverBlocksCoordinator(t *testing.T) {
+	const id, filler engine.StreamID = "plate-0", "filler"
+	held, release := make(chan struct{}), make(chan struct{})
+	var hold sync.Once
+	tape := newLetterTape()
+	reg := obs.NewRegistry()
+	c := cluster.New(cluster.Config{
+		HeartbeatInterval: 5 * time.Millisecond,
+		FailAfter:         time.Minute,
+		EngineWorkers:     1,
+		Obs:               reg,
+		OnEvent: func(n cluster.NodeID, sid engine.StreamID, ev core.Event) {
+			hold.Do(func() {
+				close(held)
+				<-release
+			})
+			tape.onEvent(n, sid, ev)
+		},
+	})
+	defer c.Close()
+	if _, err := c.AddNode("node-0"); err != nil {
+		t.Fatal(err)
+	}
+	batches, _ := synthBatches(t, 12, "IT", 0)
+	for _, b := range batches {
+		for !c.Push(id, b) {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stream emitted no event")
+	}
+	for c.Push(filler, batches[0]) {
+	}
+	released := false
+	letGo := func() {
+		if !released {
+			released = true
+			close(release)
+		}
+	}
+	defer letGo()
+
+	flushed := make(chan struct{})
+	go func() {
+		c.FlushStream(id)
+		close(flushed)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	beats := reg.Snapshot().Value("cluster_heartbeats_total")
+	for range 5 {
+		answered := make(chan struct{})
+		go func() {
+			c.Owner(id)
+			close(answered)
+		}()
+		select {
+		case <-answered:
+		case <-time.After(100 * time.Millisecond):
+			t.Error("Owner blocked behind a flush waiting on a full mailbox")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := reg.Snapshot().Value("cluster_heartbeats_total"); got <= beats {
+		t.Errorf("cluster_heartbeats_total stayed at %v while a flush waited", got)
+	}
+
+	letGo()
+	select {
+	case <-flushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the flush never landed once the shard was released")
+	}
+	waitFor(t, 10*time.Second, `letters "IT"`, func() bool { return tape.get(id) == "IT" })
 }

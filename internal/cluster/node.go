@@ -87,11 +87,11 @@ func (n *Node) evict(id engine.StreamID) (supervise.Checkpoint, bool) {
 	return n.eng.EvictStream(id)
 }
 
-// flush forces a stream's pending stroke and letter out.
-func (n *Node) flush(id engine.StreamID) {
-	if !n.killed.Load() {
-		n.eng.FlushStream(id)
-	}
+// flush enqueues a flush of the stream's pending stroke and letter
+// without blocking. A killed node, or a full mailbox, refuses it; a
+// refused flush stays with the caller.
+func (n *Node) flush(id engine.StreamID) bool {
+	return !n.killed.Load() && n.eng.TryFlushStream(id)
 }
 
 // stopHeartbeat halts the heartbeat loop (idempotent). Graceful leave

@@ -191,9 +191,9 @@ func TestIngestBatchSingleElementMatchesIngest(t *testing.T) {
 			t.Fatalf("reading at %v: one-element view events %+v, one-element IngestBatch events %+v", rd.Time, evA, evB)
 		}
 	}
-	if recA.hist.Len() != recB.hist.Len() || recA.now != recB.now || recA.bufStart != recB.bufStart {
+	if recA.hist.Len() != recB.hist.Len() || recA.clock.now != recB.clock.now || recA.bufStart != recB.bufStart {
 		t.Fatalf("recognizer state diverged: hist %d/%d now %v/%v bufStart %v/%v",
-			recA.hist.Len(), recB.hist.Len(), recA.now, recB.now, recA.bufStart, recB.bufStart)
+			recA.hist.Len(), recB.hist.Len(), recA.clock.now, recB.clock.now, recA.bufStart, recB.bufStart)
 	}
 }
 

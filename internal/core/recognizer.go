@@ -56,13 +56,14 @@ type Event struct {
 // starts at the released one's high-water capacity instead of
 // regrowing it from empty.
 //
-// A stream keeps only what can still change. A reading more than
-// maxRegression behind the newest one is dropped as late (the
-// sanitizer's rule, so a sanitized stream loses nothing to it), which
-// lets every poll retire the frame accumulators before that late
-// horizon and drop the history readings no span still to be
-// recognized and no dedup check can read. The frame-value trace
-// behind the adaptive thresholds still reaches back to bufStart.
+// A stream keeps only what can still change. Its Clock judges every
+// reading first: one more than maxRegression behind the clock is
+// dropped as late, and one more than maxRegression ahead is held until
+// the next reading confirms or drops it. So every poll may retire the
+// frame accumulators before the late horizon and drop the history
+// readings no span still to be recognized and no dedup check can read.
+// The frame-value trace behind the adaptive thresholds still reaches
+// back to bufStart.
 type Recognizer struct {
 	pipeline *Pipeline
 	seg      *Segmenter
@@ -81,7 +82,9 @@ type Recognizer struct {
 	*recBuffers
 	head     int
 	bufStart time.Duration
-	now      time.Duration
+	// clock is the stream's time: the newest reading taken, and the
+	// late and ahead rule. Its floor is bufStart.
+	clock *Clock
 
 	lastPollFrame int64
 
@@ -147,7 +150,18 @@ func NewRecognizer(p *Pipeline, seg *Segmenter) *Recognizer {
 		recBuffers:    buf,
 		confirmGap:    time.Duration(seg.WindowFrames) * seg.FrameLen,
 		lastPollFrame: -1,
+		clock:         new(Clock),
 	}
+}
+
+// UseClock makes c the recognizer's clock from now on: the clock a
+// stream's prelude stepped until calibration, so the stream keeps one
+// time from its first reading to its last. Call it before the first
+// IngestBatch. The drops c counted before are counted as the
+// recognizer's.
+func (r *Recognizer) UseClock(c *Clock) {
+	r.clock = c
+	r.foldDrops()
 }
 
 // Release hands the recognizer's buffers to the next NewRecognizer.
@@ -176,16 +190,20 @@ func (r *Recognizer) SkipTo(t time.Duration) {
 		return
 	}
 	r.bufStart = t
-	r.now = t
+	r.clock.floor = t
+	r.clock.now = max(r.clock.now, t)
 	r.emittedEnd = t
 	r.lastPollFrame = int64(t / r.seg.FrameLen)
 	r.cache.skipTo(t)
 }
 
 // FrameCursor returns the frame-aligned stream time a checkpoint
-// should resume recognition from: the newest complete frame boundary.
+// should resume recognition from: the frame the clock reads. A clock
+// handed over at calibration reads the reading that completed the
+// prelude, so the cursor never precedes that reading's frame.
 func (r *Recognizer) FrameCursor() time.Duration {
-	return r.now - r.now%r.seg.FrameLen
+	now := r.clock.now
+	return now - now%r.seg.FrameLen
 }
 
 // IngestBatch feeds a columnar batch of readings and returns every
@@ -196,20 +214,20 @@ func (r *Recognizer) FrameCursor() time.Duration {
 // produces: exact duplicates (same tag, same timestamp — replay
 // overlap or a duplicated report frame) are dropped, modestly
 // out-of-order readings are inserted at their correct position so the
-// per-tag phase series stay monotonic, and late readings are
-// discarded: those more than maxRegression behind the newest reading
-// (the sanitizer's own rule, so a sanitized stream has none) or older
-// than the already-trimmed history. How a capture is cut into
-// batches never matters: one batch makes element-for-element the same
-// accept/drop decisions, poll timing, and events as the same readings
-// fed as one-element batches.
+// per-tag phase series stay monotonic, and the clock drops late
+// readings and holds the ones stamped ahead of it (Clock). How a
+// capture is cut into batches never matters: one batch makes
+// element-for-element the same accept/drop decisions, poll timing, and
+// events as the same readings fed as one-element batches.
 //
 // The hot path is the maximal strictly-increasing run that extends the
-// history tail: it is appended with four bulk column copies and folded
-// into the frame cache in one column sweep, with the segmentation poll
-// fired at exactly the frame crossings a one-element feed would fire
-// it at. Out-of-order, duplicate, and late readings take a per-element
-// path.
+// history tail: once the clock takes its first reading, it is appended
+// with four bulk column copies and folded into the frame cache in one
+// column sweep, with the segmentation poll fired at exactly the frame
+// crossings a one-element feed would fire it at. The run ends before a
+// reading more than maxRegression after its predecessor, which the
+// clock must judge. Out-of-order, duplicate and equal-time readings,
+// and a held reading the clock confirms, take a per-element path.
 func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 	if r.recBuffers == nil {
 		panic(releasedMsg)
@@ -221,20 +239,34 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 	seg := r.tel.segment.Buffer()
 	defer seg.Fold()
 	var events []Event
-	var late, dupes, reordered uint64
+	var dupes, reordered uint64
+	c := r.clock
 	frameLen := r.seg.FrameLen
 	times, phases, rss, tags := b.Times, b.Phases, b.RSS, b.TagIndices
 	i := 0
 	for i < n {
-		t := times[i]
-		histLen := r.hist.Len()
-		inOrder := false
-		if histLen == r.head {
-			inOrder = t >= r.bufStart
-		} else {
-			inOrder = t > r.hist.Times[histLen-1]
-		}
-		if inOrder {
+		src, k := b, i
+		switch c.Step(b, i) {
+		case ClockLate, ClockHeld:
+			i++
+			continue
+		case ClockConfirmed:
+			// The held reading goes first, in its place; row i is
+			// stepped again after it.
+			src, k = c.Ready(), 0
+		default:
+			t := times[i]
+			histLen := r.hist.Len()
+			inOrder := false
+			if histLen == r.head {
+				inOrder = t >= r.bufStart
+			} else {
+				inOrder = t > r.hist.Times[histLen-1]
+			}
+			if !inOrder {
+				i++
+				break
+			}
 			// Poll gate: processing a reading whose time falls outside
 			// [gateLo, gateHi) crosses a frame boundary and polls right
 			// after that reading, as the per-element path does. For
@@ -248,7 +280,13 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 				tj := times[j]
 				j++
 				if tj >= gateHi || tj < gateLo {
-					crossed = true
+					// A step of more than maxRegression always crosses
+					// a frame; the clock judges the reading after it.
+					if j-1 > i && tj-times[j-2] > maxRegression {
+						j--
+					} else {
+						crossed = true
+					}
 					break
 				}
 				if j >= n || times[j] <= tj {
@@ -258,32 +296,22 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 			r.reserve(j - i)
 			r.hist.appendColumns(times[i:j], phases[i:j], rss[i:j], tags[i:j])
 			r.cache.addColumns(times[i:j], phases[i:j], tags[i:j])
-			// The run is strictly increasing and starts at or past both
-			// bufStart and the history tail, so its last time is the new
-			// stream high-water mark.
-			if last := times[j-1]; last > r.now {
-				r.now = last
-			}
+			// The run is strictly increasing, starts at a reading the
+			// clock took and steps by at most maxRegression, so every
+			// reading of it agrees with the clock, and its last time
+			// is the clock's new value.
+			c.now = max(c.now, times[j-1])
 			if crossed {
-				r.lastPollFrame = int64(r.now / frameLen)
-				events = append(events, r.poll(r.now, &seg)...)
+				r.lastPollFrame = int64(c.now / frameLen)
+				events = append(events, r.poll(c.now, &seg)...)
 			}
 			i = j
 			continue
 		}
 
-		// Per-element path: late, duplicate, equal-time, or
-		// out-of-order readings.
-		if t > r.now {
-			r.now = t
-		}
-		if t < r.bufStart || t < r.now-maxRegression {
-			// Too late: this history was already recognized and
-			// trimmed, or its frame accumulators retired.
-			late++
-			i++
-			continue
-		}
+		// Per-element path: duplicate, equal-time or out-of-order
+		// readings, and confirmed held ones.
+		t, tag := src.Times[k], src.TagIndices[k]
 		liveTimes := r.hist.Times[r.head:]
 		// Find the insertion point from the end — O(1) for in-order
 		// streams, a short walk for transport-reordered ones.
@@ -293,42 +321,37 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 		}
 		// Duplicate check: entries with the same timestamp sit
 		// immediately before the insertion point.
-		tag := tags[i]
 		dup := false
-		for k := idx; k > 0 && liveTimes[k-1] == t; k-- {
-			if r.hist.TagIndices[r.head+k-1] == tag {
+		for d := idx; d > 0 && liveTimes[d-1] == t; d-- {
+			if r.hist.TagIndices[r.head+d-1] == tag {
 				dup = true
 				break
 			}
 		}
 		if dup {
 			dupes++
-			i++
 			continue
 		}
 		r.reserve(1)
 		if idx == len(liveTimes) {
-			r.hist.Append(t, phases[i], rss[i], tag)
+			r.hist.Append(t, src.Phases[k], src.RSS[k], tag)
 		} else {
 			reordered++
-			r.hist.insertAt(r.head, idx, t, phases[i], rss[i], tag)
+			r.hist.insertAt(r.head, idx, t, src.Phases[k], src.RSS[k], tag)
 		}
-		r.cache.addColumns(times[i:i+1], phases[i:i+1], tags[i:i+1])
+		r.cache.addColumns(src.Times[k:k+1], src.Phases[k:k+1], src.TagIndices[k:k+1])
 		// Throttle segmentation to frame boundaries: between two
 		// boundaries every poll would see the identical complete-frame
 		// trace, so re-running it per reading only burns cycles. Late
 		// (reordered) readings lower the cache's change watermark to
 		// their old frame and are picked up at the next boundary.
-		if pf := int64(r.now / frameLen); pf != r.lastPollFrame {
+		if pf := int64(c.now / frameLen); pf != r.lastPollFrame {
 			r.lastPollFrame = pf
-			events = append(events, r.poll(r.now, &seg)...)
+			events = append(events, r.poll(c.now, &seg)...)
 		}
-		i++
 	}
 	r.tel.readings.Add(uint64(n))
-	if late > 0 {
-		r.tel.late.Add(late)
-	}
+	r.foldDrops()
 	if dupes > 0 {
 		r.tel.dupes.Add(dupes)
 	}
@@ -338,17 +361,30 @@ func (r *Recognizer) IngestBatch(b *ReadingBatch) []Event {
 	return events
 }
 
+// foldDrops adds the clock's late and ahead drops to the recognizer's
+// telemetry.
+func (r *Recognizer) foldDrops() {
+	late, ahead := r.clock.takeDrops()
+	if late > 0 {
+		r.tel.late.Add(late)
+	}
+	if ahead > 0 {
+		r.tel.ahead.Add(ahead)
+	}
+}
+
 // Flush declares the stream over at the given time, forcing any
-// pending stroke and letter out.
+// pending stroke and letter out. A stream that is over has no reading
+// left to confirm a held one, so the clock drops them as ahead.
 func (r *Recognizer) Flush(at time.Duration) []Event {
 	if r.recBuffers == nil {
 		panic(releasedMsg)
 	}
 	seg := r.tel.segment.Buffer()
 	defer seg.Fold()
-	if at < r.now {
-		at = r.now
-	}
+	r.clock.dropHeld()
+	r.foldDrops()
+	at = max(at, r.clock.now)
 	// Push the horizon far enough that every span closes, bypassing
 	// the frame-boundary throttle.
 	horizon := at + r.confirmGap + time.Millisecond
@@ -464,7 +500,7 @@ func (r *Recognizer) poll(horizon time.Duration, seg *obs.HistogramBuffer) []Eve
 // emittedEnd, since an emitted span starts at most two frames before
 // the last one's end and lasts at least minSpan.
 func (r *Recognizer) shed() {
-	late := r.now - maxRegression
+	late := r.clock.now - maxRegression
 	r.cache.retire(late)
 	keep := min(max(r.emittedEnd-2*r.seg.FrameLen, r.bufStart+minPreContext), late)
 	k, _ := slices.BinarySearch(r.hist.Times[r.head:], keep)
@@ -516,6 +552,7 @@ func (r *Recognizer) trimTo(cut time.Duration) {
 	k, _ := slices.BinarySearch(r.hist.Times[r.head:], cut)
 	r.head += k
 	r.bufStart = cut
+	r.clock.floor = cut
 	r.cache.trimTo(cut)
 }
 

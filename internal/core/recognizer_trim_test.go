@@ -84,7 +84,7 @@ func TestRecognizerTrimBoundsAndReusesBuffer(t *testing.T) {
 	// The live window should hover near historyKeep; a couple of extra
 	// seconds of slack covers trim cadence.
 	live := rec.hist.Times[rec.head:]
-	span := rec.now - rec.bufStart
+	span := rec.clock.now - rec.bufStart
 	if limit := historyKeep + 4*time.Second; span > limit {
 		t.Errorf("retained window %v exceeds %v", span, limit)
 	}
@@ -99,7 +99,7 @@ func TestRecognizerTrimBoundsAndReusesBuffer(t *testing.T) {
 
 	// windowRange must agree with the trimmed state (end is exclusive,
 	// so nudge past the newest reading).
-	lo, hi := rec.windowRange(rec.bufStart, rec.now+time.Millisecond)
+	lo, hi := rec.windowRange(rec.bufStart, rec.clock.now+time.Millisecond)
 	if lo != rec.head || hi-lo != len(live) {
 		t.Errorf("window range over the full span is [%d, %d), live window is [%d, %d)", lo, hi, rec.head, rec.head+len(live))
 	}
@@ -197,15 +197,15 @@ func TestRecognizerFootprintFollowsHorizons(t *testing.T) {
 		events += len(ingestOne(rec, rd))
 		c := &rec.cache
 		if acc := c.frames() - c.done; acc > maxAcc {
-			t.Fatalf("at %v: %d frames hold accumulators, want at most %d", rec.now, acc, maxAcc)
+			t.Fatalf("at %v: %d frames hold accumulators, want at most %d", rec.clock.now, acc, maxAcc)
 		}
 		if rec.lastPollFrame == pf {
 			return
 		}
 		polls++
-		keep := max(min(max(rec.emittedEnd-2*frameLen, rec.bufStart+minPreContext), rec.now-maxRegression), rec.bufStart)
+		keep := max(min(max(rec.emittedEnd-2*frameLen, rec.bufStart+minPreContext), rec.clock.now-maxRegression), rec.bufStart)
 		if live := rec.hist.Times[rec.head:]; len(live) > 0 && live[0] < keep {
-			t.Fatalf("poll at %v retains a reading at %v, older than the horizon %v", rec.now, live[0], keep)
+			t.Fatalf("poll at %v retains a reading at %v, older than the horizon %v", rec.clock.now, live[0], keep)
 		}
 	}
 	var again []Reading
@@ -237,9 +237,9 @@ func TestRecognizerFootprintFollowsHorizons(t *testing.T) {
 	}
 }
 
-// lateRuleCapture is the stream the late-rule fuzz perturbs: a letter
-// of two strokes after calibration, 9 s on a 5×5 grid.
-func lateRuleCapture(t testing.TB) (*Calibration, []Reading) {
+// clockFuzzCapture is the stream the clock fuzz perturbs: a letter of
+// two strokes after calibration, 9 s on a 5×5 grid.
+func clockFuzzCapture(t testing.TB) (*Calibration, []Reading) {
 	t.Helper()
 	const n = 25
 	centres, sigmas := evenCentres(n), constSigmas(n, 0.04)
@@ -251,120 +251,210 @@ func lateRuleCapture(t testing.TB) (*Calibration, []Reading) {
 	return cal, synthLetterStream(n, strokes, 9*time.Second, centres, sigmas, 52)
 }
 
-// lateRuleRun decodes a delivery of base from data, feeds its batches
-// to one recognizer directly and to another through the sanitizer, and
-// returns both recognizers' events and the direct one's late drops.
+// clockRun is what one delivery of a stream gave: its events, and the
+// readings its clock dropped as late and as ahead.
+type clockRun struct {
+	events      []Event
+	late, ahead float64
+}
+
+// clockOutlierRuns decodes an edited delivery of base from data, feeds
+// it to one recognizer as it is and to another with the lone outliers
+// data inserts, and returns both runs and how many outliers, ahead and
+// behind, the second one got.
 //
 // data's first byte seeds the batch sizes (1 to 64 readings). Each
-// following 4 bytes are one edit at a base reading (2 bytes of
-// position): it arrives up to 2.55 s late, is delivered again up to
-// 2.55 s later, gains a reading of another tag at the same instant, an
-// out-of-range tag stamped up to 1.28 s either side of it rides
-// along, or a reading stamped up to 5.1 s ahead does. Every phase is
-// finite and every RSS plausible, so the sanitizer rejects only time
-// regressions.
-func lateRuleRun(t testing.TB, cal *Calibration, base []Reading, data []byte) (direct, sanitized []Event, late float64) {
+// following 4 bytes are one op at a base reading (2 bytes of
+// position), at most 64 of them: it arrives up to 2.55 s late, is
+// delivered again up to 2.55 s later, gains a reading of another tag at
+// the same instant, an out-of-range tag stamped up to 1.28 s either
+// side of it rides along, a reading stamped up to 5.1 s ahead does,
+// the stream opens a gap of 1 to 3.55 s before it (a real clock jump),
+// or a lone outlier follows its delivery, stamped more than
+// maxRegression behind the clock or hours ahead of it. Two outliers
+// ahead lie hours apart: two that agreed with each other would be a
+// clock jump, not glitches.
+//
+// An outlier ahead is lone where the edited stream's clock holds
+// nothing after the reading it follows, or holds one reading that the
+// next delivery settles, as it settles a jump's first reading: a clock
+// holds at most maxHeld readings, so a second glitch there would push
+// out one a later reading may still confirm. One outlier follows a
+// reading at most. An outlier behind is lone anywhere.
+func clockOutlierRuns(t testing.TB, cal *Calibration, base []Reading, data []byte) (clean, dirty clockRun, ahead, behind int) {
 	t.Helper()
 	n := cal.NumTags()
 	var seed byte
 	if len(data) > 0 {
 		seed, data = data[0], data[1:]
 	}
+	type op struct {
+		pos       int
+		kind, arg byte
+	}
+	var ops []op
+	for ; len(data) >= 4 && len(ops) < 64; data = data[4:] {
+		ops = append(ops, op{int(binary.BigEndian.Uint16(data)) % len(base), data[2] % 8, data[3]})
+	}
+	shifted := slices.Clone(base)
+	for _, o := range ops {
+		if o.kind == 5 {
+			for k := o.pos; k < len(shifted); k++ {
+				shifted[k].Time += maxRegression + time.Duration(o.arg)*10*time.Millisecond
+			}
+		}
+	}
 	type delivery struct {
-		at time.Duration
-		rd Reading
+		at   time.Duration
+		rd   Reading
+		base int // the base reading it delivers, or -1 for an edit's
 	}
-	del := make([]delivery, len(base))
-	for i, rd := range base {
-		del[i] = delivery{rd.Time, rd}
+	del := make([]delivery, len(shifted))
+	for i, rd := range shifted {
+		del[i] = delivery{rd.Time, rd, i}
 	}
-	for ; len(data) >= 4; data = data[4:] {
-		pos := int(binary.BigEndian.Uint16(data)) % len(base)
-		arg := data[3]
-		d := time.Duration(arg) * 10 * time.Millisecond
-		rd := base[pos]
-		switch data[2] % 5 {
+	for _, o := range ops {
+		d := time.Duration(o.arg) * 10 * time.Millisecond
+		rd := shifted[o.pos]
+		switch o.kind {
 		case 0:
-			del[pos].at += d
+			del[o.pos].at += d
 		case 1:
-			del = append(del, delivery{rd.Time + d, rd})
+			del = append(del, delivery{rd.Time + d, rd, -1})
 		case 2:
-			rd.TagIndex = (rd.TagIndex + 1 + int(arg)) % n
-			rd.Phase = float64(arg) / 41
-			del = append(del, delivery{rd.Time, rd})
+			rd.TagIndex = (rd.TagIndex + 1 + int(o.arg)) % n
+			rd.Phase = float64(o.arg) / 41
+			del = append(del, delivery{rd.Time, rd, -1})
 		case 3:
-			rd.TagIndex = []int{-1, n, n + int(arg)}[arg%3]
-			rd.Time = max(rd.Time+time.Duration(int(arg)-128)*10*time.Millisecond, 0)
-			del = append(del, delivery{base[pos].Time, rd})
+			rd.TagIndex = []int{-1, n, n + int(o.arg)}[o.arg%3]
+			rd.Time = max(rd.Time+time.Duration(int(o.arg)-128)*10*time.Millisecond, 0)
+			del = append(del, delivery{shifted[o.pos].Time, rd, -1})
 		case 4:
 			rd.Time += 2 * d
-			del = append(del, delivery{base[pos].Time, rd})
+			del = append(del, delivery{shifted[o.pos].Time, rd, -1})
 		}
 	}
 	slices.SortStableFunc(del, func(a, b delivery) int { return cmp.Compare(a.at, b.at) })
 
-	reg := obs.NewRegistry()
-	pd := NewPipeline(Grid{Rows: 5, Cols: 5}, cal)
-	pd.Obs = reg
-	rd, rs := NewRecognizer(pd, nil), NewRecognizer(NewPipeline(Grid{Rows: 5, Cols: 5}, cal), nil)
-	san := NewSanitizer(obs.NewRegistry())
-	sizes := rand.New(rand.NewSource(int64(seed)))
-	var b, sb ReadingBatch
-	var newest time.Duration
-	for i := 0; i < len(del); {
-		j := min(i+1+sizes.Intn(64), len(del))
-		b.Reset()
-		for _, d := range del[i:j] {
-			b.AppendReading(d.rd)
+	// The edited stream's clock after each delivery, and what it holds.
+	var clk Clock
+	nows, held := make([]time.Duration, len(del)), make([]int, len(del))
+	slot := make([]int, len(shifted))
+	for k, d := range del {
+		stepAll(&clk, batchOf([]Reading{d.rd}))
+		nows[k], held[k] = clk.now, clk.held.Len()
+		if d.base >= 0 {
+			slot[d.base] = k
 		}
-		sb.Reset()
-		sb.appendColumns(b.Times, b.Phases, b.RSS, b.TagIndices)
-		san.AdmitColumns(&sb, newest)
-		newest = max(newest, slices.Max(b.Times))
-		direct = append(direct, rd.IngestBatch(&b)...)
-		sanitized = append(sanitized, rs.IngestBatch(&sb)...)
-		i = j
 	}
-	direct = append(direct, rd.Flush(newest+time.Second)...)
-	sanitized = append(sanitized, rs.Flush(newest+time.Second)...)
-	late = reg.Snapshot().Value("rfipad_readings_dropped_total", obs.L("reason", "late"))
-	return direct, sanitized, late
+	outlier := make(map[int]Reading)
+	for _, o := range ops {
+		k := slot[o.pos]
+		if _, dup := outlier[k]; dup || o.kind < 6 {
+			continue
+		}
+		rd := del[k].rd
+		if o.kind == 6 {
+			if held[k] > 1 || held[k] == 1 && k+1 < len(del) && held[k+1] != 0 {
+				continue
+			}
+			ahead++
+			rd.Time = nows[k] + time.Duration(ahead)*time.Hour + time.Duration(o.arg)*time.Second
+		} else {
+			rd.Time = nows[k] - maxRegression - time.Millisecond - time.Duration(o.arg)*10*time.Millisecond
+			behind++
+		}
+		outlier[k] = rd
+	}
+
+	feed := func(rds []Reading) clockRun {
+		reg := obs.NewRegistry()
+		p := NewPipeline(Grid{Rows: 5, Cols: 5}, cal)
+		p.Obs = reg
+		rec := NewRecognizer(p, nil)
+		sizes := rand.New(rand.NewSource(int64(seed)))
+		var run clockRun
+		var b ReadingBatch
+		for i := 0; i < len(rds); {
+			j := min(i+1+sizes.Intn(64), len(rds))
+			b.Reset()
+			for _, rd := range rds[i:j] {
+				b.AppendReading(rd)
+			}
+			run.events = append(run.events, rec.IngestBatch(&b)...)
+			i = j
+		}
+		run.events = append(run.events, rec.Flush(rec.clock.now+time.Second)...)
+		snap := reg.Snapshot()
+		run.late = snap.Value("rfipad_readings_dropped_total", obs.L("reason", "late"))
+		run.ahead = snap.Value("rfipad_readings_dropped_total", obs.L("reason", "ahead"))
+		return run
+	}
+	rds := make([]Reading, 0, len(del)+len(outlier))
+	for _, d := range del {
+		rds = append(rds, d.rd)
+	}
+	clean = feed(rds)
+	rds = rds[:0]
+	for k, d := range del {
+		rds = append(rds, d.rd)
+		if rd, ok := outlier[k]; ok {
+			rds = append(rds, rd)
+		}
+	}
+	return clean, feed(rds), ahead, behind
 }
 
-// FuzzRecognizerLateRuleMatchesSanitizer pins the recognizer's late
-// rule to the sanitizer's time check: a post-calibration stream with
-// arbitrary regressions, duplicates, equal times, out-of-range tags and
-// clock jumps, fed to one recognizer directly and to another through
-// Sanitizer.AdmitColumns (newest is the largest timestamp delivered
-// before each batch), emits deep-equal events. So the rule drops
-// nothing from a stream the engine already sanitized.
-func FuzzRecognizerLateRuleMatchesSanitizer(f *testing.F) {
-	cal, base := lateRuleCapture(f)
+// FuzzClockLoneOutliersCostNothing pins the stream clock's rule on the
+// recognizer: a post-calibration stream with arbitrary regressions,
+// duplicates, equal times, out-of-range tags, readings stamped ahead
+// and real clock jumps emits deep-equal events with and without lone
+// outliers, however far ahead or behind they are stamped, and wherever
+// they land, between a jump's first two readings included. Each
+// outlier is counted once: as ahead or as late.
+func FuzzClockLoneOutliersCostNothing(f *testing.F) {
+	cal, base := clockFuzzCapture(f)
 	op := func(pos uint16, kind, arg byte) []byte { return []byte{byte(pos >> 8), byte(pos), kind, arg} }
 	// Regressions of 0.3 to 1.5 s, duplicates, equal times and strays
-	// within 0.2 s through both strokes, then a 0.8 s clock jump after
-	// them.
+	// within 0.2 s through both strokes, then a reading 0.8 s ahead
+	// after them; jumps of 2 s before the first stroke and 3 s after
+	// the second, each with an outlier between its first two readings;
+	// and outliers ahead and behind through the strokes.
 	seed0 := []byte{9}
 	for k := range 48 {
 		seed0 = append(seed0, op(uint16(2400+97*k), byte(k%4), byte(30+k*5%120))...)
 	}
 	seed0 = append(seed0, op(6500, 4, 40)...)
+	seed0 = append(seed0, slices.Concat(op(1500, 5, 100), op(1500, 6, 0), op(6800, 5, 200), op(6800, 7, 3),
+		op(6801, 6, 9), op(3333, 6, 2), op(4444, 7, 0), op(5555, 7, 255))...)
 	seeds := [][]byte{
 		seed0,
 		{1},
 		append([]byte{63}, slices.Concat(op(3000, 0, 150), op(3001, 0, 99), op(3500, 1, 101),
 			op(3500, 2, 7), op(4000, 3, 255), op(4200, 3, 0), op(6000, 4, 255))...),
+		// Outliers next to a jump: just before its first reading, right
+		// after it, and right after its second.
+		append([]byte{17}, slices.Concat(op(4000, 5, 0), op(3999, 6, 1), op(4000, 6, 2), op(4001, 7, 4),
+			op(5000, 5, 255), op(5001, 6, 7))...),
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	if direct, _, late := lateRuleRun(f, cal, base, seed0); len(direct) == 0 || late == 0 {
-		f.Fatalf("the first seed emits %d events and drops %v readings as late: it exercises nothing", len(direct), late)
+	clean, dirty, ahead, behind := clockOutlierRuns(f, cal, base, seed0)
+	if len(clean.events) == 0 || clean.late == 0 || ahead == 0 || behind == 0 || dirty.ahead == 0 {
+		f.Fatalf("the first seed emits %d events, drops %v readings as late and inserts %d outliers ahead and %d behind: it exercises nothing",
+			len(clean.events), clean.late, ahead, behind)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		direct, sanitized, _ := lateRuleRun(t, cal, base, data)
-		if !reflect.DeepEqual(direct, sanitized) {
-			t.Fatalf("direct events diverge from sanitized events\ndirect:    %+v\nsanitized: %+v", direct, sanitized)
+		clean, dirty, ahead, behind := clockOutlierRuns(t, cal, base, data)
+		if !reflect.DeepEqual(dirty.events, clean.events) {
+			t.Fatalf("outliers changed the events\nwith:    %+v\nwithout: %+v", dirty.events, clean.events)
+		}
+		if got := dirty.ahead - clean.ahead; got != float64(ahead) {
+			t.Errorf("%d outliers ahead, %v more readings dropped as ahead", ahead, got)
+		}
+		if got := dirty.late - clean.late; got != float64(behind) {
+			t.Errorf("%d outliers behind, %v more readings dropped as late", behind, got)
 		}
 	})
 }

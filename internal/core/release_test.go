@@ -130,7 +130,7 @@ func TestRecognizerFoldsSegmentObservations(t *testing.T) {
 	for i, rd := range readings {
 		frame, bufStart := one.lastPollFrame, one.bufStart
 		ingestOne(one, rd)
-		if one.lastPollFrame != frame && one.now-bufStart >= streamWarmup {
+		if one.lastPollFrame != frame && one.clock.now-bufStart >= streamWarmup {
 			n++
 		}
 		if got := oneHist.Count(); got != n {
@@ -154,7 +154,7 @@ func TestRecognizerFoldsSegmentObservations(t *testing.T) {
 		rec  *Recognizer
 		hist *obs.Histogram
 	}{{one, oneHist}, {batched, batchedHist}} {
-		r.rec.Flush(r.rec.now)
+		r.rec.Flush(r.rec.clock.now)
 		if got := r.hist.Count(); got != n+1 {
 			t.Fatalf("after Flush: %d segment observations, want %d", got, n+1)
 		}

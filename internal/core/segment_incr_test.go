@@ -375,7 +375,7 @@ func TestRecognizerSegmentMultisetsStayExact(t *testing.T) {
 			check(i)
 		}
 	}
-	rec.Flush(rec.now)
+	rec.Flush(rec.clock.now)
 	check(len(readings))
 	if rec.bufStart == 0 {
 		t.Error("the capture never trimmed the recognizer's history")
@@ -403,12 +403,13 @@ func TestSegCacheCleanFramesAfterMidStreamFlush(t *testing.T) {
 			ledger.add(rd)
 		}
 		rec.IngestBatch(&batch)
-		if flushedAt < 0 && rec.now >= 7500*time.Millisecond {
-			rec.Flush(rec.now)
-			flushedAt = rec.now
+		if flushedAt < 0 && rec.clock.now >= 7500*time.Millisecond {
+			rec.Flush(rec.clock.now)
+			ledger.flush()
+			flushedAt = rec.clock.now
 		}
 		checkCleanFrames(t, rec, &ledger, i/64)
-		if flushedAt >= 0 && rec.now > flushedAt && rec.now < flushedAt+rec.confirmGap {
+		if flushedAt >= 0 && rec.clock.now > flushedAt && rec.clock.now < flushedAt+rec.confirmGap {
 			refilled++
 		}
 	}
@@ -418,21 +419,38 @@ func TestSegCacheCleanFramesAfterMidStreamFlush(t *testing.T) {
 }
 
 // acceptLedger records the readings a recognizer accepts, by its rules:
-// a reading more than maxRegression behind the newest one is late, and
-// of two readings with the same tag and time the first one wins. A
-// reading older than the recognizer's trimmed history is dropped as
-// late too; the ledger keeps it, but it lies before the frame cache's
-// origin, where no reference frame reads it.
+// a Clock stepped like the recognizer's takes, drops or holds each
+// reading, and of two taken readings with the same tag and time the
+// first one wins. A reading older than the recognizer's trimmed history
+// is dropped as late too; the ledger's clock has no floor, so the
+// ledger keeps it, but it lies before the frame cache's origin, where
+// no reference frame reads it.
 type acceptLedger struct {
-	now      time.Duration
+	clock    Clock
 	seen     map[[2]int64]bool
 	accepted []Reading
 }
 
 func (l *acceptLedger) add(rd Reading) {
-	l.now = max(l.now, rd.Time)
+	one := batchOf([]Reading{rd})
+	for {
+		switch l.clock.Step(one, 0) {
+		case ClockTake:
+			l.accept(rd)
+		case ClockConfirmed:
+			l.accept(l.clock.Ready().Reading(0))
+			continue
+		}
+		return
+	}
+}
+
+// flush mirrors Recognizer.Flush, which drops the held readings.
+func (l *acceptLedger) flush() { l.clock.dropHeld() }
+
+func (l *acceptLedger) accept(rd Reading) {
 	key := [2]int64{int64(rd.TagIndex), int64(rd.Time)}
-	if rd.Time < l.now-maxRegression || l.seen[key] {
+	if l.seen[key] {
 		return
 	}
 	if l.seen == nil {

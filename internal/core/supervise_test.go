@@ -127,7 +127,6 @@ func TestSanitizerAdmit(t *testing.T) {
 		{"+inf phase", Reading{Time: 5 * time.Second, Phase: math.Inf(1), RSS: -60}, 5 * time.Second, "phase"},
 		{"rss too low", Reading{Time: 5 * time.Second, Phase: 1, RSS: -150}, 5 * time.Second, "rss"},
 		{"rss positive", Reading{Time: 5 * time.Second, Phase: 1, RSS: 3}, 5 * time.Second, "rss"},
-		{"clock regression", Reading{Time: time.Second, Phase: 1, RSS: -60}, 10 * time.Second, "time_regression"},
 	}
 	for _, tc := range cases {
 		before := rejected(tc.reason)
@@ -140,19 +139,9 @@ func TestSanitizerAdmit(t *testing.T) {
 		}
 	}
 
-	// Within the duplicate window: modest regression is reordering, not
-	// a broken clock, and passes through to the recognizer's dedup.
-	if !admit(Reading{Time: 9500 * time.Millisecond, Phase: 1, RSS: -60}, 10*time.Second) {
-		t.Error("reading inside the regression window rejected")
-	}
-	// Before any delivery (newest == 0) nothing can regress.
-	if !admit(Reading{Time: 0, Phase: 1, RSS: -60}, 0) {
-		t.Error("first reading rejected")
-	}
-
-	// A mixed batch on a fresh stream: newest starts at 0 and advances
-	// over each admitted reading, so a reading more than maxRegression
-	// behind an earlier reading of the same batch is a regression.
+	// A mixed batch: the NaN phase is rejected, and every reading with
+	// usable values stays, in order, however it is stamped (the stream's
+	// Clock judges the stamps).
 	var b ReadingBatch
 	for _, rd := range []Reading{
 		{TagIndex: 0, Time: 5 * time.Second, Phase: 1.0, RSS: -60},
@@ -164,13 +153,13 @@ func TestSanitizerAdmit(t *testing.T) {
 	} {
 		b.AppendReading(rd)
 	}
-	phaseBefore, timeBefore := rejected("phase"), rejected("time_regression")
+	phaseBefore := rejected("phase")
 	san.AdmitColumns(&b, 0)
 	want := ReadingBatch{
-		Times:      []time.Duration{5 * time.Second, 4500 * time.Millisecond, 6 * time.Second},
-		Phases:     []float64{1.0, 1.3, 1.4},
-		RSS:        []float64{-60, -63, -64},
-		TagIndices: []int32{0, 3, 4},
+		Times:      []time.Duration{5 * time.Second, 3 * time.Second, 4500 * time.Millisecond, 6 * time.Second, 4800 * time.Millisecond},
+		Phases:     []float64{1.0, 1.1, 1.3, 1.4, 1.5},
+		RSS:        []float64{-60, -61, -63, -64, -65},
+		TagIndices: []int32{0, 1, 3, 4, 5},
 	}
 	if !slices.Equal(b.Times, want.Times) || !slices.Equal(b.Phases, want.Phases) ||
 		!slices.Equal(b.RSS, want.RSS) || !slices.Equal(b.TagIndices, want.TagIndices) {
@@ -178,9 +167,6 @@ func TestSanitizerAdmit(t *testing.T) {
 	}
 	if got := rejected("phase") - phaseBefore; got != 1 {
 		t.Errorf("mixed batch: %v phase rejections, want 1", got)
-	}
-	if got := rejected("time_regression") - timeBefore; got != 2 {
-		t.Errorf("mixed batch: %v time_regression rejections, want 2", got)
 	}
 }
 

@@ -52,6 +52,7 @@ type recognizerTel struct {
 	readings  *obs.Counter
 	dupes     *obs.Counter
 	late      *obs.Counter
+	ahead     *obs.Counter
 	reordered *obs.Counter
 	strokes   *obs.Counter
 	letters   *obs.Counter
@@ -68,6 +69,8 @@ func newRecognizerTel(r *obs.Registry) *recognizerTel {
 			"Readings dropped before recognition, by reason.", obs.L("reason", "duplicate")),
 		late: r.Counter("rfipad_readings_dropped_total",
 			"Readings dropped before recognition, by reason.", obs.L("reason", "late")),
+		ahead: r.Counter("rfipad_readings_dropped_total",
+			"Readings dropped before recognition, by reason.", obs.L("reason", "ahead")),
 		reordered: r.Counter("rfipad_readings_reordered_total",
 			"Out-of-order readings inserted back into time order."),
 		strokes: r.Counter("rfipad_strokes_total",

@@ -381,9 +381,15 @@ func (e *Engine) PushBatch(id StreamID, b *core.ReadingBatch) bool {
 		core.PutBatch(b)
 		return true
 	}
+	return e.tryPush(item{id: id, cols: b, enq: time.Now()})
+}
+
+// tryPush enqueues without blocking. A full mailbox or a closed engine
+// refuses the item, counted in engine_overflow_total.
+func (e *Engine) tryPush(it item) bool {
 	if !e.closed.Load() {
 		select {
-		case e.shardFor(id).mail <- item{id: id, cols: b, enq: time.Now()}:
+		case e.shardFor(it.id).mail <- it:
 			return true
 		default:
 		}
@@ -413,6 +419,14 @@ func (e *Engine) pushWait(it item) bool {
 // ingests more readings after a flush can be flushed again.
 func (e *Engine) FlushStream(id StreamID) {
 	e.pushWait(item{op: opFlush, id: id, enq: time.Now()})
+}
+
+// TryFlushStream is FlushStream without the wait: it enqueues the flush
+// marker only when the stream's shard mailbox has room, and reports
+// whether it did. A refusal is counted in engine_overflow_total, like
+// a refused PushBatch.
+func (e *Engine) TryFlushStream(id StreamID) bool {
+	return e.tryPush(item{op: opFlush, id: id, enq: time.Now()})
 }
 
 // EvictStream removes a calibrated stream from its shard and returns
@@ -679,7 +693,7 @@ func (s *shard) handle(it item) {
 	}
 	// Sanitize in place, then one IngestBatch call into the stream and
 	// one delivery of the resulting events.
-	s.eng.tel.rejected.AdmitColumns(it.cols, st.st.LastTime())
+	s.eng.tel.rejected.AdmitColumns(it.cols, 0)
 	admitted := it.cols.Len()
 	rejected := size - admitted
 	evs, err := st.st.IngestBatch(it.cols)

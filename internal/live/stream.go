@@ -21,10 +21,13 @@ type Stream struct {
 	// prelude holds the static capture until it covers CalibDuration,
 	// in a pooled batch that goes back to the pool once calibration
 	// succeeds.
-	prelude  *core.ReadingBatch
-	cal      *core.Calibration
-	rec      *core.Recognizer
-	lastTime time.Duration
+	prelude *core.ReadingBatch
+	cal     *core.Calibration
+	rec     *core.Recognizer
+	// clock is the stream's time from its first reading to its last:
+	// the prelude steps it until calibration, the recognizer from then
+	// on.
+	clock core.Clock
 	// calEndTime and calEndTag identify the reading that completed the
 	// prelude. The prelude owns it and every reading stamped before it,
 	// so when a resumed transport redelivers them after calibration
@@ -33,10 +36,7 @@ type Stream struct {
 	// cursor.
 	calEndTime time.Duration
 	calEndTag  int32
-	// calCursor is the frame calEndTime falls in: the earliest frame cursor
-	// a checkpoint may carry, even before anything was recognized.
-	calCursor time.Duration
-	released  bool
+	released   bool
 }
 
 // NewStream builds a stream state machine; event fan-out stays with
@@ -87,18 +87,21 @@ func extend[T any](col *[]T, n int) []T {
 	return (*col)[l:][:n]
 }
 
-// IngestBatch feeds a columnar batch of readings. Readings up to the
-// calibration boundary accumulate into the static prelude (the reading
-// that completes CalibDuration triggers calibration and is part of the
-// prelude, not the recognized stream); once the prelude covers
-// CalibDuration the stream calibrates, and everything after the
-// boundary flows to the recognizer in one columnar call. A resumed
-// transport replays a short overlap; prelude readings it redelivers
-// after calibration are skipped, and the runs between them go to the
-// recognizer (calibration already dedups the ones it sees, and the
-// recognizer those of its own history), so where a reconnect lands
-// never changes what is recognized. The batch is
-// only read, never retained. A calibration error is terminal for the
+// IngestBatch feeds a columnar batch of readings. The stream's clock
+// judges each reading first (core.Clock): a late one is dropped, and
+// one stamped ahead waits for the next reading to confirm or drop it.
+// Readings up to the calibration boundary accumulate into the static
+// prelude (the reading that completes CalibDuration triggers
+// calibration and is part of the prelude, not the recognized stream);
+// once the prelude covers CalibDuration the stream calibrates, hands
+// its clock to the recognizer, and everything after the boundary flows
+// to the recognizer in one columnar call. A resumed transport replays
+// a short overlap; prelude readings it redelivers after calibration
+// are skipped unless the clock finds them late, and the runs between
+// them go to the recognizer (calibration already dedups the ones it
+// sees, and the recognizer those of its own history), so where a
+// reconnect lands never changes what is recognized. The batch is only
+// read, never retained. A calibration error is terminal for the
 // stream: the rest of the batch is not ingested.
 func (s *Stream) IngestBatch(b *core.ReadingBatch) ([]core.Event, error) {
 	if s.released {
@@ -107,45 +110,65 @@ func (s *Stream) IngestBatch(b *core.ReadingBatch) ([]core.Event, error) {
 	n := b.Len()
 	i := 0
 	for i < n && s.rec == nil {
-		t := b.Times[i]
-		if s.prelude == nil {
-			s.prelude = core.GetBatch()
-		}
-		s.prelude.Append(t, b.Phases[i], b.RSS[i], b.TagIndices[i])
-		i++
-		if t > s.lastTime {
-			s.lastTime = t
-		}
-		if t < s.cfg.CalibDuration {
+		src, k := b, i
+		switch s.clock.Step(b, i) {
+		case core.ClockTake:
+			i++
+		case core.ClockConfirmed:
+			// The held reading goes first, in its place. If it
+			// completes the prelude, row i goes to the recognizer.
+			src, k = s.clock.Ready(), 0
+		default:
+			i++
 			continue
 		}
-		cal, err := core.CalibrateBatch(s.prelude, s.cfg.Grid.NumTags())
-		if err != nil {
-			return nil, fmt.Errorf("live: calibration failed: %w", err)
+		if err := s.addPrelude(src, k); err != nil {
+			return nil, err
 		}
-		s.cal = cal
-		core.PutBatch(s.prelude)
-		s.prelude = nil
-		pipe := core.NewPipeline(s.cfg.Grid, cal)
-		pipe.Obs = s.cfg.Obs
-		seg := core.NewSegmenter()
-		s.rec = core.NewRecognizer(pipe, seg)
-		s.calEndTime, s.calEndTag = t, b.TagIndices[i-1]
-		s.calCursor = t - t%seg.FrameLen
 	}
 	rest := b.Slice(i, n)
 	var events []core.Event
 	lo := 0
 	for k, t := range rest.Times {
-		if t > s.lastTime {
-			s.lastTime = t
+		if !s.preludeOwns(t, rest.TagIndices[k]) {
+			continue
 		}
-		if s.preludeOwns(t, rest.TagIndices[k]) {
-			events = s.recognize(events, rest.Slice(lo, k))
+		// The runs before are recognized first, so the clock is
+		// current: a late reading goes on to be counted as late.
+		events = s.recognize(events, rest.Slice(lo, k))
+		lo = k
+		if !s.clock.Late(t) {
 			lo = k + 1
 		}
 	}
 	return s.recognize(events, rest.Slice(lo, rest.Len())), nil
+}
+
+// addPrelude appends row k of b to the prelude and, once the prelude
+// covers CalibDuration, calibrates and starts the recognizer on the
+// stream's clock.
+func (s *Stream) addPrelude(b *core.ReadingBatch, k int) error {
+	t := b.Times[k]
+	if s.prelude == nil {
+		s.prelude = core.GetBatch()
+	}
+	s.prelude.Append(t, b.Phases[k], b.RSS[k], b.TagIndices[k])
+	if t < s.cfg.CalibDuration {
+		return nil
+	}
+	cal, err := core.CalibrateBatch(s.prelude, s.cfg.Grid.NumTags())
+	if err != nil {
+		return fmt.Errorf("live: calibration failed: %w", err)
+	}
+	s.cal = cal
+	core.PutBatch(s.prelude)
+	s.prelude = nil
+	pipe := core.NewPipeline(s.cfg.Grid, cal)
+	pipe.Obs = s.cfg.Obs
+	s.rec = core.NewRecognizer(pipe, nil)
+	s.rec.UseClock(&s.clock)
+	s.calEndTime, s.calEndTag = t, b.TagIndices[k]
+	return nil
 }
 
 // recognize feeds one run of readings to the recognizer and appends the
@@ -177,7 +200,7 @@ func (s *Stream) Flush() []core.Event {
 	if s.rec == nil {
 		return nil
 	}
-	return s.rec.Flush(s.lastTime + flushAfter)
+	return s.rec.Flush(s.clock.Now() + flushAfter)
 }
 
 // Release hands the stream's buffers to the streams built after it:
@@ -199,25 +222,27 @@ func (s *Stream) Release() {
 func (s *Stream) Calibrated() bool { return s.rec != nil }
 
 // Checkpoint exports the stream's durable recovery state: its
-// calibration plus the frame cursor recognition would resume from.
-// ok is false before calibration — an uncalibrated stream has nothing
-// worth persisting — and after Release.
+// calibration, its clock, and the frame cursor recognition would
+// resume from (the clock's frame, so never before the frame of the
+// reading that completed the prelude). ok is false before calibration
+// — an uncalibrated stream has nothing worth persisting — and after
+// Release.
 func (s *Stream) Checkpoint(name string) (supervise.Checkpoint, bool) {
 	if s.cal == nil || s.rec == nil || s.released {
 		return supervise.Checkpoint{}, false
 	}
 	return supervise.Checkpoint{
 		Stream:      name,
-		StreamTime:  s.lastTime,
-		FrameCursor: max(s.rec.FrameCursor(), s.calCursor),
+		StreamTime:  s.clock.Now(),
+		FrameCursor: s.rec.FrameCursor(),
 		Calibration: s.cal.Snapshot(),
 	}, true
 }
 
 // RestoreStream rebuilds a stream from a checkpoint, skipping the
-// calibration prelude: the restored recognizer resumes at the
-// checkpoint's frame cursor, dropping older (already recognized)
-// readings as late. The checkpoint's calibration is revalidated and
+// calibration prelude: the stream's clock resumes at the checkpoint's
+// stream time, and the restored recognizer at its frame cursor,
+// dropping older (already recognized) readings as late. The checkpoint's calibration is revalidated and
 // must match the configured grid; any mismatch returns an error so the
 // caller falls back to live calibration.
 func RestoreStream(cfg Config, cp supervise.Checkpoint) (*Stream, error) {
@@ -232,10 +257,11 @@ func RestoreStream(cfg Config, cp supervise.Checkpoint) (*Stream, error) {
 	}
 	pipe := core.NewPipeline(cfg.Grid, cal)
 	pipe.Obs = cfg.Obs
-	rec := core.NewRecognizer(pipe, nil)
-	rec.SkipTo(cp.FrameCursor)
-	return &Stream{cfg: cfg, cal: cal, rec: rec, lastTime: cp.StreamTime,
-		calEndTag: -1}, nil
+	s := &Stream{cfg: cfg, cal: cal, rec: core.NewRecognizer(pipe, nil),
+		clock: core.ClockAt(cp.StreamTime), calEndTag: -1}
+	s.rec.UseClock(&s.clock)
+	s.rec.SkipTo(cp.FrameCursor)
+	return s, nil
 }
 
 // DeadTags returns how many tags calibration flagged dead (0 before
@@ -247,5 +273,6 @@ func (s *Stream) DeadTags() int {
 	return s.cal.DeadCount()
 }
 
-// LastTime returns the largest reading timestamp seen.
-func (s *Stream) LastTime() time.Duration { return s.lastTime }
+// LastTime returns the stream's clock: the newest reading time it has
+// taken. A reading its clock dropped or still holds does not move it.
+func (s *Stream) LastTime() time.Duration { return s.clock.Now() }

@@ -32,11 +32,13 @@ type Checkpoint struct {
 	Stream string `json:"stream"`
 	// SavedAt is the wall-clock save time, bounding staleness.
 	SavedAt time.Time `json:"saved_at"`
-	// StreamTime is the newest reading timestamp the stream had
-	// ingested.
+	// StreamTime is the stream's clock (core.Clock): the newest
+	// reading time it had taken. A reading its clock dropped or still
+	// held does not count. A restored stream's clock resumes here.
 	StreamTime time.Duration `json:"stream_time"`
 	// FrameCursor is the frame-aligned stream time recognition resumes
-	// from after a restore (readings before it are dropped as late).
+	// from after a restore (readings before it are dropped as late):
+	// the frame of StreamTime.
 	FrameCursor time.Duration `json:"frame_cursor"`
 	// TraceID carries the stream's trace identity (hex, from
 	// internal/obs/trace) across the checkpoint boundary — both the

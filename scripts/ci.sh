@@ -64,12 +64,13 @@ go test -race -shuffle=on ./...
 # end its stream with an error on the cluster path as on the engine's.
 # The one drain loop's exit rules run through the engine, the cluster
 # and the bare loop; a flush that arrives mid-migration must survive
-# the handoff; a refused drained push must go back to the pool; and
-# rfipad-live's one runner drives both modes against an in-process
-# reader daemon.
+# the handoff, and a flush that waits on a full mailbox must never hold
+# the coordinator lock (routing and heartbeats keep going); a refused
+# drained push must go back to the pool; and rfipad-live's one runner
+# drives both modes against an in-process reader daemon.
 echo '== chaos + recovery tests (-race -count=2)'
 go test -race -count=2 \
-    -run 'TestEnginePanic|TestEngineSourcePanic|TestEngineCheckpoint|TestEngineDrain|TestEngineRelease|TestEndToEndChaos|TestCheckpointRestore|TestCheckpointStale|TestSessionBreaker|TestClusterNodeKill|TestClusterHandoff|TestClusterLeave|TestClusterJoin|TestClusterFlight|TestClusterSourcePanic|TestDrainExitRules|TestClusterFlushDuringMigration|TestRunStreamPush|TestRunModes' \
+    -run 'TestEnginePanic|TestEngineSourcePanic|TestEngineCheckpoint|TestEngineDrain|TestEngineRelease|TestEndToEndChaos|TestCheckpointRestore|TestCheckpointStale|TestSessionBreaker|TestClusterNodeKill|TestClusterHandoff|TestClusterLeave|TestClusterJoin|TestClusterFlight|TestClusterSourcePanic|TestDrainExitRules|TestClusterFlushDuringMigration|TestClusterFlushNeverBlocks|TestRunStreamPush|TestRunModes' \
     ./internal/engine ./internal/llrp ./internal/cluster ./cmd/rfipad-live
 
 # Split-brain containment: asymmetric partitions (heartbeats severed,
@@ -122,14 +123,16 @@ go test -run '^$' -fuzz FuzzFrameTraceMatchesReference -fuzztime 10s ./internal/
 echo '== disturbance kernel fuzz smoke (10s)'
 go test -run '^$' -fuzz FuzzPhaseVariationMatchesComposition -fuzztime 10s ./internal/dsp
 
-# Short fuzz pass over the recognizer's late rule: a stream with
-# regressions, duplicates, equal times, out-of-range tags and clock
-# jumps must recognize the same fed directly as through the sanitizer,
-# whose time check the rule repeats. The rule is what lets a stream
-# retire frame accumulators and history behind the late horizon. New
-# crashers land in internal/core/testdata/fuzz.
-echo '== late rule fuzz smoke (10s)'
-go test -run '^$' -fuzz FuzzRecognizerLateRuleMatchesSanitizer -fuzztime 10s ./internal/core
+# Short fuzz pass over the stream clock, the one place a reading's
+# stamp is judged late or ahead: a stream with regressions, duplicates,
+# equal times, out-of-range tags, readings stamped ahead and real clock
+# jumps must recognize the same with and without lone outliers stamped
+# far ahead or behind, between a jump's first two readings included,
+# and count each outlier once. The late horizon is also what lets a
+# stream retire frame accumulators and history. New crashers land in
+# internal/core/testdata/fuzz.
+echo '== stream clock fuzz smoke (10s)'
+go test -run '^$' -fuzz FuzzClockLoneOutliersCostNothing -fuzztime 10s ./internal/core
 
 # Short fuzz passes over the LLRP wire path: the frame parser must
 # never panic, and a stream of frames read through one reused frame
